@@ -5,7 +5,6 @@
 // seed the BENCH_micro.json perf trajectory (scripts/bench.sh).
 #include <benchmark/benchmark.h>
 
-#include "priste/common/arena.h"
 #include "priste/common/check.h"
 #include "priste/common/random.h"
 #include "priste/common/thread_pool.h"
@@ -422,7 +421,6 @@ void BM_ReleaseStepCached(benchmark::State& state) {
   const int candidates = 6;
   Rng rng(1234);
   std::vector<std::vector<linalg::Vector>> dense(steps);
-  std::vector<std::vector<linalg::SparseVector>> sparse(steps);
   for (int t = 0; t < steps; ++t) {
     const size_t row = static_cast<size_t>(side / 2) +
                        static_cast<size_t>(t) / static_cast<size_t>(side - 9);
@@ -431,7 +429,6 @@ void BM_ReleaseStepCached(benchmark::State& state) {
     for (int cand = 0; cand < candidates; ++cand) {
       linalg::Vector e(m);
       for (size_t j = 0; j < 9; ++j) e[anchor + j] = 0.1 + 0.9 * rng.NextDouble();
-      sparse[static_cast<size_t>(t)].push_back(linalg::SparseVector::FromDense(e));
       dense[static_cast<size_t>(t)].push_back(std::move(e));
     }
   }
@@ -443,11 +440,11 @@ void BM_ReleaseStepCached(benchmark::State& state) {
       for (int t = 0; t < steps; ++t) {
         for (int cand = 0; cand < candidates; ++cand) {
           const auto outcome = context.CheckCandidate(
-              sparse[static_cast<size_t>(t)][static_cast<size_t>(cand)], 0.5,
+              dense[static_cast<size_t>(t)][static_cast<size_t>(cand)], 0.5,
               -1.0);
           acc += outcome.per_model[0].max_condition15;
         }
-        context.Commit(sparse[static_cast<size_t>(t)].back());
+        context.Commit(dense[static_cast<size_t>(t)].back());
       }
     } else {
       const core::PrivacyQuantifier quantifier(&model);
@@ -478,8 +475,8 @@ BENCHMARK(BM_ReleaseStepCached)->Arg(0)->Arg(1)->ArgName("cached")
 // candidate with fused replicate-and-dot kernels (O(m·nnz) per check). The
 // workload isolates the Theorem-vector side (CandidateVectors) — the QP is
 // measured by BM_QpCheck/BM_QpWarmStart — and its horizon (300 ≈ 4.7·m)
-// sits in the amortized regime the scheme targets (DensePrefix::kAuto
-// engages at T ≥ 2m).
+// sits in the amortized regime the scheme targets (the dense rows engage at
+// a horizon hint T ≥ 2m).
 void BM_ReleaseStepDensePrefix(benchmark::State& state) {
   const bool accelerated = state.range(0) != 0;
   const int side = 8;  // m = 64
@@ -505,9 +502,8 @@ void BM_ReleaseStepDensePrefix(benchmark::State& state) {
   for (auto _ : state) {
     double acc = 0.0;
     if (accelerated) {
-      core::ReleaseStepOptions options;
-      options.dense_prefix = core::ReleaseStepOptions::DensePrefix::kAlways;
-      core::ReleaseStepContext context({&model}, &solver, true, options);
+      core::ReleaseStepContext context({&model}, &solver);
+      context.SetHorizonHint(steps);
       for (int t = 0; t < steps; ++t) {
         for (int cand = 0; cand < candidates; ++cand) {
           acc += context
@@ -606,9 +602,8 @@ BENCHMARK(BM_QpWarmStart)->Arg(0)->Arg(1)->ArgName("warm")
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Kernel-substrate pairs (ISSUE-7 acceptance, ≥1.3× each): the RowBlock
-// replicate-and-dot under scalar vs dispatched kernels, and the release
-// engine's per-candidate gather staging under malloc vs arena.
+// Kernel-substrate pair (ISSUE-7 acceptance, ≥1.3×): the RowBlock
+// replicate-and-dot under scalar vs dispatched kernels.
 // ---------------------------------------------------------------------------
 
 // The dense-prefix candidate evaluation in isolation: a RowBlock family of
@@ -644,111 +639,6 @@ void BM_RowBlockReplicateDot(benchmark::State& state) {
   linalg::kernels::SetSimdEnabledForTest(previous);
 }
 BENCHMARK(BM_RowBlockReplicateDot)->Arg(0)->Arg(1)->ArgName("simd");
-
-// One accepted timestamp's scratch traffic through the release step, under
-// the seed allocation policy vs the shipped one. Each iteration does the
-// same math twice over: (a) extend every cached support row by one emission
-// step (one multiply-add pass over a lifted row), then (b) run a QP grid
-// sweep's worth of sparse candidates — stage the block-expanded gather
-// triple per candidate, one fused GatherDotPair per support row. The malloc
-// arm is the pre-PR storage policy: each extension builds a fresh
-// `linalg::Vector(lifted)` (64 KB value-initialized, then fully overwritten,
-// then the old row freed) and each candidate stages through per-candidate
-// heap vectors. The arena arm is the shipped policy: rows live in a
-// preallocated RowBlock and extend IN PLACE; staging bumps the release
-// arena, whose Reset() per step recycles the footprint. Identical kernels
-// and flops either way — the ratio isolates the allocation layer (the
-// malloc/memset/free per lifted row is the churn the RowBlock+arena
-// restructure deleted).
-void BM_ArenaReleaseStep(benchmark::State& state) {
-  const bool arena_arm = state.range(0) != 0;
-  const size_t blocks = 8, m = 1024, nnz = 9;
-  const size_t support_rows = 6, candidates = 32;
-  const size_t lifted = blocks * m;
-  const size_t total = blocks * nnz;
-  const double step_scale = 0.01;
-  Rng rng(1717);
-  linalg::RowBlock rows(support_rows, lifted);
-  std::vector<linalg::Vector> rows_heap(support_rows);
-  for (size_t i = 0; i < support_rows; ++i) {
-    rows_heap[i] = linalg::Vector(lifted);
-    for (size_t j = 0; j < lifted; ++j) {
-      const double v = rng.NextDouble();
-      rows.Row(i)[j] = v;
-      rows_heap[i][j] = v;
-    }
-  }
-  linalg::Vector em(lifted), seed(lifted);
-  for (size_t j = 0; j < lifted; ++j) em[j] = rng.NextDouble();
-  for (size_t j = 0; j < lifted; ++j) seed[j] = rng.NextDouble();
-  std::vector<size_t> idx(nnz);
-  std::vector<double> vals(nnz);
-  for (size_t p = 0; p < nnz; ++p) {
-    idx[p] = 100 + 7 * p;
-    vals[p] = rng.NextDouble();
-  }
-
-  const auto stage = [&](size_t* gidx, double* cvals, double* bvals) {
-    for (size_t q = 0; q < blocks; ++q) {
-      for (size_t p = 0; p < nnz; ++p) {
-        const size_t g = q * m + idx[p];
-        gidx[q * nnz + p] = g;
-        cvals[q * nnz + p] = vals[p];
-        bvals[q * nnz + p] = vals[p] * seed[g];
-      }
-    }
-  };
-  const auto gather = [&](const size_t* gidx, const double* cvals,
-                          const double* bvals, const double* row) {
-    double bsum, csum;
-    linalg::kernels::GatherDotPair(bvals, cvals, gidx, total, row, &bsum,
-                                   &csum);
-    return bsum + csum;
-  };
-
-  Arena arena;
-  for (auto _ : state) {
-    double acc = 0.0;
-    if (arena_arm) {
-      for (size_t i = 0; i < support_rows; ++i) {
-        linalg::kernels::Axpy(step_scale, em.data(), rows.Row(i), lifted);
-      }
-      for (size_t cand = 0; cand < candidates; ++cand) {
-        auto* gidx = static_cast<size_t*>(
-            arena.Allocate(total * sizeof(size_t), alignof(size_t)));
-        double* cvals = arena.AllocateDoubles(total);
-        double* bvals = arena.AllocateDoubles(total);
-        stage(gidx, cvals, bvals);
-        for (size_t i = 0; i < support_rows; ++i) {
-          acc += gather(gidx, cvals, bvals, rows.Row(i));
-        }
-      }
-      arena.Reset();
-    } else {
-      for (size_t i = 0; i < support_rows; ++i) {
-        linalg::Vector next(lifted);
-        const double* old = rows_heap[i].data();
-        double* dst = next.data();
-        for (size_t j = 0; j < lifted; ++j) {
-          dst[j] = old[j] + step_scale * em[j];
-        }
-        rows_heap[i] = std::move(next);
-      }
-      for (size_t cand = 0; cand < candidates; ++cand) {
-        std::vector<size_t> gidx(total);
-        std::vector<double> cvals(total);
-        std::vector<double> bvals(total);
-        stage(gidx.data(), cvals.data(), bvals.data());
-        for (size_t i = 0; i < support_rows; ++i) {
-          acc += gather(gidx.data(), cvals.data(), bvals.data(),
-                        rows_heap[i].data());
-        }
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_ArenaReleaseStep)->Arg(0)->Arg(1)->ArgName("arena");
 
 // ---------------------------------------------------------------------------
 // Serial vs parallel driver variants. Explicit pools make the comparison

@@ -49,8 +49,7 @@ PRISTE_THREADS="${PRISTE_THREADS:-4}" \
 # the binary.
 for family in BM_SparseEmissionTheoremVectors BM_SparseEmissionForwardBackward \
               BM_QpSupportAware BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
-              BM_QpWarmStart BM_SharedEmissionCache BM_RowBlockReplicateDot \
-              BM_ArenaReleaseStep; do
+              BM_QpWarmStart BM_SharedEmissionCache BM_RowBlockReplicateDot; do
   if ! grep -q "$family" "$OUT"; then
     echo "$OUT is missing benchmark family $family" >&2
     exit 1

@@ -35,7 +35,6 @@ GUARDED_PREFIXES = [
     "BM_QpWarmStart/warm:1",
     "BM_SharedEmissionCache/cached:1",
     "BM_RowBlockReplicateDot/simd:1",
-    "BM_ArenaReleaseStep/arena:1",
 ]
 
 

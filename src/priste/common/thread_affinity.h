@@ -8,7 +8,7 @@
 namespace priste {
 
 /// Debug-build owner-thread assertion for types that are single-threaded by
-/// contract (Arena, SliceBasisMemo, QpSolver::WarmState — one owning context
+/// contract (SliceBasisMemo, QpSolver::WarmState — one owning context
 /// per thread, never shared). The owner is latched on the FIRST Check() call
 /// — not at construction, because these objects are routinely constructed on
 /// one thread and then used entirely on a worker (ParallelFor runs whole

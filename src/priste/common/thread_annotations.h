@@ -96,9 +96,9 @@
 /// rule `hot-path-alloc` (tools/lint/priste_lint.py) and the whole-program
 /// transitive rule `hot-path-alloc-transitive`
 /// (tools/lint/priste_callgraph.py), which follows every call path out of the
-/// marked body and flags allocations in unmarked helpers too. Arena
-/// allocation (priste::Arena) and writes into preallocated buffers are the
-/// sanctioned alternatives; amortized scratch growth carries a
+/// marked body and flags allocations in unmarked helpers too. Writes into
+/// preallocated buffers (RowBlock rows, ping-pong work vectors) are the
+/// sanctioned alternative; amortized scratch growth carries a
 /// `// priste-lint: allow(...)` waiver at the allocation or call edge.
 #if defined(__clang__)
 #define PRISTE_HOT_PATH __attribute__((annotate("priste_hot_path")))

@@ -42,7 +42,8 @@ struct PristeOptions {
 
   QpSolver::Options qp;
 
-  /// Release-step evaluation engine knobs (prefix cache, QP warm starts).
+  /// Release-step evaluation engine knobs (sparse-row budget, QP warm-frame
+  /// lifecycle). QP warm starts are switched by qp.warm_start.
   ReleaseStepOptions release;
 };
 

@@ -48,7 +48,7 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
   ReleaseStepContext context(std::move(raw_models), &solver_,
                              options_.normalize_emissions, options_.release);
   // δ-location-set columns are usually sparse, but a wide first ΔX still
-  // benefits from the dense-prefix family on long runs (DensePrefix::kAuto).
+  // benefits from the dense-prefix family on long runs (T ≥ 2m).
   context.SetHorizonHint(T);
 
   static Histogram& step_seconds =

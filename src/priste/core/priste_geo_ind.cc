@@ -70,8 +70,8 @@ Result<RunResult> PristeGeoInd::Run(const geo::Trajectory& true_trajectory,
   for (const auto& model : models_) raw_models.push_back(model.get());
   ReleaseStepContext context(std::move(raw_models), &solver_,
                              options_.normalize_emissions, options_.release);
-  // Geo-ind emission columns are dense; the horizon decides whether the
-  // dense-prefix row family amortizes (DensePrefix::kAuto).
+  // Geo-ind emission columns are dense; the dense-prefix row family engages
+  // once the horizon amortizes it (T ≥ 2m).
   context.SetHorizonHint(T);
 
   static Histogram& step_seconds =

@@ -197,11 +197,13 @@ class QpSolver {
   /// second maximization starts from the first's final basis, so its Phase-1
   /// work disappears entirely. With a non-null `warm` (and
   /// Options.warm_start), the shared frame, the per-objective argmax seeds
-  /// (`argmax`/`argmax2`), and the basis chain persist across calls. The
-  /// sweeps run sequentially (the family is stateful); each returns the same
-  /// certified maximum as an independent Maximize call up to floating-point
-  /// noise, by the same warm-only-adds argument. With Options.warm_start
-  /// off this degrades to two independent cold maximizations.
+  /// (`argmax`/`argmax2`), and the basis chain persist across calls; with a
+  /// null `warm` the pair still shares the frame and family within the call.
+  /// The sweeps run sequentially (the family is stateful); each returns the
+  /// same certified maximum as an independent Maximize call up to
+  /// floating-point noise, by the same warm-only-adds argument. With
+  /// Options.warm_start off this degrades to two independent cold
+  /// maximizations.
   void MaximizePair(const Objective& first, const Objective& second,
                     const Deadline& deadline, WarmState* warm,
                     Result* first_result, Result* second_result) const;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "priste/common/check.h"
-#include "priste/common/thread_pool.h"
 
 namespace priste::core {
 namespace {
@@ -164,23 +163,14 @@ PrivacyCheckResult PrivacyQuantifier::CheckArbitraryPrior(
   }
   f16.l = v.b_bar.Scaled(-e_eps);
 
-  // With warm state the pair resolves sequentially through one shared
-  // support frame and slice family (the conditions differ only in (d, l));
-  // cold checks keep the concurrent independent maximizations. Either path
-  // is internally deterministic, so the result is identical at any thread
-  // count — and the shared family reaches the same unique slice optima, so
-  // warm-vs-cold agreement is unchanged.
-  QpSolver::Result results[2];
-  if (warm != nullptr && solver.options().warm_start) {
-    solver.MaximizePair(f15, f16, deadline, warm, &results[0], &results[1]);
-  } else {
-    const QpSolver::Objective* objectives[2] = {&f15, &f16};
-    ParallelFor(2, [&](size_t i) {
-      results[i] = solver.Maximize(*objectives[i], deadline, nullptr);
-    });
-  }
-  const QpSolver::Result& r15 = results[0];
-  const QpSolver::Result& r16 = results[1];
+  // The conditions differ only in (d, l), so the pair resolves through one
+  // support frame and slice family; with `warm` the frame, the basis chain
+  // and the per-condition argmax seeds persist across the checks of a
+  // release step. Sequential and internally deterministic, so the result is
+  // identical at any thread count.
+  QpSolver::Result r15;
+  QpSolver::Result r16;
+  solver.MaximizePair(f15, f16, deadline, warm, &r15, &r16);
 
   PrivacyCheckResult out;
   out.max_condition15 = r15.max_value;

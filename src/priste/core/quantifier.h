@@ -43,7 +43,7 @@ struct PrivacyCheckResult {
   /// The prior achieving the larger violation (diagnostics).
   linalg::Vector worst_pi;
   /// Warm-start diagnostics summed over the two condition maximizations
-  /// (zero without a warm bundle / with warm_start off).
+  /// (zero with the solver's warm_start off).
   int warm_accepted_slices = 0;
   int warm_rejected_slices = 0;
   /// True when both maximizations reused their memoized support frame.
@@ -91,13 +91,12 @@ class PrivacyQuantifier {
   /// The arbitrary-prior check of Section IV-A: maximizes both conditions
   /// over the QP solver's constraint set under `deadline`. The two
   /// conditions differ only in the objective's (d, l) — they share the
-  /// bilinear factor ā — so a non-null `warm` (with the solver's
-  /// Options.warm_start on) resolves them through QpSolver::MaximizePair:
-  /// ONE support frame, ONE slice-LP family, and per-condition argmax seeds,
-  /// threaded across consecutive calls of one release step. Same certified
-  /// answers as two independent maximizations, roughly half the frame/basis
-  /// work. Without warm state (or with warm_start off) the two conditions
-  /// are maximized cold and concurrently, as before.
+  /// bilinear factor ā — so they resolve through QpSolver::MaximizePair: ONE
+  /// support frame, ONE slice-LP family, and per-condition argmax seeds,
+  /// threaded across consecutive calls of one release step by a non-null
+  /// `warm`. Same certified answers as two independent maximizations,
+  /// roughly half the frame/basis work; with the solver's
+  /// Options.warm_start off the pair is two independent cold maximizations.
   PrivacyCheckResult CheckArbitraryPrior(const TheoremVectors& v, double epsilon,
                                          const QpSolver& solver,
                                          const Deadline& deadline,

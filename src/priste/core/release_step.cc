@@ -74,21 +74,12 @@ ReleaseStepContext::ReleaseStepContext(
   }
 }
 
-double ReleaseStepContext::CandidateScale(const ColumnView& column) const {
+double ReleaseStepContext::CandidateScale(const linalg::Vector& column) const {
   if (!normalize_emissions_) return 1.0;
   const double scale = column.MaxAbs();
   PRISTE_CHECK_MSG(scale > 0.0, "emission column is all-zero");
   return 1.0 / scale;
 }
-
-namespace {
-
-linalg::Vector DensifyColumn(const linalg::Vector* dense,
-                             const linalg::SparseVector* sparse) {
-  return dense != nullptr ? *dense : sparse->ToDense();
-}
-
-}  // namespace
 
 void ReleaseStepContext::EnsureStepRows(ModelEngine& engine, bool need_masked) {
   PRISTE_CHECK(t_ >= 1);
@@ -120,7 +111,7 @@ void ReleaseStepContext::EnsureStepRows(ModelEngine& engine, bool need_masked) {
 }
 
 PRISTE_HOT_PATH TheoremVectors ReleaseStepContext::CachedVectors(
-    ModelEngine& engine, const ColumnView& column) {
+    ModelEngine& engine, const linalg::Vector& column) {
   const LiftedEventModel& model = *engine.model;
   const size_t m = model.num_states();
   const int t = t_ + 1;
@@ -138,67 +129,25 @@ PRISTE_HOT_PATH TheoremVectors ReleaseStepContext::CachedVectors(
   const size_t lifted = model.lifted_size();
   const size_t k = lifted / m;
 
-  if (column.dense != nullptr) {
-    // Fused replicate-and-dot: the candidate is treated as replicated across
-    // the k event blocks without materializing the replication, and during
-    // the window ONE pass over each row yields both the suffix-seeded b̄ sum
-    // and the all-ones c̄ sum (Eq. 18). Past the window the accepting-masked
-    // family carries b̄, the unmasked family c̄ (Eqs. 19/20). Rows live in
-    // contiguous 64-byte-aligned RowBlock storage, so the kernels stream one
-    // flat buffer.
-    const double* cand = column.dense->data();
-    for (size_t i = 0; i < support_.size(); ++i) {
-      double bsum;
-      double csum;
-      if (during) {
-        linalg::kernels::ReplicateDotPair(engine.step_rows.Row(i), k, m, cand,
-                                          seed->data(), &bsum, &csum);
-      } else {
-        bsum = linalg::kernels::ReplicateDot(engine.step_rows_masked.Row(i), k,
-                                             m, cand);
-        csum = linalg::kernels::ReplicateDot(engine.step_rows.Row(i), k, m,
-                                             cand);
-      }
-      const double w = support_scale_[i] * s_c;
-      out.b_bar[support_[i]] = w * bsum;
-      out.c_bar[support_[i]] = w * csum;
-    }
-    return out;
-  }
-
-  // Sparse candidate: stage the block-expanded gather list (and the
-  // seed-fused values for b̄ during the window) ONCE per candidate in the
-  // arena, then each support row is a single GatherDot — the seed gather
-  // amortizes over the whole row family instead of re-running per row.
-  const std::vector<size_t>& idx = column.sparse->indices();
-  const std::vector<double>& vals = column.sparse->values();
-  const size_t nnz = idx.size();
-  const size_t total = k * nnz;
-  size_t* gidx = static_cast<size_t*>(
-      arena_.Allocate(total * sizeof(size_t), alignof(size_t)));
-  double* cvals = arena_.AllocateDoubles(total);
-  double* bvals = during ? arena_.AllocateDoubles(total) : nullptr;
-  for (size_t q = 0; q < k; ++q) {
-    const size_t base = q * m;
-    for (size_t p = 0; p < nnz; ++p) {
-      gidx[q * nnz + p] = base + idx[p];
-      cvals[q * nnz + p] = vals[p];
-      if (during) bvals[q * nnz + p] = vals[p] * (*seed)[base + idx[p]];
-    }
-  }
+  // Fused replicate-and-dot: the candidate is treated as replicated across
+  // the k event blocks without materializing the replication, and during
+  // the window ONE pass over each row yields both the suffix-seeded b̄ sum
+  // and the all-ones c̄ sum (Eq. 18). Past the window the accepting-masked
+  // family carries b̄, the unmasked family c̄ (Eqs. 19/20). Rows live in
+  // contiguous 64-byte-aligned RowBlock storage, so the kernels stream one
+  // flat buffer.
+  const double* cand = column.data();
   for (size_t i = 0; i < support_.size(); ++i) {
     double bsum;
     double csum;
     if (during) {
-      // Both sums gather the SAME row — one fused walk halves the random
-      // row loads relative to two GatherDot calls.
-      linalg::kernels::GatherDotPair(bvals, cvals, gidx, total,
-                                     engine.step_rows.Row(i), &bsum, &csum);
+      linalg::kernels::ReplicateDotPair(engine.step_rows.Row(i), k, m, cand,
+                                        seed->data(), &bsum, &csum);
     } else {
-      bsum = linalg::kernels::GatherDot(cvals, gidx, total,
-                                        engine.step_rows_masked.Row(i));
-      csum = linalg::kernels::GatherDot(cvals, gidx, total,
-                                        engine.step_rows.Row(i));
+      bsum = linalg::kernels::ReplicateDot(engine.step_rows_masked.Row(i), k,
+                                           m, cand);
+      csum = linalg::kernels::ReplicateDot(engine.step_rows.Row(i), k, m,
+                                           cand);
     }
     const double w = support_scale_[i] * s_c;
     out.b_bar[support_[i]] = w * bsum;
@@ -208,8 +157,7 @@ PRISTE_HOT_PATH TheoremVectors ReleaseStepContext::CachedVectors(
 }
 
 TheoremVectors ReleaseStepContext::VectorsImpl(size_t model_index,
-                                               const ColumnView& column,
-                                               bool candidate_in_history) {
+                                               const linalg::Vector& column) {
   PRISTE_CHECK(model_index < engines_.size());
   ModelEngine& engine = engines_[model_index];
   const LiftedEventModel& model = *engine.model;
@@ -238,47 +186,29 @@ TheoremVectors ReleaseStepContext::VectorsImpl(size_t model_index,
     out.a_bar = model.PriorContraction();
     out.b_bar = linalg::Vector(m);
     out.c_bar = linalg::Vector(m);
-    if (column.sparse != nullptr) {
-      const std::vector<size_t>& idx = column.sparse->indices();
-      const std::vector<double>& vals = column.sparse->values();
-      for (size_t p = 0; p < idx.size(); ++p) {
-        const double v = s_c * vals[p];
-        out.b_bar[idx[p]] = v * out.a_bar[idx[p]];
-        out.c_bar[idx[p]] = v * engine.ones_contract[idx[p]];
-      }
-    } else {
-      for (size_t j = 0; j < m; ++j) {
-        const double v = s_c * (*column.dense)[j];
-        out.b_bar[j] = v * out.a_bar[j];
-        out.c_bar[j] = v * engine.ones_contract[j];
-      }
+    for (size_t j = 0; j < m; ++j) {
+      const double v = s_c * column[j];
+      out.b_bar[j] = v * out.a_bar[j];
+      out.c_bar[j] = v * engine.ones_contract[j];
     }
     return out;
   }
 
   ++diagnostics_.cold_checks;
   ReleaseMetrics::Get().cold_checks.Increment();
-  if (candidate_in_history) {
-    return engine.quantifier.ComputeVectors(history_);
-  }
-  history_.push_back(DensifyColumn(column.dense, column.sparse));
-  TheoremVectors out = engine.quantifier.ComputeVectors(history_);
-  history_.pop_back();
-  return out;
+  return engine.quantifier.ComputeVectors(history_);
 }
 
-ReleaseCheckOutcome ReleaseStepContext::CheckImpl(const ColumnView& column,
-                                                  double epsilon,
-                                                  double qp_threshold_seconds) {
+ReleaseCheckOutcome ReleaseStepContext::CheckCandidate(
+    const linalg::Vector& column, double epsilon, double qp_threshold_seconds) {
   const Timer check_timer;
   ReleaseCheckOutcome out;
   out.all_satisfied = true;
   out.per_model.reserve(engines_.size());
-  // Cold path: densify the candidate once for all models, like the old
-  // driver loops did.
+  // Cold path: append the candidate to the history once for all models.
   const bool push_once = !UsesCachePath();
   if (push_once) {
-    history_.push_back(DensifyColumn(column.dense, column.sparse));
+    history_.push_back(column);
     // Once per fallen-back *check* (not per model): cold because the first
     // column was dense and the dense-prefix scheme declined.
     if (mode_ == Mode::kCold && cold_is_dense_fallback_) {
@@ -287,25 +217,22 @@ ReleaseCheckOutcome ReleaseStepContext::CheckImpl(const ColumnView& column,
   }
   for (size_t i = 0; i < engines_.size(); ++i) {
     ModelEngine& engine = engines_[i];
-    const TheoremVectors vectors = VectorsImpl(i, column, push_once);
+    const TheoremVectors vectors = VectorsImpl(i, column);
     const Deadline deadline = qp_threshold_seconds > 0.0
                                   ? Deadline::After(qp_threshold_seconds)
                                   : Deadline::Infinite();
-    QpSolver::WarmState* warm = options_.warm_start ? &engine.warm : nullptr;
     const PrivacyCheckResult check = engine.quantifier.CheckArbitraryPrior(
-        vectors, epsilon, *solver_, deadline, warm);
+        vectors, epsilon, *solver_, deadline, &engine.warm);
     if (check.support_frame_reused) ++diagnostics_.qp_support_hits;
     diagnostics_.warm_accepted_slices += check.warm_accepted_slices;
     diagnostics_.warm_rejected_slices += check.warm_rejected_slices;
-    if (warm != nullptr) {
-      // The adaptive frame-reset policy's streak trigger: a check whose
-      // slice LPs rejected more warm bases than they accepted.
-      if (check.warm_rejected_slices > check.warm_accepted_slices &&
-          check.warm_rejected_slices > 0) {
-        ++engine.warm_reject_streak;
-      } else {
-        engine.warm_reject_streak = 0;
-      }
+    // The frame-reset policy's streak trigger: a check whose slice LPs
+    // rejected more warm bases than they accepted.
+    if (check.warm_rejected_slices > check.warm_accepted_slices &&
+        check.warm_rejected_slices > 0) {
+      ++engine.warm_reject_streak;
+    } else {
+      engine.warm_reject_streak = 0;
     }
     out.per_model.push_back(check);
     if (!check.satisfied) {
@@ -319,62 +246,40 @@ ReleaseCheckOutcome ReleaseStepContext::CheckImpl(const ColumnView& column,
   return out;
 }
 
-void ReleaseStepContext::DecideMode(const ColumnView& first_column) {
-  const size_t m = engines_.front().model->num_states();
+void ReleaseStepContext::DecideMode(const linalg::Vector& first_column) {
+  const size_t m = first_column.size();
   std::vector<size_t> support;
   std::vector<double> values;
-  if (first_column.sparse != nullptr) {
-    const std::vector<size_t>& idx = first_column.sparse->indices();
-    const std::vector<double>& vals = first_column.sparse->values();
-    for (size_t p = 0; p < idx.size(); ++p) {
-      if (vals[p] != 0.0) {
-        support.push_back(idx[p]);
-        values.push_back(vals[p]);
-      }
-    }
-  } else {
-    for (size_t j = 0; j < m; ++j) {
-      const double v = (*first_column.dense)[j];
-      if (v != 0.0) {
-        support.push_back(j);
-        values.push_back(v);
-      }
+  for (size_t j = 0; j < m; ++j) {
+    const double v = first_column[j];
+    if (v != 0.0) {
+      support.push_back(j);
+      values.push_back(v);
     }
   }
 
   // Pinned boundary (inclusive): sparse rows iff
-  // 1 ≤ |support| ≤ min(max_cache_support, m − 1); wider supports are
-  // "dense" and go to the dense-prefix scheme when its policy engages.
-  const bool cache_on = options_.prefix_cache &&
-                        options_.max_cache_support > 0 && !support.empty();
+  // 1 ≤ |support| ≤ min(max_cache_support, m − 1). Wider supports are
+  // "dense" and take the dense-prefix rows past the break-even T ≥ 2m: the
+  // m-row extension costs ~2 family sweeps of m rows per commit, the cold
+  // chain ~C·t per step with C ≥ 2 candidates and average t = T/2.
+  const bool cache_on = options_.max_cache_support > 0 && !support.empty();
   const bool sparse_fit = support.size() <= options_.max_cache_support &&
                           support.size() < m;
+  const bool dense_fit =
+      horizon_hint_ > 0 && static_cast<size_t>(horizon_hint_) >= 2 * m;
   Mode mode = Mode::kCold;
   if (cache_on && sparse_fit) {
     mode = Mode::kCached;
+  } else if (cache_on && dense_fit) {
+    mode = Mode::kDense;
   } else if (cache_on) {
-    switch (options_.dense_prefix) {
-      case ReleaseStepOptions::DensePrefix::kAlways:
-        mode = Mode::kDense;
-        break;
-      case ReleaseStepOptions::DensePrefix::kAuto:
-        // Break-even T ≥ 2m: the m-row extension costs ~2 family sweeps of
-        // m rows per commit, the cold chain ~C·t per step with C ≥ 2
-        // candidates and average t = T/2.
-        if (horizon_hint_ > 0 &&
-            static_cast<size_t>(horizon_hint_) >= 2 * m) {
-          mode = Mode::kDense;
-        }
-        break;
-      case ReleaseStepOptions::DensePrefix::kOff:
-        break;
-    }
-    if (mode == Mode::kCold) cold_is_dense_fallback_ = true;
+    cold_is_dense_fallback_ = true;
   }
 
   if (mode == Mode::kCold) {
     mode_ = Mode::kCold;
-    history_.push_back(DensifyColumn(first_column.dense, first_column.sparse));
+    history_.push_back(first_column);
     t_ = 1;
     return;
   }
@@ -426,19 +331,14 @@ void ReleaseStepContext::ApplyFrameResetPolicy() {
       engine.warm_reject_streak = 0;
       continue;
     }
-    bool reset = true;
-    if (options_.frame_reset == ReleaseStepOptions::FrameReset::kAdaptive) {
-      const double frame_size = static_cast<double>(warm.support.size());
-      const double scan_size = static_cast<double>(
-          std::max<size_t>(size_t{1}, warm.last_scan_support));
-      const bool drifted =
-          frame_size > options_.frame_drift_ratio * scan_size;
-      const bool streak =
-          options_.frame_reject_streak > 0 &&
-          engine.warm_reject_streak >= options_.frame_reject_streak;
-      reset = drifted || streak;
-    }
-    if (reset) {
+    const double frame_size = static_cast<double>(warm.support.size());
+    const double scan_size = static_cast<double>(
+        std::max<size_t>(size_t{1}, warm.last_scan_support));
+    const bool drifted = frame_size > options_.frame_drift_ratio * scan_size;
+    const bool streak =
+        options_.frame_reject_streak > 0 &&
+        engine.warm_reject_streak >= options_.frame_reject_streak;
+    if (drifted || streak) {
       warm.ResetFrame();
       engine.warm_reject_streak = 0;
       ++diagnostics_.frame_resets;
@@ -450,7 +350,7 @@ void ReleaseStepContext::ApplyFrameResetPolicy() {
   }
 }
 
-void ReleaseStepContext::CommitImpl(const ColumnView& column) {
+void ReleaseStepContext::Commit(const linalg::Vector& column) {
   PRISTE_CHECK(column.size() == engines_.front().model->num_states());
   ApplyFrameResetPolicy();
   if (mode_ == Mode::kUndecided) {
@@ -458,7 +358,7 @@ void ReleaseStepContext::CommitImpl(const ColumnView& column) {
     return;
   }
   if (mode_ == Mode::kCold) {
-    history_.push_back(DensifyColumn(column.dense, column.sparse));
+    history_.push_back(column);
     ++t_;
     return;
   }
@@ -469,11 +369,7 @@ void ReleaseStepContext::CommitImpl(const ColumnView& column) {
     EnsureStepRows(engine, has_masked);
     const size_t lifted = engine.model->lifted_size();
     const auto extend = [&](double* step_row) {
-      if (column.sparse != nullptr) {
-        engine.model->ApplyEmissionSpanInPlace(*column.sparse, step_row);
-      } else {
-        engine.model->ApplyEmissionSpanInPlace(*column.dense, step_row);
-      }
+      engine.model->ApplyEmissionSpanInPlace(column, step_row);
       if (s_c != 1.0) linalg::kernels::Scale(step_row, s_c, lifted);
       ++diagnostics_.prefix_extensions;
     };
@@ -495,50 +391,15 @@ void ReleaseStepContext::CommitImpl(const ColumnView& column) {
       BuildMaskedRows(engine);
     }
   }
-  // Per-candidate gather staging from the finished step is dead now; recycle
-  // the arena footprint for the next accepted timestamp.
-  arena_.Reset();
-}
-
-ReleaseCheckOutcome ReleaseStepContext::CheckCandidate(
-    const linalg::Vector& column, double epsilon, double qp_threshold_seconds) {
-  ColumnView view;
-  view.dense = &column;
-  return CheckImpl(view, epsilon, qp_threshold_seconds);
-}
-
-ReleaseCheckOutcome ReleaseStepContext::CheckCandidate(
-    const linalg::SparseVector& column, double epsilon,
-    double qp_threshold_seconds) {
-  ColumnView view;
-  view.sparse = &column;
-  return CheckImpl(view, epsilon, qp_threshold_seconds);
-}
-
-void ReleaseStepContext::Commit(const linalg::Vector& column) {
-  ColumnView view;
-  view.dense = &column;
-  CommitImpl(view);
-}
-
-void ReleaseStepContext::Commit(const linalg::SparseVector& column) {
-  ColumnView view;
-  view.sparse = &column;
-  CommitImpl(view);
 }
 
 TheoremVectors ReleaseStepContext::CandidateVectors(
     size_t model_index, const linalg::Vector& column) {
-  ColumnView view;
-  view.dense = &column;
-  return VectorsImpl(model_index, view);
-}
-
-TheoremVectors ReleaseStepContext::CandidateVectors(
-    size_t model_index, const linalg::SparseVector& column) {
-  ColumnView view;
-  view.sparse = &column;
-  return VectorsImpl(model_index, view);
+  if (UsesCachePath()) return VectorsImpl(model_index, column);
+  history_.push_back(column);
+  TheoremVectors out = VectorsImpl(model_index, column);
+  history_.pop_back();
+  return out;
 }
 
 }  // namespace priste::core

@@ -3,87 +3,40 @@
 
 #include <vector>
 
-#include "priste/common/arena.h"
 #include "priste/core/event_model.h"
 #include "priste/core/qp_solver.h"
 #include "priste/core/quantifier.h"
 #include "priste/linalg/row_block.h"
-#include "priste/linalg/sparse_vector.h"
 #include "priste/linalg/vector.h"
 
 namespace priste::core {
 
 /// Knobs for the release-step evaluation engine (Section IV-C's inner loop).
 struct ReleaseStepOptions {
-  /// Incrementally extend the lifted chain's prefix products across
-  /// timestamps instead of recomputing every Theorem-vector chain from t = 1.
-  /// Sparse first columns use one row per support cell; dense first columns
-  /// use the dense-prefix scheme (see dense_prefix). Off = cold chain
-  /// everywhere.
-  bool prefix_cache = true;
-
   /// Sparse-row budget, with a PINNED boundary: the sparse prefix rows
   /// engage exactly when 1 ≤ |supp(p̃_{o_1})| ≤ min(max_cache_support, m−1)
   /// — support == max_cache_support is INCLUSIVE (still sparse-cached).
-  /// Larger (dense) first columns go to the dense-prefix scheme or, when it
-  /// declines, the cold chain (counted in
-  /// ReleaseStepDiagnostics.dense_fallbacks). 0 is the master off switch:
-  /// it disables the whole prefix cache — sparse rows, dense rows, AND the
-  /// t = 1 closed form — so every check runs the cold chain; the CI
-  /// cold-path matrix relies on this. The PRISTE_MAX_CACHE_SUPPORT
-  /// environment variable, when set to a valid non-negative integer
-  /// (strictly parsed), overrides this knob at context construction.
+  /// Larger (dense) first columns go to the dense-prefix rows when the
+  /// horizon hint clears 2m (see SetHorizonHint) and to the cold chain
+  /// otherwise (counted in ReleaseStepDiagnostics.dense_fallbacks). 0 is the
+  /// master off switch: it disables the whole prefix cache — sparse rows,
+  /// dense rows, AND the t = 1 closed form — so every check runs the cold
+  /// chain; the CI cold-path matrix relies on this. The
+  /// PRISTE_MAX_CACHE_SUPPORT environment variable, when set to a valid
+  /// non-negative integer (strictly parsed), overrides this knob at context
+  /// construction.
   size_t max_cache_support = 64;
 
-  /// Dense-first-column incremental scheme: m dense lifted row chains
-  /// r_i = Cᵀe_i · M₁D₂…M_{t−1}D_t — one per map state — extended once per
-  /// *accepted* timestamp, so a candidate check costs O(m·nnz(candidate))
-  /// instead of a fresh O(t) chain. The m-row family costs one StepRow
-  /// sweep per accepted timestamp (per row family), which amortizes over
-  /// the run: with C candidate checks per step the scheme beats the cold
-  /// chain once the horizon T clears roughly 4m/C committed steps.
-  enum class DensePrefix {
-    /// Dense first columns always fall back to the cold chain (PR-4
-    /// behavior).
-    kOff,
-    /// Engage when the horizon hint (SetHorizonHint; the drivers pass the
-    /// trajectory length) satisfies T ≥ 2·m — the documented break-even
-    /// with the ≥ 2 candidate checks per step a halving search implies.
-    /// Without a hint (0), stays cold.
-    kAuto,
-    /// Engage for every dense first column (equivalence tests / bench).
-    kAlways,
-  };
-  DensePrefix dense_prefix = DensePrefix::kAuto;
-
-  /// Thread one QpSolver::WarmState per model through the QP checks: the
-  /// emission-support union is memoized across checks, the previous
-  /// candidate's optimal π seeds each condition's next maximization, and
-  /// the two Theorem conditions resolve through ONE shared slice family
-  /// (QpSolver::MaximizePair). Also requires the solver's
-  /// Options.warm_start.
-  bool warm_start = true;
-
-  /// Lifecycle of the memoized warm frame across *release steps*.
-  enum class FrameReset {
-    /// Drop the frame at every commit (PR-4 behavior): each step's emission
-    /// support starts a fresh union.
-    kCommitAlways,
-    /// Keep the frame across commits — a frame superset never changes a
-    /// certified answer, only the reduced dimension — and drop it only when
-    /// it stops paying: the frame has drifted past frame_drift_ratio × the
-    /// last check's joint support, or frame_reject_streak consecutive
-    /// checks rejected more warm slice bases than they accepted.
-    kAdaptive,
-  };
-  FrameReset frame_reset = FrameReset::kAdaptive;
-  /// kAdaptive: reset when |frame| > frame_drift_ratio · |last joint
-  /// support| (the δ-location set moved on and the union only grows the
-  /// reduced dimension).
+  /// Lifecycle of the memoized QP warm frame across *release steps*. A
+  /// frame is kept across commits — a frame superset never changes a
+  /// certified answer, only the reduced dimension — and dropped at a commit
+  /// only when it stops paying: when |frame| > frame_drift_ratio · |last
+  /// joint support| (the δ-location set moved on and the union only grows
+  /// the reduced dimension; any ratio below 1 drops a non-empty frame at
+  /// every commit), or after frame_reject_streak consecutive QP checks whose
+  /// slice LPs rejected more warm bases than they accepted (≤ 0 disables the
+  /// streak trigger).
   double frame_drift_ratio = 4.0;
-  /// kAdaptive: reset after this many consecutive QP checks whose slice LPs
-  /// rejected more warm bases than they accepted (≤ 0 disables the streak
-  /// trigger).
   int frame_reject_streak = 4;
 };
 
@@ -142,14 +95,15 @@ struct ReleaseCheckOutcome {
 ///
 /// where the lifted row r_s extends by one StepRow + one emission product per
 /// *accepted* timestamp — shared by every candidate of the next release step,
-/// which then costs O(support · nnz(candidate)) instead of a full O(t) chain
-/// per check. When the first column is *dense* the same identity holds with
-/// support = every map state: the dense-prefix scheme keeps all m row chains
-/// (the matrix R = Cᵀ·M₁D₂…, extended row-wise once per accepted timestamp)
-/// and evaluates candidates with fused replicate-and-dot kernels — O(m·nnz)
-/// per check, amortizing the m-row extension over long runs. Past the event
-/// window a second, accepting-masked row family yields b̄ while the unmasked
-/// family yields c̄ (Eqs. 19/20). Numerical agreement with the cold chain is
+/// which then costs one fused replicate-and-dot pass per support row
+/// (O(support · lifted size)) instead of a full O(t) chain per check. When
+/// the first column is *dense* the same identity holds with support = every
+/// map state: the dense-prefix scheme keeps all m row chains (the matrix
+/// R = Cᵀ·M₁D₂…, extended row-wise once per accepted timestamp) and
+/// evaluates candidates with the same kernels, amortizing the m-row
+/// extension over long runs (see SetHorizonHint). Past the event window a
+/// second, accepting-masked row family yields b̄ while the unmasked family
+/// yields c̄ (Eqs. 19/20). Numerical agreement with the cold chain is
 /// ≤ 1e-9 at every prefix for both schemes (tested).
 ///
 /// Not thread-safe; create one per Run().
@@ -163,8 +117,14 @@ class ReleaseStepContext {
                      ReleaseStepOptions options = {});
 
   /// Tells the engine how many timestamps the run will commit (the drivers
-  /// pass the trajectory length). Only read by DensePrefix::kAuto, and only
-  /// until the first Commit decides the mode.
+  /// pass the trajectory length). A dense first column engages the
+  /// dense-prefix rows — m lifted row chains r_i = Cᵀe_i · M₁D₂…M_{t−1}D_t,
+  /// one per map state, extended once per *accepted* timestamp, so a check
+  /// costs O(m · lifted size) instead of a fresh O(t) chain — iff the hint
+  /// is ≥ 2m: the break-even of the m-row extension against the ≥ 2
+  /// candidate checks per step a halving search implies. Without a hint (0)
+  /// dense first columns stay on the cold chain. Only read until the first
+  /// Commit decides the mode.
   void SetHorizonHint(int horizon) { horizon_hint_ = horizon; }
 
   /// Number of accepted (committed) release columns so far.
@@ -179,14 +139,10 @@ class ReleaseStepContext {
   ReleaseCheckOutcome CheckCandidate(const linalg::Vector& column,
                                      double epsilon,
                                      double qp_threshold_seconds);
-  ReleaseCheckOutcome CheckCandidate(const linalg::SparseVector& column,
-                                     double epsilon,
-                                     double qp_threshold_seconds);
 
   /// Accepts `column` as the release for timestamp committed_steps() + 1 and
   /// extends the per-model prefix state.
   void Commit(const linalg::Vector& column);
-  void Commit(const linalg::SparseVector& column);
 
   /// Theorem vectors for `column` as the next candidate of `model_index` —
   /// served by the engaged cache (sparse rows or dense-prefix rows) when
@@ -194,24 +150,11 @@ class ReleaseStepContext {
   /// equivalence tests.
   TheoremVectors CandidateVectors(size_t model_index,
                                   const linalg::Vector& column);
-  TheoremVectors CandidateVectors(size_t model_index,
-                                  const linalg::SparseVector& column);
 
  private:
-  // Dense-or-sparse candidate view (no ownership).
-  struct ColumnView {
-    const linalg::Vector* dense = nullptr;
-    const linalg::SparseVector* sparse = nullptr;
-
-    size_t size() const { return dense != nullptr ? dense->size() : sparse->size(); }
-    double MaxAbs() const {
-      return dense != nullptr ? dense->MaxAbs() : sparse->MaxAbs();
-    }
-  };
-
   // kCached (sparse rows) and kDense (dense-prefix rows) share the row
-  // machinery — kDense's support is every nonzero cell of the first column
-  // and its candidate kernels are fused — while kCold replays the dense
+  // machinery and the fused candidate kernels — kDense's support is every
+  // nonzero cell of the first column — while kCold replays the committed
   // history through the quantifier.
   enum class Mode { kUndecided, kCached, kDense, kCold };
 
@@ -246,35 +189,25 @@ class ReleaseStepContext {
     bool ones_contract_ready = false;
   };
 
-  ReleaseCheckOutcome CheckImpl(const ColumnView& column, double epsilon,
-                                double qp_threshold_seconds);
-  void CommitImpl(const ColumnView& column);
-  /// `candidate_in_history` marks that CheckImpl already appended the
-  /// densified candidate to history_ (cold path) — once per check, not once
-  /// per model.
-  TheoremVectors VectorsImpl(size_t model_index, const ColumnView& column,
-                             bool candidate_in_history = false);
+  /// Cold mode reads the candidate from the back of history_, where the
+  /// caller has appended it (once per check, not once per model).
+  TheoremVectors VectorsImpl(size_t model_index, const linalg::Vector& column);
   bool UsesCachePath() const {
     return mode_ == Mode::kCached || mode_ == Mode::kDense ||
-           (mode_ == Mode::kUndecided && options_.prefix_cache &&
-            options_.max_cache_support > 0);
+           (mode_ == Mode::kUndecided && options_.max_cache_support > 0);
   }
 
-  // Cached-path helpers (shared by the sparse and dense-prefix schemes).
+  // Cached-path helpers (shared by the sparse and dense-prefix rows).
   void EnsureStepRows(ModelEngine& engine, bool need_masked);
-  TheoremVectors CachedVectors(ModelEngine& engine, const ColumnView& column);
-  void DecideMode(const ColumnView& first_column);
+  TheoremVectors CachedVectors(ModelEngine& engine,
+                               const linalg::Vector& column);
+  void DecideMode(const linalg::Vector& first_column);
   void BuildMaskedRows(ModelEngine& engine);
   void ApplyFrameResetPolicy();
 
-  double CandidateScale(const ColumnView& column) const;
+  double CandidateScale(const linalg::Vector& column) const;
 
   std::vector<ModelEngine> engines_;
-  // Per-candidate transient scratch (sparse-candidate gather staging in
-  // CachedVectors). Pointers never outlive the check that bumped them; the
-  // whole footprint is recycled at every accepted timestamp (CommitImpl), so
-  // steady state allocates nothing.
-  Arena arena_;
   const QpSolver* solver_;
   bool normalize_emissions_;
   ReleaseStepOptions options_;
@@ -290,7 +223,7 @@ class ReleaseStepContext {
   // sorted) and its scaled values s_1·p̃_{o_1}[s] (cached/dense modes only).
   std::vector<size_t> support_;
   std::vector<double> support_scale_;
-  // Cold-mode committed history (dense, exactly what the cold chain takes).
+  // Cold-mode committed history (exactly what the cold chain takes).
   std::vector<linalg::Vector> history_;
 };
 

@@ -1,10 +1,8 @@
 #include "priste/core/two_world.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "priste/common/check.h"
-#include "priste/common/strings.h"
 #include "priste/linalg/kernels.h"
 #include "priste/linalg/ops.h"
 
@@ -29,37 +27,7 @@ CaptureSplit SplitByDestination(const Matrix& m, const Vector& d) {
   return CaptureSplit{linalg::ScaleColumns(m, not_d), linalg::ScaleColumns(m, d)};
 }
 
-uint64_t NextBlockCacheId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 }  // namespace
-
-size_t TwoWorldModel::BlockKeyHash::operator()(const BlockKey& key) const {
-  // Mix the three fields through a splitmix64-style finalizer.
-  uint64_t h = key.instance;
-  h ^= static_cast<uint64_t>(static_cast<uint32_t>(key.matrix_index)) << 32;
-  h ^= static_cast<uint64_t>(static_cast<uint32_t>(key.window_offset + 1));
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return static_cast<size_t>(h);
-}
-
-TwoWorldModel::BlockLru& TwoWorldModel::BlockCache() {
-  // Leaked intentionally, like EmissionCache::Shared(): handles may outlive
-  // static destruction order.
-  static BlockLru* shared = new BlockLru(
-      "cache.lifted_blocks",
-      static_cast<size_t>(ReadIntEnv("PRISTE_BLOCK_CACHE_MB", 128,
-                                     /*min_value=*/0)) *
-          1024 * 1024,
-      /*num_shards=*/8);
-  return *shared;
-}
 
 TwoWorldModel::TwoWorldModel(markov::TransitionMatrix base, event::EventPtr ev)
     : TwoWorldModel(markov::TransitionSchedule::Homogeneous(std::move(base)),
@@ -67,9 +35,7 @@ TwoWorldModel::TwoWorldModel(markov::TransitionMatrix base, event::EventPtr ev)
 
 TwoWorldModel::TwoWorldModel(markov::TransitionSchedule schedule,
                              event::EventPtr ev)
-    : schedule_(std::move(schedule)),
-      event_(std::move(ev)),
-      cache_id_(NextBlockCacheId()) {
+    : schedule_(std::move(schedule)), event_(std::move(ev)) {
   PRISTE_CHECK(event_ != nullptr);
   PRISTE_CHECK_MSG(event_->num_states() == schedule_.num_states(),
                    "event regions and chain disagree on the state count");
@@ -93,33 +59,23 @@ TwoWorldModel::StepForm TwoWorldModel::FormAt(int t) const {
   return form;
 }
 
-TwoWorldModel::BlockHandle TwoWorldModel::TransitionAt(int t) const {
+BlockMatrix2x2 TwoWorldModel::TransitionAt(int t) const {
   PRISTE_CHECK(t >= 1);
   const StepForm form = FormAt(t);
-  const int window_offset = form.in_window ? t - first_window_step_ : -1;
-  const BlockKey key{cache_id_, schedule_.IndexAtStep(t), window_offset};
-  return BlockCache().GetOrBuild(
-      key,
-      [&]() -> BlockMatrix2x2 {
-        const Matrix& m = schedule_.AtStep(t).matrix();
-        if (!form.in_window) {
-          return BlockMatrix2x2::BlockDiagonal(m);
-        }
-        const Matrix zero(m.rows(), m.cols());
-        const CaptureSplit split = SplitByDestination(m, *form.indicator);
-        if (form.enter_true) {
-          // Eq. (4) for PRESENCE, Eq. (6) for the PATTERN window entry: the
-          // FALSE world feeds the region's mass into TRUE; TRUE is absorbing.
-          return BlockMatrix2x2(split.keep, split.enter, zero, m);
-        }
-        // Eq. (7): TRUE keeps only trajectories continuing inside the region;
-        // the rest fall back to FALSE. FALSE is absorbing.
-        return BlockMatrix2x2(m, zero, split.keep, split.enter);
-      },
-      [](const BlockMatrix2x2& b) {
-        const size_t n = b.block_size();
-        return 4 * n * n * sizeof(double) + sizeof(BlockMatrix2x2);
-      });
+  const Matrix& m = schedule_.AtStep(t).matrix();
+  if (!form.in_window) {
+    return BlockMatrix2x2::BlockDiagonal(m);
+  }
+  const Matrix zero(m.rows(), m.cols());
+  const CaptureSplit split = SplitByDestination(m, *form.indicator);
+  if (form.enter_true) {
+    // Eq. (4) for PRESENCE, Eq. (6) for the PATTERN window entry: the FALSE
+    // world feeds the region's mass into TRUE; TRUE is absorbing.
+    return BlockMatrix2x2(split.keep, split.enter, zero, m);
+  }
+  // Eq. (7): TRUE keeps only trajectories continuing inside the region; the
+  // rest fall back to FALSE. FALSE is absorbing.
+  return BlockMatrix2x2(m, zero, split.keep, split.enter);
 }
 
 void TwoWorldModel::StepRowInto(const linalg::Vector& v, int t,

@@ -1,11 +1,8 @@
 #ifndef PRISTE_CORE_TWO_WORLD_H_
 #define PRISTE_CORE_TWO_WORLD_H_
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "priste/common/lru_cache.h"
 #include "priste/core/event_model.h"
 #include "priste/event/event.h"
 #include "priste/linalg/block.h"
@@ -30,13 +27,8 @@ namespace priste::core {
 /// (keep = M·(1−d)ᴰ, enter = M·dᴰ), so one lifted step factors into two base
 /// products plus O(m) world mixing — and the base products run on the
 /// chain's CSR fast path when the chain is sparse. The dense
-/// linalg::BlockMatrix2x2 form is still built lazily for TransitionAt()
-/// oracles and tests, but lives in a PROCESS-WIDE sharded LRU (BlockCache())
-/// instead of an unbounded per-instance map: total dense-block memory is
-/// capped across every live model (PRISTE_BLOCK_CACHE_MB, default 128 MiB),
-/// evicted blocks are rebuilt deterministically on the next miss, and the
-/// returned ref-counted handle stays valid past eviction. The step kernels
-/// do not touch it, which keeps them safe to call concurrently.
+/// linalg::BlockMatrix2x2 form is built on demand by TransitionAt(), the
+/// oracle the tests check the step kernels against.
 ///
 /// Time-varying chains (Section III footnote 3) are supported through a
 /// markov::TransitionSchedule.
@@ -60,33 +52,11 @@ class TwoWorldModel : public LiftedEventModel {
   const markov::TransitionSchedule& schedule() const { return schedule_; }
   const event::SpatiotemporalEvent& event() const { return *event_; }
 
-  /// Ref-counted view of a cached dense transition block. Holding the handle
-  /// keeps the block alive even after the shared cache evicts it.
-  using BlockHandle = std::shared_ptr<const linalg::BlockMatrix2x2>;
-
   /// The lifted transition M_t for the step t → t+1 (t >= 1), materialized
   /// as dense blocks. Outside [start−1, end−1] this is the block-diagonal
   /// matrix (Eq. 5/8). Oracle/test API — the step kernels are blockwise and
-  /// never build this. Served by (and rebuilt through) BlockCache().
-  BlockHandle TransitionAt(int t) const;
-
-  /// The process-wide dense-block LRU shared by every TwoWorldModel
-  /// (metrics under cache.lifted_blocks.*; exposed for the eviction tests).
-  struct BlockKey {
-    uint64_t instance = 0;  // model identity — blocks are schedule+event-specific
-    int matrix_index = 0;
-    int window_offset = -1;
-
-    bool operator==(const BlockKey& other) const {
-      return instance == other.instance && matrix_index == other.matrix_index &&
-             window_offset == other.window_offset;
-    }
-  };
-  struct BlockKeyHash {
-    size_t operator()(const BlockKey& key) const;
-  };
-  using BlockLru = ShardedLruCache<BlockKey, linalg::BlockMatrix2x2, BlockKeyHash>;
-  static BlockLru& BlockCache();
+  /// never build this; each call builds the blocks afresh.
+  linalg::BlockMatrix2x2 TransitionAt(int t) const;
 
   linalg::Vector LiftInitial(const linalg::Vector& pi) const override;
   linalg::Vector ContractColumn(const linalg::Vector& col) const override;
@@ -127,10 +97,6 @@ class TwoWorldModel : public LiftedEventModel {
   std::vector<linalg::Vector> window_indicators_;
   int first_window_step_ = 0;
   int last_window_step_ = -1;
-  /// This instance's slot in the shared BlockCache() key space (block
-  /// contents depend on the schedule AND the event, so keys are
-  /// instance-scoped; a process-unique id avoids content addressing).
-  uint64_t cache_id_ = 0;
 };
 
 }  // namespace priste::core

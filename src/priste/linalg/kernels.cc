@@ -77,7 +77,6 @@ constexpr KernelTable kScalarTable = {
     &detail::ScalarHadamardInPlace,
     &detail::ScalarHadamardInto,
     &detail::ScalarGatherDot,
-    &detail::ScalarGatherDotPair,
     &ScalarReplicateDot,
     &ScalarReplicateDotPair,
 };
@@ -170,12 +169,6 @@ void DispatchHadamardInto(const double* a, const double* b, double* out,
 double DispatchGatherDot(const double* values, const size_t* cols, size_t nnz,
                          const double* x) {
   return g_table->gather_dot(values, cols, nnz, x);
-}
-
-void DispatchGatherDotPair(const double* bvals, const double* cvals,
-                           const size_t* cols, size_t nnz, const double* x,
-                           double* b, double* c) {
-  g_table->gather_dot_pair(bvals, cvals, cols, nnz, x, b, c);
 }
 
 }  // namespace detail

@@ -124,37 +124,6 @@ PRISTE_HOT_PATH inline double ScalarGatherDot(const double* values, const size_t
   return total;
 }
 
-PRISTE_HOT_PATH inline void ScalarGatherDotPair(const double* bvals, const double* cvals,
-                                const size_t* cols, size_t nnz,
-                                const double* x, double* b, double* c) {
-  double b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
-  double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-  size_t k = 0;
-  for (; k + 4 <= nnz; k += 4) {
-    const double x0 = x[cols[k]];
-    const double x1 = x[cols[k + 1]];
-    const double x2 = x[cols[k + 2]];
-    const double x3 = x[cols[k + 3]];
-    b0 += bvals[k] * x0;
-    b1 += bvals[k + 1] * x1;
-    b2 += bvals[k + 2] * x2;
-    b3 += bvals[k + 3] * x3;
-    c0 += cvals[k] * x0;
-    c1 += cvals[k + 1] * x1;
-    c2 += cvals[k + 2] * x2;
-    c3 += cvals[k + 3] * x3;
-  }
-  double bt = (b0 + b2) + (b1 + b3);
-  double ct = (c0 + c2) + (c1 + c3);
-  for (; k < nnz; ++k) {
-    const double xv = x[cols[k]];
-    bt += bvals[k] * xv;
-    ct += cvals[k] * xv;
-  }
-  *b = bt;
-  *c = ct;
-}
-
 // Out-of-line entry points that read the dispatch table (kernels.cc).
 double DispatchSum(const double* x, size_t n);
 double DispatchDot(const double* a, const double* b, size_t n);
@@ -167,9 +136,6 @@ void DispatchHadamardInto(const double* a, const double* b, double* out,
                           size_t n);
 double DispatchGatherDot(const double* values, const size_t* cols, size_t nnz,
                          const double* x);
-void DispatchGatherDotPair(const double* bvals, const double* cvals,
-                           const size_t* cols, size_t nnz, const double* x,
-                           double* b, double* c);
 
 }  // namespace detail
 
@@ -229,21 +195,6 @@ PRISTE_HOT_PATH inline double GatherDot(const double* values, const size_t* cols
     return detail::ScalarGatherDot(values, cols, nnz, x);
   }
   return detail::DispatchGatherDot(values, cols, nnz, x);
-}
-
-/// b = Σ_k bvals[k]·x[cols[k]] and c = Σ_k cvals[k]·x[cols[k]] in ONE walk of
-/// the gather list — the fused form of the release engine's per-support-row
-/// candidate check, where x is the (large) lifted row and the two staged
-/// value arrays share its random accesses. Each sum uses the same accumulator
-/// blocking as GatherDot, so either result is bit-identical to the two-call
-/// form.
-PRISTE_HOT_PATH inline void GatherDotPair(const double* bvals, const double* cvals,
-                          const size_t* cols, size_t nnz, const double* x,
-                          double* b, double* c) {
-  if (nnz < detail::kGatherInlineThreshold) {
-    return detail::ScalarGatherDotPair(bvals, cvals, cols, nnz, x, b, c);
-  }
-  detail::DispatchGatherDotPair(bvals, cvals, cols, nnz, x, b, c);
 }
 
 /// out[cols[k]] += s·values[k] — one CSR row of VecMatSpan. Columns within a

@@ -118,32 +118,6 @@ PRISTE_HOT_PATH double Avx2GatherDot(const double* values, const size_t* cols, s
   return total;
 }
 
-PRISTE_HOT_PATH void Avx2GatherDotPair(const double* bvals, const double* cvals,
-                       const size_t* cols, size_t nnz, const double* x,
-                       double* b, double* c) {
-  __m256d bacc = _mm256_setzero_pd();
-  __m256d cacc = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 4 <= nnz; k += 4) {
-    const __m256i idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(cols + k));
-    const __m256d gathered = _mm256_i64gather_pd(x, idx, 8);
-    bacc = _mm256_add_pd(bacc,
-                         _mm256_mul_pd(_mm256_loadu_pd(bvals + k), gathered));
-    cacc = _mm256_add_pd(cacc,
-                         _mm256_mul_pd(_mm256_loadu_pd(cvals + k), gathered));
-  }
-  double bt = ReduceLanes(bacc);
-  double ct = ReduceLanes(cacc);
-  for (; k < nnz; ++k) {
-    const double xv = x[cols[k]];
-    bt += bvals[k] * xv;
-    ct += cvals[k] * xv;
-  }
-  *b = bt;
-  *c = ct;
-}
-
 PRISTE_HOT_PATH double Avx2ReplicateDot(const double* row, size_t blocks, size_t m,
                         const double* cand) {
   double total = 0.0;
@@ -192,7 +166,6 @@ constexpr KernelTable kAvx2Table = {
     &Avx2HadamardInPlace,
     &Avx2HadamardInto,
     &Avx2GatherDot,
-    &Avx2GatherDotPair,
     &Avx2ReplicateDot,
     &Avx2ReplicateDotPair,
 };

@@ -18,8 +18,6 @@ struct KernelTable {
   void (*hadamard_in_place)(const double*, double*, size_t);
   void (*hadamard_into)(const double*, const double*, double*, size_t);
   double (*gather_dot)(const double*, const size_t*, size_t, const double*);
-  void (*gather_dot_pair)(const double*, const double*, const size_t*, size_t,
-                          const double*, double*, double*);
   double (*replicate_dot)(const double*, size_t, size_t, const double*);
   void (*replicate_dot_pair)(const double*, size_t, size_t, const double*,
                              const double*, double*, double*);

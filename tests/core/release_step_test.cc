@@ -75,15 +75,14 @@ void RunEquivalenceSchedule(const LiftedEventModel* model, size_t m,
     for (int cand = 0; cand < 2; ++cand) {
       const linalg::Vector column =
           testing::RandomSparseEmissionColumn(m, 4, rng);
-      const linalg::SparseVector sparse = linalg::SparseVector::FromDense(column);
 
-      const TheoremVectors cached = context.CandidateVectors(0, sparse);
+      const TheoremVectors cached = context.CandidateVectors(0, column);
       history.push_back(column);
       const TheoremVectors reference = cold.ComputeVectors(history);
       ExpectVectorsNear(cached, reference, 1e-9);
 
       const ReleaseCheckOutcome outcome =
-          context.CheckCandidate(sparse, epsilon, /*qp_threshold_seconds=*/-1.0);
+          context.CheckCandidate(column, epsilon, /*qp_threshold_seconds=*/-1.0);
       const PrivacyCheckResult cold_check = cold.CheckArbitraryPrior(
           reference, epsilon, cold_solver, Deadline::Infinite());
       ASSERT_EQ(outcome.per_model.size(), 1u);
@@ -96,7 +95,7 @@ void RunEquivalenceSchedule(const LiftedEventModel* model, size_t m,
       history.pop_back();
 
       if (cand == 1) {
-        context.Commit(sparse);
+        context.Commit(column);
         history.push_back(column);
       }
     }
@@ -187,8 +186,7 @@ TEST(ReleaseStepContextTest, PrefixCacheOptOutMatchesCachedResults) {
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
   const QpSolver solver(SmallQpOptions(true));
   ReleaseStepOptions off;
-  off.prefix_cache = false;
-  off.warm_start = false;
+  off.max_cache_support = 0;
   ReleaseStepContext cached_ctx({&model}, &solver);
   ReleaseStepContext cold_ctx({&model}, &solver, true, off);
 
@@ -196,10 +194,9 @@ TEST(ReleaseStepContextTest, PrefixCacheOptOutMatchesCachedResults) {
   for (int t = 1; t <= 6; ++t) {
     const linalg::Vector column =
         testing::RandomSparseEmissionColumn(m, 5, col_rng);
-    const linalg::SparseVector sparse = linalg::SparseVector::FromDense(column);
-    ExpectVectorsNear(cached_ctx.CandidateVectors(0, sparse),
+    ExpectVectorsNear(cached_ctx.CandidateVectors(0, column),
                       cold_ctx.CandidateVectors(0, column), 1e-9);
-    cached_ctx.Commit(sparse);
+    cached_ctx.Commit(column);
     cold_ctx.Commit(column);
   }
   if (!CacheForcedOffByEnv()) {
@@ -212,16 +209,15 @@ TEST(ReleaseStepContextTest, PrefixCacheOptOutMatchesCachedResults) {
 // scheme (m row chains, fused replicate-and-dot candidate kernels) must
 // agree with the cold recompute-from-t=1 chain at every prefix — Theorem
 // vectors to ≤ 1e-9, QP condition maxima to ≤ 1e-9, decisions exactly.
-// Sparse candidate *views* ride along in dense mode (the non-fused kernel).
 void RunDenseEquivalenceSchedule(const LiftedEventModel* model, size_t m,
                                  uint64_t seed) {
   Rng rng(seed);
   const QpSolver warm_solver(SmallQpOptions(/*warm=*/true));
   const QpSolver cold_solver(SmallQpOptions(/*warm=*/false));
   ReleaseStepOptions options;
-  options.dense_prefix = ReleaseStepOptions::DensePrefix::kAlways;
   options.max_cache_support = 4;  // every random dense column overflows this
   ReleaseStepContext context({model}, &warm_solver, true, options);
+  context.SetHorizonHint(static_cast<int>(2 * m));
   const PrivacyQuantifier cold(model, /*normalize_emissions=*/true);
   const double epsilon = 0.4;
 
@@ -231,14 +227,7 @@ void RunDenseEquivalenceSchedule(const LiftedEventModel* model, size_t m,
     for (int cand = 0; cand < 2; ++cand) {
       const linalg::Vector column = testing::RandomEmissionColumn(m, rng);
 
-      TheoremVectors cached;
-      if (cand == 0) {
-        cached = context.CandidateVectors(0, column);  // fused dense kernel
-      } else {
-        const linalg::SparseVector sparse =
-            linalg::SparseVector::FromDense(column);
-        cached = context.CandidateVectors(0, sparse);  // sparse view
-      }
+      const TheoremVectors cached = context.CandidateVectors(0, column);
       history.push_back(column);
       const TheoremVectors reference = cold.ComputeVectors(history);
       ExpectVectorsNear(cached, reference, 1e-9);
@@ -337,7 +326,6 @@ TEST(ReleaseStepDensePrefixTest, MaxCacheSupportBoundaryIsInclusive) {
 
   ReleaseStepOptions options;
   options.max_cache_support = 5;
-  options.dense_prefix = ReleaseStepOptions::DensePrefix::kOff;
 
   Rng col_rng(702);
   const linalg::Vector at_boundary =
@@ -356,7 +344,7 @@ TEST(ReleaseStepDensePrefixTest, MaxCacheSupportBoundaryIsInclusive) {
       EXPECT_EQ(context.diagnostics().dense_fallbacks, 0);
     }
   }
-  // |support| == max_cache_support + 1, dense-prefix off → cold fallback,
+  // |support| == max_cache_support + 1, no horizon hint → cold fallback,
   // counted exactly once per check (two checks → 2, despite two models).
   if (!CacheForcedOffByEnv()) {
     ReleaseStepContext context({&model_a, &model_b}, &solver, true, options);
@@ -367,11 +355,11 @@ TEST(ReleaseStepDensePrefixTest, MaxCacheSupportBoundaryIsInclusive) {
     EXPECT_EQ(context.diagnostics().cached_checks, 0);
     EXPECT_GT(context.diagnostics().cold_checks, 0);
   }
-  // Same over-boundary column with the dense-prefix scheme forced → no
+  // Same over-boundary column with a horizon hint at the 2m break-even → no
   // fallback, served by the dense row family.
   if (!CacheForcedOffByEnv()) {
-    options.dense_prefix = ReleaseStepOptions::DensePrefix::kAlways;
     ReleaseStepContext context({&model_a, &model_b}, &solver, true, options);
+    context.SetHorizonHint(static_cast<int>(2 * m));
     context.Commit(over_boundary);
     context.CheckCandidate(over_boundary, 0.4, -1.0);
     EXPECT_EQ(context.diagnostics().dense_fallbacks, 0);
@@ -390,7 +378,7 @@ TEST(ReleaseStepDensePrefixTest, AutoPolicyNeedsTheHorizonToClearBreakEven) {
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
   const QpSolver solver(SmallQpOptions(true));
   ReleaseStepOptions options;
-  options.max_cache_support = 4;  // kAuto is the default dense_prefix
+  options.max_cache_support = 4;
   Rng col_rng(704);
   const linalg::Vector dense = testing::RandomEmissionColumn(m, col_rng);
 
@@ -424,8 +412,8 @@ TEST(ReleaseStepDensePrefixTest, AutoPolicyNeedsTheHorizonToClearBreakEven) {
 
 TEST(ReleaseStepDensePrefixTest, EnvOverridesMaxCacheSupport) {
   // PRISTE_MAX_CACHE_SUPPORT overrides the knob at construction: 0 forces
-  // the cold chain even for sparse columns and a forced dense scheme; a
-  // positive value widens the sparse-row budget.
+  // the cold chain even for sparse columns and a horizon hint that would
+  // engage the dense rows; a positive value widens the sparse-row budget.
   const char* saved = std::getenv("PRISTE_MAX_CACHE_SUPPORT");
   const std::string saved_value = saved != nullptr ? saved : "";
   Rng rng(705);
@@ -441,9 +429,8 @@ TEST(ReleaseStepDensePrefixTest, EnvOverridesMaxCacheSupport) {
 
   setenv("PRISTE_MAX_CACHE_SUPPORT", "0", 1);
   {
-    ReleaseStepOptions options;
-    options.dense_prefix = ReleaseStepOptions::DensePrefix::kAlways;
-    ReleaseStepContext context({&model}, &solver, true, options);
+    ReleaseStepContext context({&model}, &solver);
+    context.SetHorizonHint(static_cast<int>(2 * m));
     context.CheckCandidate(sparse_col, 0.4, -1.0);  // even t=1 runs cold
     context.Commit(sparse_col);
     context.CheckCandidate(sparse_col, 0.4, -1.0);
@@ -470,7 +457,7 @@ TEST(ReleaseStepDensePrefixTest, EnvOverridesMaxCacheSupport) {
     context.Commit(sparse_col);  // support 3 > 2 → dense path decision
     context.CheckCandidate(sparse_col, 0.4, -1.0);
     EXPECT_EQ(context.diagnostics().cached_checks, 0);
-    EXPECT_EQ(context.diagnostics().dense_fallbacks, 1);  // kAuto, no hint
+    EXPECT_EQ(context.diagnostics().dense_fallbacks, 1);  // no hint
   }
 
   if (saved != nullptr) {
@@ -480,12 +467,12 @@ TEST(ReleaseStepDensePrefixTest, EnvOverridesMaxCacheSupport) {
   }
 }
 
-TEST(ReleaseStepFramePolicyTest, AdaptivePoliciesMatchCommitAlways) {
-  // Fuzz the frame-reset policies against each other over a shifting-support
-  // schedule: never-reset (drift ratio huge, streak off), always-drift
-  // (ratio < 1 → resets every commit), and the legacy commit-always policy
-  // must produce the same certified maxima and decisions — a kept frame is a
-  // superset frame, which never changes an answer.
+TEST(ReleaseStepFramePolicyTest, NeverResetMatchesResetEveryCommit) {
+  // Fuzz the frame-reset settings against each other over a shifting-support
+  // schedule: never-reset (drift ratio huge, streak off) and always-drift
+  // (ratio < 1 → resets every commit) must produce the same certified maxima
+  // and decisions — a kept frame is a superset frame, which never changes an
+  // answer.
   Rng rng(7331);
   const size_t m = 20;
   std::vector<geo::Region> regions{testing::RandomRegion(m, rng),
@@ -499,12 +486,9 @@ TEST(ReleaseStepFramePolicyTest, AdaptivePoliciesMatchCommitAlways) {
   keep.frame_reject_streak = 0;  // streak trigger disabled
   ReleaseStepOptions drift;
   drift.frame_drift_ratio = 0.5;  // fires at every commit
-  ReleaseStepOptions always;
-  always.frame_reset = ReleaseStepOptions::FrameReset::kCommitAlways;
 
   ReleaseStepContext ctx_keep({&model}, &solver, true, keep);
   ReleaseStepContext ctx_drift({&model}, &solver, true, drift);
-  ReleaseStepContext ctx_always({&model}, &solver, true, always);
 
   Rng col_rng(7332);
   const int horizon = 8;
@@ -512,46 +496,38 @@ TEST(ReleaseStepFramePolicyTest, AdaptivePoliciesMatchCommitAlways) {
     for (int cand = 0; cand < 3; ++cand) {
       const linalg::Vector column =
           testing::RandomSparseEmissionColumn(m, 4, col_rng);
-      const linalg::SparseVector sparse =
-          linalg::SparseVector::FromDense(column);
-      const auto out_keep = ctx_keep.CheckCandidate(sparse, 0.4, -1.0);
-      const auto out_drift = ctx_drift.CheckCandidate(sparse, 0.4, -1.0);
-      const auto out_always = ctx_always.CheckCandidate(sparse, 0.4, -1.0);
+      const auto out_keep = ctx_keep.CheckCandidate(column, 0.4, -1.0);
+      const auto out_drift = ctx_drift.CheckCandidate(column, 0.4, -1.0);
       ASSERT_EQ(out_keep.per_model.size(), 1u);
-      for (const auto* out : {&out_drift, &out_always}) {
-        EXPECT_EQ(out_keep.per_model[0].satisfied,
-                  out->per_model[0].satisfied)
-            << "t=" << t << " cand=" << cand;
-        EXPECT_NEAR(out_keep.per_model[0].max_condition15,
-                    out->per_model[0].max_condition15, 1e-9);
-        EXPECT_NEAR(out_keep.per_model[0].max_condition16,
-                    out->per_model[0].max_condition16, 1e-9);
-      }
+      EXPECT_EQ(out_keep.per_model[0].satisfied,
+                out_drift.per_model[0].satisfied)
+          << "t=" << t << " cand=" << cand;
+      EXPECT_NEAR(out_keep.per_model[0].max_condition15,
+                  out_drift.per_model[0].max_condition15, 1e-9);
+      EXPECT_NEAR(out_keep.per_model[0].max_condition16,
+                  out_drift.per_model[0].max_condition16, 1e-9);
       if (cand == 2) {
-        ctx_keep.Commit(sparse);
-        ctx_drift.Commit(sparse);
-        ctx_always.Commit(sparse);
+        ctx_keep.Commit(column);
+        ctx_drift.Commit(column);
       }
     }
   }
   // Policy audit trail: never-reset carried every live frame, always-drift
-  // and commit-always dropped every one.
+  // dropped every one.
   EXPECT_GT(ctx_keep.diagnostics().frame_carries, 0);
   EXPECT_EQ(ctx_keep.diagnostics().frame_resets, 0);
   EXPECT_GT(ctx_drift.diagnostics().frame_resets, 0);
   EXPECT_EQ(ctx_drift.diagnostics().frame_carries, 0);
-  EXPECT_GT(ctx_always.diagnostics().frame_resets, 0);
-  EXPECT_EQ(ctx_always.diagnostics().frame_carries, 0);
 }
 
 TEST(ReleaseStepFramePolicyTest, DenseToSparseTransitionKeepsColdAgreement) {
   // Warm-state lifecycle across dense→sparse candidate transitions: a dense
   // first column engages the dense-prefix family (full-support Theorem
   // vectors → wide QP frames), then the candidates turn sparse. With the
-  // frame carried across steps (kAdaptive, never-reset settings) every
-  // check must still match the cold chain — the frame is only ever a
-  // superset, and any extension invalidates the cached argmax/basis rather
-  // than reusing them across incompatible supports.
+  // frame carried across steps (never-reset settings) every check must
+  // still match the cold chain — the frame is only ever a superset, and any
+  // extension invalidates the cached argmax/basis rather than reusing them
+  // across incompatible supports.
   Rng rng(811);
   const size_t m = 14;
   std::vector<geo::Region> regions{testing::RandomRegion(m, rng),
@@ -561,11 +537,11 @@ TEST(ReleaseStepFramePolicyTest, DenseToSparseTransitionKeepsColdAgreement) {
   const QpSolver warm_solver(SmallQpOptions(true));
   const QpSolver cold_solver(SmallQpOptions(false));
   ReleaseStepOptions options;
-  options.dense_prefix = ReleaseStepOptions::DensePrefix::kAlways;
   options.max_cache_support = 4;
   options.frame_drift_ratio = 1e9;  // never reset: maximum carried state
   options.frame_reject_streak = 0;
   ReleaseStepContext context({&model}, &warm_solver, true, options);
+  context.SetHorizonHint(static_cast<int>(2 * m));
   const PrivacyQuantifier cold(&model, true);
 
   Rng col_rng(812);
@@ -615,8 +591,7 @@ PristeOptions DeltaLocOptions(bool accelerated) {
   options.qp.pga_restarts = 1;
   options.qp.pga_iters = 30;
   options.qp.warm_start = accelerated;
-  options.release.prefix_cache = accelerated;
-  options.release.warm_start = accelerated;
+  if (!accelerated) options.release.max_cache_support = 0;
   return options;
 }
 
@@ -695,14 +670,16 @@ TEST(ReleaseStepDensePrefixTest, FullGeoIndRunWithDensePrefixMatchesCold) {
   const geo::GaussianGridModel mobility(grid, 1.0);
   const auto ev =
       std::make_shared<PresenceEvent>(geo::Region(16, {5, 6}), 2, 3);
-  PristeOptions accelerated_options = DeltaLocOptions(true);
-  accelerated_options.release.dense_prefix =
-      ReleaseStepOptions::DensePrefix::kAlways;
   const PristeGeoInd accelerated(grid, mobility.transition(), {ev},
-                                 accelerated_options);
+                                 DeltaLocOptions(true));
   const PristeGeoInd cold(grid, mobility.transition(), {ev},
                           DeltaLocOptions(false));
-  const geo::Trajectory truth({1, 2, 6, 10, 9, 5});
+  // The driver passes the trajectory length as the horizon hint, so the
+  // dense rows engage from 2m = 32 steps on.
+  const markov::MarkovChain chain(mobility.transition(),
+                                  linalg::Vector::UniformProbability(16));
+  Rng truth_rng(37);
+  const geo::Trajectory truth(chain.Sample(2 * 16 + 2, truth_rng));
   Rng rng_a(31);
   Rng rng_b(31);
   const auto result_a = accelerated.Run(truth, rng_a);

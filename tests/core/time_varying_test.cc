@@ -132,7 +132,7 @@ TEST(TimeVaryingTwoWorldTest, LiftedMatricesStayStochastic) {
       2);
   const TwoWorldModel model(*schedule, ev);
   for (int t = 1; t <= 6; ++t) {
-    EXPECT_TRUE(model.TransitionAt(t)->IsRowStochastic(1e-9)) << "t=" << t;
+    EXPECT_TRUE(model.TransitionAt(t).IsRowStochastic(1e-9)) << "t=" << t;
   }
 }
 

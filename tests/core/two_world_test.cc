@@ -4,6 +4,7 @@
 
 #include "priste/event/pattern.h"
 #include "priste/event/presence.h"
+#include "priste/linalg/ops.h"
 #include "testing/test_util.h"
 
 namespace priste::core {
@@ -30,17 +31,17 @@ TEST(TwoWorldTest, PresenceMatricesMatchAppendixC) {
       {0.0, 0.0, 0.7, 0.1, 0.2, 0.0}, {0.0, 0.0, 0.5, 0.4, 0.1, 0.0},
       {0.0, 0.0, 0.9, 0.0, 0.1, 0.0}, {0.0, 0.0, 0.0, 0.1, 0.2, 0.7},
       {0.0, 0.0, 0.0, 0.4, 0.1, 0.5}, {0.0, 0.0, 0.0, 0.0, 0.1, 0.9}};
-  EXPECT_LT(model.TransitionAt(2)->ToDense().MaxAbsDiff(expected_window), 1e-12);
-  EXPECT_LT(model.TransitionAt(3)->ToDense().MaxAbsDiff(expected_window), 1e-12);
+  EXPECT_LT(model.TransitionAt(2).ToDense().MaxAbsDiff(expected_window), 1e-12);
+  EXPECT_LT(model.TransitionAt(3).ToDense().MaxAbsDiff(expected_window), 1e-12);
 
   // M1, M4, M5: block diagonal (right matrix of Eq. 22).
   const linalg::Matrix expected_outside{
       {0.1, 0.2, 0.7, 0.0, 0.0, 0.0}, {0.4, 0.1, 0.5, 0.0, 0.0, 0.0},
       {0.0, 0.1, 0.9, 0.0, 0.0, 0.0}, {0.0, 0.0, 0.0, 0.1, 0.2, 0.7},
       {0.0, 0.0, 0.0, 0.4, 0.1, 0.5}, {0.0, 0.0, 0.0, 0.0, 0.1, 0.9}};
-  EXPECT_LT(model.TransitionAt(1)->ToDense().MaxAbsDiff(expected_outside), 1e-12);
-  EXPECT_LT(model.TransitionAt(4)->ToDense().MaxAbsDiff(expected_outside), 1e-12);
-  EXPECT_LT(model.TransitionAt(5)->ToDense().MaxAbsDiff(expected_outside), 1e-12);
+  EXPECT_LT(model.TransitionAt(1).ToDense().MaxAbsDiff(expected_outside), 1e-12);
+  EXPECT_LT(model.TransitionAt(4).ToDense().MaxAbsDiff(expected_outside), 1e-12);
+  EXPECT_LT(model.TransitionAt(5).ToDense().MaxAbsDiff(expected_outside), 1e-12);
 }
 
 TEST(TwoWorldTest, LiftedMatricesAreRowStochastic) {
@@ -62,7 +63,7 @@ TEST(TwoWorldTest, LiftedMatricesAreRowStochastic) {
       }
       const TwoWorldModel model(chain, ev);
       for (int t = 1; t <= start + len + 2; ++t) {
-        EXPECT_TRUE(model.TransitionAt(t)->IsRowStochastic(1e-9))
+        EXPECT_TRUE(model.TransitionAt(t).IsRowStochastic(1e-9))
             << "presence=" << presence << " t=" << t;
       }
     }
@@ -132,48 +133,46 @@ TEST(TwoWorldTest, SuffixVectorsAreEventProbabilities) {
   EXPECT_TRUE(model.PriorContraction().AllInRange(0.0, 1.0));
 }
 
-TEST(TwoWorldTest, BlockCacheEvictionRebuildsBitIdentically) {
-  // Shrink the shared block cache so nearly every TransitionAt misses and
-  // rebuilds: the rebuilt blocks must be bit-identical to handles taken
-  // before the squeeze, and handles must outlive eviction.
-  TwoWorldModel::BlockLru& cache = TwoWorldModel::BlockCache();
-  const size_t saved_capacity = cache.capacity_bytes();
-
-  const auto ev = std::make_shared<PresenceEvent>(geo::Region(3, {0, 1}), 3, 4);
-  const TwoWorldModel model(PaperExampleChain(), ev);
-
-  std::vector<TwoWorldModel::BlockHandle> warm;
-  for (int t = 1; t <= 5; ++t) warm.push_back(model.TransitionAt(t));
-
-  cache.SetCapacityBytes(1);  // below any block's charge → constant eviction
-  cache.Clear();
-  for (int t = 1; t <= 5; ++t) {
-    const TwoWorldModel::BlockHandle cold = model.TransitionAt(t);
-    ASSERT_NE(cold, nullptr);
-    EXPECT_NE(cold.get(), warm[static_cast<size_t>(t - 1)].get());
-    // Bit-identical, not just numerically close.
-    EXPECT_EQ(cold->ToDense().MaxAbsDiff(
-                  warm[static_cast<size_t>(t - 1)]->ToDense()),
-              0.0)
-        << "t=" << t;
+TEST(TwoWorldTest, BlockwiseStepKernelsMatchDenseTransitionOracle) {
+  // StepRow/StepColumn never build M_t; both are checked here against
+  // products with the dense TransitionAt(t) blocks, so a mistake the two
+  // kernels share cannot cancel out in the cached-vs-cold suites (which run
+  // one kernel against the other). Covers the capture (PRESENCE), entry and
+  // continuation (PATTERN) forms, windows opening at t = 1..3, and the
+  // block-diagonal steps on either side of the window.
+  Rng rng(17);
+  for (int trial = 0; trial < 4; ++trial) {
+    const size_t m = 3 + rng.NextBelow(6);
+    const auto chain = testing::RandomTransition(m, rng);
+    for (int start = 1; start <= 3; ++start) {
+      const int len = 1 + static_cast<int>(rng.NextBelow(3));
+      std::vector<geo::Region> regions;
+      for (int i = 0; i < len; ++i) {
+        regions.push_back(testing::RandomRegion(m, rng));
+      }
+      for (const bool presence : {true, false}) {
+        event::EventPtr ev;
+        if (presence) {
+          ev = std::make_shared<PresenceEvent>(regions, start);
+        } else {
+          ev = std::make_shared<PatternEvent>(regions, start);
+        }
+        const TwoWorldModel model(chain, ev);
+        for (int t = 1; t <= model.event_end() + 1; ++t) {
+          const linalg::Matrix dense = model.TransitionAt(t).ToDense();
+          linalg::Vector v(2 * m);
+          for (size_t i = 0; i < v.size(); ++i) v[i] = rng.NextDouble();
+          EXPECT_LT(model.StepRow(v, t).Minus(linalg::VecMat(v, dense)).MaxAbs(),
+                    1e-12)
+              << "presence=" << presence << " start=" << start << " t=" << t;
+          EXPECT_LT(
+              model.StepColumn(v, t).Minus(linalg::MatVec(dense, v)).MaxAbs(),
+              1e-12)
+              << "presence=" << presence << " start=" << start << " t=" << t;
+        }
+      }
+    }
   }
-  // The warm handles survived eviction with their contents intact.
-  EXPECT_TRUE(warm[1]->IsRowStochastic(1e-9));
-
-  cache.SetCapacityBytes(saved_capacity);
-  cache.Clear();
-}
-
-TEST(TwoWorldTest, DistinctModelsDoNotShareCacheEntries) {
-  // Two models with identical parameters still get instance-scoped keys: a
-  // block cached by one is never served to the other (contents depend on the
-  // schedule AND event of the instance that built them).
-  const auto ev = std::make_shared<PresenceEvent>(geo::Region(3, {0, 1}), 3, 4);
-  const TwoWorldModel a(PaperExampleChain(), ev);
-  const TwoWorldModel b(PaperExampleChain(), ev);
-  EXPECT_NE(a.TransitionAt(2).get(), b.TransitionAt(2).get());
-  EXPECT_EQ(a.TransitionAt(2)->ToDense().MaxAbsDiff(b.TransitionAt(2)->ToDense()),
-            0.0);
 }
 
 TEST(TwoWorldTest, RejectsMismatchedStateCounts) {

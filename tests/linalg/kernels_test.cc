@@ -71,24 +71,6 @@ TEST(KernelsTest, GatherScatterKnownValues) {
   EXPECT_DOUBLE_EQ(out[4], 6.0);
 }
 
-TEST(KernelsTest, GatherDotPairMatchesTwoGatherDots) {
-  Rng rng(31);
-  for (const size_t n : {0ul, 2ul, 5ul, 9ul, 40ul}) {
-    const std::vector<double> bvals = RandomSpan(n, rng);
-    const std::vector<double> cvals = RandomSpan(n, rng);
-    const std::vector<double> x = RandomSpan(64, rng);
-    std::vector<size_t> cols(n);
-    for (size_t i = 0; i < n; ++i) cols[i] = (i * 13) % 64;
-    double b = -1.0, c = -1.0;
-    GatherDotPair(bvals.data(), cvals.data(), cols.data(), n, x.data(), &b,
-                  &c);
-    // Each fused sum uses GatherDot's accumulator blocking, so the fused and
-    // two-call forms are bit-identical, not merely close.
-    EXPECT_EQ(b, GatherDot(bvals.data(), cols.data(), n, x.data()));
-    EXPECT_EQ(c, GatherDot(cvals.data(), cols.data(), n, x.data()));
-  }
-}
-
 TEST(KernelsTest, ReplicateDotMatchesMaterializedReplication) {
   Rng rng(7);
   const size_t blocks = 3, m = 11;
@@ -125,7 +107,7 @@ TEST(KernelsTest, ScalarAndSimdPathsAreBitIdentical) {
     std::vector<size_t> cols(n);
     for (size_t i = 0; i < n; ++i) cols[i] = (i * 7) % (n > 0 ? n : 1);
 
-    double sum_s, dot_s, dh_s, gd_s, gpb_s, gpc_s;
+    double sum_s, dot_s, dh_s, gd_s;
     std::vector<double> axpy_s = a, scale_s = a, hip_s = a, hi_s(n), sc_s(n, 0.0);
     {
       ScopedSimd scalar(false);
@@ -134,8 +116,6 @@ TEST(KernelsTest, ScalarAndSimdPathsAreBitIdentical) {
       dot_s = Dot(a.data(), b.data(), n);
       dh_s = DotHadamard(a.data(), b.data(), c.data(), n);
       gd_s = GatherDot(a.data(), cols.data(), n, b.data());
-      GatherDotPair(a.data(), c.data(), cols.data(), n, b.data(), &gpb_s,
-                    &gpc_s);
       Axpy(1.7, b.data(), axpy_s.data(), n);
       Scale(scale_s.data(), 0.3, n);
       HadamardInPlace(b.data(), hip_s.data(), n);
@@ -147,11 +127,6 @@ TEST(KernelsTest, ScalarAndSimdPathsAreBitIdentical) {
     EXPECT_EQ(Dot(a.data(), b.data(), n), dot_s);
     EXPECT_EQ(DotHadamard(a.data(), b.data(), c.data(), n), dh_s);
     EXPECT_EQ(GatherDot(a.data(), cols.data(), n, b.data()), gd_s);
-    double gpb_v, gpc_v;
-    GatherDotPair(a.data(), c.data(), cols.data(), n, b.data(), &gpb_v,
-                  &gpc_v);
-    EXPECT_EQ(gpb_v, gpb_s);
-    EXPECT_EQ(gpc_v, gpc_s);
     std::vector<double> axpy_v = a, scale_v = a, hip_v = a, hi_v(n), sc_v(n, 0.0);
     Axpy(1.7, b.data(), axpy_v.data(), n);
     Scale(scale_v.data(), 0.3, n);
