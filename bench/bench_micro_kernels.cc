@@ -90,24 +90,23 @@ void BM_TheoremVectors(benchmark::State& state) {
 }
 BENCHMARK(BM_TheoremVectors)->Arg(8)->Arg(16);
 
+// One arbitrary-prior check (both Theorem IV.1 conditions) on dense
+// planar-Laplace Theorem vectors: the exact edge enumeration runs over all m
+// coordinates, so side 20 (m = 400) is the paper-scale plm shape.
 void BM_QpCheck(benchmark::State& state) {
   Fixture& f = SharedFixture(static_cast<int>(state.range(0)));
   const core::PrivacyQuantifier quantifier(&f.model);
   const std::vector<linalg::Vector> history(
       5, f.plm.emission().EmissionColumn(3));
   const core::TheoremVectors vectors = quantifier.ComputeVectors(history);
-  core::QpSolver::Options options;
-  options.grid_points = 17;
-  options.refine_iters = 6;
-  options.pga_restarts = 1;
-  const core::QpSolver solver(options);
+  const core::QpSolver solver;
   for (auto _ : state) {
     const auto check =
         quantifier.CheckArbitraryPrior(vectors, 0.5, solver, Deadline::Infinite());
     benchmark::DoNotOptimize(check.satisfied);
   }
 }
-BENCHMARK(BM_QpCheck)->Arg(8)->Arg(12);
+BENCHMARK(BM_QpCheck)->Arg(8)->Arg(12)->Arg(20);
 
 void BM_PlmEmissionBuild(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
@@ -272,11 +271,10 @@ BENCHMARK(BM_ForwardBackward)
     ->ArgNames({"side", "csr"});
 
 // ---------------------------------------------------------------------------
-// Sparse-emission and support-aware-QP pairs (ISSUE-3 acceptance): the
-// workload is a 1024-cell grid whose observations are δ-location-set style —
-// each emission column is supported on 9 cells. The sparse pipeline carries
-// the columns as index/value pairs end to end; the support-aware QP solves
-// every slice LP in dimension |support|+1 instead of 1024.
+// Sparse-emission pairs: the workload is a 1024-cell grid whose
+// observations are δ-location-set style — each emission column is supported
+// on 9 cells. The sparse pipeline carries the columns as index/value pairs
+// end to end.
 // ---------------------------------------------------------------------------
 
 // Deterministic 9-cell-support emission columns over a side×side grid. The
@@ -353,46 +351,13 @@ BENCHMARK(BM_SparseEmissionForwardBackward)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->ArgNames({"csr", "sparse_cols"});
 
-// The ISSUE-3 acceptance pair: one full arbitrary-prior QP maximization on a
-// 1024-cell objective supported on 9 cells — the support-aware path must be
-// ≥5× faster than sweeping dense 1024-dimensional slice LPs.
-void BM_QpSupportAware(benchmark::State& state) {
-  const bool exploit = state.range(0) != 0;
-  const size_t n = 1024;
-  Rng rng(4321);
-  core::QpSolver::Objective obj;
-  obj.a = linalg::Vector(n);
-  obj.d = linalg::Vector(n);
-  obj.l = linalg::Vector(n);
-  for (size_t j = 0; j < 9; ++j) {
-    const size_t i = 100 + 17 * j;
-    obj.a[i] = rng.NextDouble();
-    obj.d[i] = rng.Uniform(-1.0, 1.0);
-    obj.l[i] = rng.Uniform(-1.0, 1.0);
-  }
-  core::QpSolver::Options options;
-  options.grid_points = 9;
-  options.refine_iters = 2;
-  options.pga_restarts = 1;
-  options.pga_iters = 20;
-  options.exploit_support = exploit;
-  const core::QpSolver solver(options);
-  for (auto _ : state) {
-    const auto result = solver.Maximize(obj, Deadline::Infinite());
-    benchmark::DoNotOptimize(result.max_value);
-  }
-}
-BENCHMARK(BM_QpSupportAware)->Arg(0)->Arg(1)->ArgName("reduced")
-    ->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // Release-step engine pairs (ISSUE-4 acceptance, ≥3× each): the workload is
 // the 1024-cell grid with 9-support δ-location-set-style emissions. A
 // release step checks several candidate budgets over a shared observation
-// prefix; the cold arm recomputes every Theorem-vector chain from t = 1 and
-// runs every QP maximization cold, the accelerated arm uses
-// ReleaseStepContext (incremental prefix rows, memoized support frame,
-// warm-started slice LPs / PGA).
+// prefix; the cold arm recomputes every Theorem-vector chain from t = 1, the
+// accelerated arm uses ReleaseStepContext's incremental prefix rows. Both
+// arms run the same QP check.
 // ---------------------------------------------------------------------------
 
 void BM_ReleaseStepCached(benchmark::State& state) {
@@ -406,13 +371,7 @@ void BM_ReleaseStepCached(benchmark::State& state) {
   // with the prefix length — is visible.
   const auto ev = event::PresenceEvent::Make(m, 500, 500, 2, 3);
   const core::TwoWorldModel model(chain, ev);
-  core::QpSolver::Options qp;
-  qp.grid_points = 17;
-  qp.refine_iters = 8;
-  qp.pga_restarts = 1;
-  qp.pga_iters = 20;
-  qp.warm_start = accelerated;
-  const core::QpSolver solver(qp);
+  const core::QpSolver solver;
 
   // 60 timestamps × 6 candidate budgets: per step the halving search redraws
   // the 9-cell-support column (values change with α, the ΔX support drifts
@@ -474,7 +433,7 @@ BENCHMARK(BM_ReleaseStepCached)->Arg(0)->Arg(1)->ArgName("cached")
 // lifted row chains extended once per accepted timestamp and evaluates each
 // candidate with fused replicate-and-dot kernels (O(m·nnz) per check). The
 // workload isolates the Theorem-vector side (CandidateVectors) — the QP is
-// measured by BM_QpCheck/BM_QpWarmStart — and its horizon (300 ≈ 4.7·m)
+// measured by BM_QpCheck — and its horizon (300 ≈ 4.7·m)
 // sits in the amortized regime the scheme targets (the dense rows engage at
 // a horizon hint T ≥ 2m).
 void BM_ReleaseStepDensePrefix(benchmark::State& state) {
@@ -530,75 +489,6 @@ void BM_ReleaseStepDensePrefix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReleaseStepDensePrefix)->Arg(0)->Arg(1)->ArgName("dense_rows")
-    ->Unit(benchmark::kMillisecond);
-
-// The QP side in isolation: two release steps' worth of adjacent
-// maximizations (each halving rescales d and l; a stays put) on a 1024-cell
-// objective, with and without the threaded WarmState. The warm arm runs the
-// NEW release-loop shape — consecutive maximizations resolve as
-// condition-style *pairs* through MaximizePair, sharing one support frame
-// and one slice family per pair on top of the cross-call chain — while the
-// cold arm solves all 12 independently. Only the very first solve of the
-// warm sequence runs cold.
-void BM_QpWarmStart(benchmark::State& state) {
-  const bool warm = state.range(0) != 0;
-  const size_t n = 1024;
-  Rng rng(2024);
-  core::QpSolver::Objective base;
-  base.a = linalg::Vector(n);
-  base.d = linalg::Vector(n);
-  base.l = linalg::Vector(n);
-  // ā-like factor: reachable-set support (~96 cells); d/l: 9-cell emission
-  // support inside it.
-  for (size_t j = 0; j < 96; ++j) {
-    base.a[256 + 8 * j % 768] = rng.NextDouble();
-  }
-  // Non-positive d/l model the *certifying* check (both Theorem conditions
-  // ≤ 0, supremum approached at 0 through off-support priors) — the common
-  // outcome in a release loop, and the one that triggers the near-zero
-  // escalation sweep whose dense adjacent slices are where basis chaining
-  // pays most.
-  for (size_t j = 0; j < 9; ++j) {
-    const size_t i = 256 + 8 * (11 * j % 96) % 768;
-    base.a[i] = rng.NextDouble();
-    base.d[i] = rng.Uniform(-1.0, 0.0);
-    base.l[i] = rng.Uniform(-1.0, 0.0);
-  }
-  core::QpSolver::Options options;
-  options.grid_points = 17;
-  options.refine_iters = 16;
-  options.pga_restarts = 1;
-  options.pga_iters = 20;
-  options.warm_start = warm;
-  const core::QpSolver solver(options);
-
-  const auto scaled = [&](int halving) {
-    core::QpSolver::Objective obj = base;
-    const double f = 1.0 / static_cast<double>(1 << (halving % 6));
-    obj.d.ScaleInPlace(f);
-    obj.l.ScaleInPlace(0.5 + 0.5 * f);
-    return obj;
-  };
-
-  for (auto _ : state) {
-    core::QpSolver::WarmState ws;
-    double acc = 0.0;
-    for (int pair = 0; pair < 6; ++pair) {
-      const core::QpSolver::Objective f15 = scaled(2 * pair);
-      const core::QpSolver::Objective f16 = scaled(2 * pair + 1);
-      if (warm) {
-        core::QpSolver::Result r15, r16;
-        solver.MaximizePair(f15, f16, Deadline::Infinite(), &ws, &r15, &r16);
-        acc += r15.max_value + r16.max_value;
-      } else {
-        acc += solver.Maximize(f15, Deadline::Infinite()).max_value;
-        acc += solver.Maximize(f16, Deadline::Infinite()).max_value;
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_QpWarmStart)->Arg(0)->Arg(1)->ArgName("warm")
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

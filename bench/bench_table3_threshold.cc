@@ -14,14 +14,9 @@ int main() {
   const auto ev = bench::ScaledPresence(scale, workload.grid.num_cells(), 10, 4, 8);
   std::printf("event: %s\n", ev->ToString().c_str());
 
-  // Heavier QP settings so the small thresholds genuinely bite.
   const auto options_for = [](double threshold_s) {
     core::PristeOptions options = eval::DefaultBenchOptions(0.5, 0.5);
     options.qp_threshold_seconds = threshold_s;
-    options.qp.grid_points = 65;
-    options.qp.refine_iters = 24;
-    options.qp.pga_restarts = 4;
-    options.qp.pga_iters = 120;
     return options;
   };
 

@@ -93,9 +93,10 @@ int main() {
   core::JointCalculator audit(&model,
                               linalg::Vector::UniformProbability(grid.num_cells()));
   double worst = 0.0;
-  for (const auto& step : result->steps) {
+  for (int t = 1; t <= result->released.length(); ++t) {
+    const auto& step = result->steps[static_cast<size_t>(t - 1)];
     const lppm::PlanarLaplaceMechanism mech(grid, step.released_alpha);
-    audit.Push(mech.emission().EmissionColumn(step.released_cell));
+    audit.Push(mech.emission().EmissionColumn(result->released.At(t)));
     worst = std::max(worst, std::fabs(std::log(audit.LikelihoodRatio())));
   }
   std::printf("worst |ln ratio|     : %.4f <= ε = %.2f : %s\n", worst,

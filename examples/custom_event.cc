@@ -73,17 +73,19 @@ int main() {
   }
 
   std::printf("\n t | released | final alpha | halvings\n");
-  for (const auto& step : result->steps) {
-    std::printf("%2d | %8d | %11.4f | %d\n", step.t, step.released_cell,
+  for (int t = 1; t <= result->released.length(); ++t) {
+    const auto& step = result->steps[static_cast<size_t>(t - 1)];
+    std::printf("%2d | %8d | %11.4f | %d\n", t, result->released.At(t),
                 step.released_alpha, step.halvings);
   }
 
   // Audit under the uniform prior.
   core::JointCalculator audit(model->get(), pi);
   double worst = 0.0;
-  for (const auto& step : result->steps) {
+  for (int t = 1; t <= result->released.length(); ++t) {
+    const auto& step = result->steps[static_cast<size_t>(t - 1)];
     const lppm::PlanarLaplaceMechanism mech(grid, step.released_alpha);
-    audit.Push(mech.emission().EmissionColumn(step.released_cell));
+    audit.Push(mech.emission().EmissionColumn(result->released.At(t)));
     worst = std::max(worst, std::fabs(std::log(audit.LikelihoodRatio())));
   }
   std::printf("\nworst |ln ratio| : %.4f <= eps = %.2f : %s\n", worst,

@@ -53,9 +53,10 @@ int main() {
   }
 
   std::printf("\n t | true cell | released | final alpha | halvings\n");
-  for (const auto& step : result->steps) {
-    std::printf("%2d | %9d | %8d | %11.4f | %d\n", step.t, step.true_cell,
-                step.released_cell, step.released_alpha, step.halvings);
+  for (int t = 1; t <= result->released.length(); ++t) {
+    const auto& step = result->steps[static_cast<size_t>(t - 1)];
+    std::printf("%2d | %9d | %8d | %11.4f | %d\n", t, truth.At(t),
+                result->released.At(t), step.released_alpha, step.halvings);
   }
 
   // --- 4. Posthoc audit of the guarantee. ----------------------------
@@ -65,9 +66,10 @@ int main() {
   const linalg::Vector pi = linalg::Vector::UniformProbability(grid.num_cells());
   core::JointCalculator audit(&model, pi);
   double worst = 0.0;
-  for (const auto& step : result->steps) {
+  for (int t = 1; t <= result->released.length(); ++t) {
+    const auto& step = result->steps[static_cast<size_t>(t - 1)];
     const lppm::PlanarLaplaceMechanism mech(grid, step.released_alpha);
-    audit.Push(mech.emission().EmissionColumn(step.released_cell));
+    audit.Push(mech.emission().EmissionColumn(result->released.At(t)));
     worst = std::max(worst, std::fabs(std::log(audit.LikelihoodRatio())));
   }
   std::printf("\nevent prior      : %.4f\n", core::EventPrior(model, pi));

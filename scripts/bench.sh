@@ -44,12 +44,12 @@ PRISTE_THREADS="${PRISTE_THREADS:-4}" \
   --benchmark_context=priste_threads="${PRISTE_THREADS:-4}" \
   --benchmark_counters_tabular=true $EXTRA
 
-# The sparse-emission / support-aware-QP / release-step-engine pairs are part
-# of the recorded perf trajectory — fail loudly if a refactor drops them from
+# The sparse-emission / QP-check / release-step-engine families are part of
+# the recorded perf trajectory — fail loudly if a refactor drops them from
 # the binary.
 for family in BM_SparseEmissionTheoremVectors BM_SparseEmissionForwardBackward \
-              BM_QpSupportAware BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
-              BM_QpWarmStart BM_SharedEmissionCache BM_RowBlockReplicateDot; do
+              BM_QpCheck BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
+              BM_SharedEmissionCache BM_RowBlockReplicateDot; do
   if ! grep -q "$family" "$OUT"; then
     echo "$OUT is missing benchmark family $family" >&2
     exit 1

@@ -29,10 +29,9 @@ GUARDED_PREFIXES = [
     "BM_ForwardBackward/side:32/csr:1",
     "BM_SparseEmissionTheoremVectors/sparse_cols:1",
     "BM_SparseEmissionForwardBackward/csr:1/sparse_cols:1",
-    "BM_QpSupportAware/reduced:1",
+    "BM_QpCheck",
     "BM_ReleaseStepCached/cached:1",
     "BM_ReleaseStepDensePrefix/dense_rows:1",
-    "BM_QpWarmStart/warm:1",
     "BM_SharedEmissionCache/cached:1",
     "BM_RowBlockReplicateDot/simd:1",
 ]

@@ -13,7 +13,7 @@
 namespace priste {
 
 /// A fixed-size worker pool for coarse-grained task parallelism (repeated
-/// experiment runs, the Theorem IV.1 QP pair, per-trajectory sweeps).
+/// experiment runs, per-trajectory sweeps).
 ///
 /// Design notes:
 ///  * `ParallelFor` callers always participate in the loop themselves, so

@@ -28,11 +28,10 @@ class Timer {
 /// QP solver's conservative-release threshold (paper Section IV-C).
 ///
 /// Thread affinity: a Deadline is IMMUTABLE after construction — Expired()
-/// and is_infinite() only read const state — so, unlike SliceBasisMemo
-/// (whose single-threadedness is enforced with owner-thread DCHECKs), one
-/// Deadline may be shared by value or const reference across threads. Keep
-/// it that way — any future mutating API (e.g. Extend()) must either take
-/// ownership semantics or copy-on-write, not mutate in place.
+/// and is_infinite() only read const state — so one Deadline may be shared
+/// by value or const reference across threads. Keep it that way — any
+/// future mutating API (e.g. Extend()) must either take ownership semantics
+/// or copy-on-write, not mutate in place.
 class Deadline {
  public:
   /// A deadline `seconds` from now. Non-positive values (including NaN)

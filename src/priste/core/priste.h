@@ -40,18 +40,16 @@ struct PristeOptions {
   /// Rescale emission columns for numerical stability (see PrivacyQuantifier).
   bool normalize_emissions = true;
 
+  /// Ignored, like every QpSolver::Options field.
   QpSolver::Options qp;
 
-  /// Release-step evaluation engine knobs (sparse-row budget, QP warm-frame
-  /// lifecycle). QP warm starts are switched by qp.warm_start.
+  /// Release-step evaluation engine knobs (sparse-row budget).
   ReleaseStepOptions release;
 };
 
-/// Per-timestamp outcome of a PriSTE run.
+/// Per-timestamp outcome of a PriSTE run. steps[t − 1] belongs to timestamp
+/// t; its released cell is RunResult::released.At(t).
 struct StepRecord {
-  int t = 0;
-  int true_cell = -1;
-  int released_cell = -1;
   /// The final PLM budget used for the released location (0 = uniform).
   double released_alpha = 0.0;
   /// Number of budget halvings at this timestamp.
@@ -68,7 +66,7 @@ struct RunResult {
   int total_conservative = 0;
   /// Wall-clock of the whole run, seconds.
   double total_seconds = 0.0;
-  /// Release-step engine counters (cache hits, warm-start accepts/rejects).
+  /// Release-step engine counters (which Theorem-vector path served checks).
   ReleaseStepDiagnostics release_diagnostics;
 };
 

@@ -17,8 +17,7 @@ PristeDeltaLoc::PristeDeltaLoc(geo::Grid grid, markov::TransitionMatrix chain,
       events_(std::move(events)),
       delta_(delta),
       initial_(std::move(initial)),
-      options_(options),
-      solver_(options.qp) {
+      options_(options) {
   PRISTE_CHECK_MSG(!events_.empty(), "PristeDeltaLoc needs at least one event");
   PRISTE_CHECK(delta_ >= 0.0 && delta_ < 1.0);
   PRISTE_CHECK(chain_.num_states() == grid_.num_cells());
@@ -38,10 +37,12 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
   Timer run_timer;
   RunResult result;
   result.steps.reserve(static_cast<size_t>(T));
+  std::vector<int> released;
+  released.reserve(static_cast<size_t>(T));
   linalg::Vector posterior = initial_;  // p⁺_0 = π
 
-  // The release-step engine owns the per-model quantifiers, the incremental
-  // Theorem-vector state, and the QP warm-start bundles for this run.
+  // The release-step engine owns the per-model quantifiers and the
+  // incremental Theorem-vector state for this run.
   std::vector<const LiftedEventModel*> raw_models;
   raw_models.reserve(models_.size());
   for (const auto& model : models_) raw_models.push_back(model.get());
@@ -67,8 +68,6 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
                            lppm::DeltaLocationSet(predicted, delta_));
 
     StepRecord step;
-    step.t = t;
-    step.true_cell = true_cell;
     double alpha = options_.initial_alpha;
     linalg::Vector released_column;
 
@@ -86,7 +85,7 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
         // still run the check when a finite threshold allows it, but never
         // loop further.
         context.Commit(released_column);
-        step.released_cell = o;
+        released.push_back(o);
         step.released_alpha = 0.0;
         break;
       }
@@ -96,7 +95,7 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
 
       if (outcome.all_satisfied) {
         context.Commit(released_column);
-        step.released_cell = o;
+        released.push_back(o);
         step.released_alpha = alpha;
         break;
       }
@@ -116,10 +115,10 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
 
     halvings_counter.Increment(step.halvings);
     step_seconds.Record(step_timer.ElapsedSeconds());
-    result.released.Append(step.released_cell);
     result.steps.push_back(step);
   }
 
+  result.released = geo::Trajectory(std::move(released));
   result.release_diagnostics = context.diagnostics();
   result.total_seconds = run_timer.ElapsedSeconds();
   return result;

@@ -35,7 +35,6 @@ PristeGeoInd::PristeGeoInd(
     PristeOptions options, std::shared_ptr<const lppm::MechanismFamily> family)
     : grid_(grid),
       options_(options),
-      solver_(options.qp),
       models_(std::move(models)),
       family_(family != nullptr
                   ? std::move(family)
@@ -62,9 +61,11 @@ Result<RunResult> PristeGeoInd::Run(const geo::Trajectory& true_trajectory,
   Timer run_timer;
   RunResult result;
   result.steps.reserve(static_cast<size_t>(T));
+  std::vector<int> released;
+  released.reserve(static_cast<size_t>(T));
 
-  // The release-step engine owns the per-model quantifiers, the incremental
-  // Theorem-vector state, and the QP warm-start bundles for this run.
+  // The release-step engine owns the per-model quantifiers and the
+  // incremental Theorem-vector state for this run.
   std::vector<const LiftedEventModel*> raw_models;
   raw_models.reserve(models_.size());
   for (const auto& model : models_) raw_models.push_back(model.get());
@@ -85,8 +86,6 @@ Result<RunResult> PristeGeoInd::Run(const geo::Trajectory& true_trajectory,
     PRISTE_DCHECK(grid_.ContainsCell(true_cell));  // validated in the prelude
 
     StepRecord step;
-    step.t = t;
-    step.true_cell = true_cell;
     double alpha = options_.initial_alpha;
 
     for (;;) {
@@ -96,7 +95,7 @@ Result<RunResult> PristeGeoInd::Run(const geo::Trajectory& true_trajectory,
         const auto mech = MechanismFor(0.0);
         const int o = mech->Perturb(true_cell, rng);
         context.Commit(mech->emission().EmissionColumn(o));
-        step.released_cell = o;
+        released.push_back(o);
         step.released_alpha = 0.0;
         break;
       }
@@ -109,7 +108,7 @@ Result<RunResult> PristeGeoInd::Run(const geo::Trajectory& true_trajectory,
 
       if (outcome.all_satisfied) {
         context.Commit(column);
-        step.released_cell = o;
+        released.push_back(o);
         step.released_alpha = alpha;
         break;
       }
@@ -125,10 +124,10 @@ Result<RunResult> PristeGeoInd::Run(const geo::Trajectory& true_trajectory,
 
     halvings_counter.Increment(step.halvings);
     step_seconds.Record(step_timer.ElapsedSeconds());
-    result.released.Append(step.released_cell);
     result.steps.push_back(step);
   }
 
+  result.released = geo::Trajectory(std::move(released));
   result.release_diagnostics = context.diagnostics();
   result.total_seconds = run_timer.ElapsedSeconds();
   return result;

@@ -1,17 +1,11 @@
 #include "priste/core/qp_solver.h"
 
-#include <algorithm>
-#include <cmath>
-#include <iterator>
 #include <limits>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "priste/common/check.h"
 #include "priste/common/metrics.h"
-#include "priste/common/random.h"
-#include "priste/core/simplex_lp.h"
+#include "priste/common/thread_annotations.h"
 
 namespace priste::core {
 namespace {
@@ -21,740 +15,103 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Process-wide solver accounting (read via `priste_cli --metrics` and the
 // experiment summaries). Observability only — never read back into the
 // search, so determinism is untouched.
-void RecordQpMetrics(const QpSolver::Result& result) {
+void RecordQpMetrics(bool timed_out) {
   static Counter& calls = MetricsRegistry::Global().GetCounter("qp.maximizations");
-  static Counter& slices =
-      MetricsRegistry::Global().GetCounter("qp.slices_solved");
-  static Counter& warm_accepted =
-      MetricsRegistry::Global().GetCounter("qp.warm_accepted_slices");
-  static Counter& warm_rejected =
-      MetricsRegistry::Global().GetCounter("qp.warm_rejected_slices");
-  static Counter& frame_hits =
-      MetricsRegistry::Global().GetCounter("qp.support_frame_hits");
   static Counter& timeouts = MetricsRegistry::Global().GetCounter("qp.timeouts");
   calls.Increment();
-  slices.Increment(result.slices_solved);
-  warm_accepted.Increment(result.warm_accepted_slices);
-  warm_rejected.Increment(result.warm_rejected_slices);
-  if (result.support_frame_reused) frame_hits.Increment();
-  if (result.timed_out) timeouts.Increment();
+  if (timed_out) timeouts.Increment();
 }
 
-// Range of x = π·a over the constraint set {Σπ = 1, 0 ≤ π ≤ u} (simplex) or
-// {0 ≤ π ≤ u} (box). Every cap here is ≥ 1 (support coordinates carry the
-// original cap of 1; the slack cap is the off-support count), so the simplex
-// extremes stay the single-coordinate vertices a.Min()/a.Max().
-void SliceRange(const linalg::Vector& a, const linalg::Vector& upper,
-                QpSolver::ConstraintSet constraint, double* lo, double* hi) {
-  if (constraint == QpSolver::ConstraintSet::kSimplex) {
-    *lo = a.Min();
-    *hi = a.Max();
-  } else {
-    *lo = 0.0;
-    *hi = 0.0;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i] < 0.0) {
-        *lo += a[i] * upper[i];
-      } else {
-        *hi += a[i] * upper[i];
-      }
-    }
-  }
-}
-
-// Warm-start plumbing shared by the sweep and the cross-call state: the
-// slice family keeps the LP arrays and the slice-to-slice basis alive for a
-// whole sweep, and the seed carries the previous call's optimum.
-struct WarmIo {
-  // Extra feasible incumbent evaluated before the sweep (the previous call's
-  // optimum, in the same reduced coordinates as the current problem).
-  const linalg::Vector* seed_pi = nullptr;
-  // Reusable slice-LP solver with basis chaining; null = cold slices.
-  SliceLpSolver* family = nullptr;
-  // Per-sweep b/c scratch for the family path (avoids two allocations per
-  // slice).
-  linalg::Vector slice_b;
-  linalg::Vector slice_c;
+// The point t·e_i + (1 − t)·e_j of the enumerated coordinates and its
+// objective value; i == j with t = 1 is the vertex e_i.
+struct EdgePoint {
+  size_t i = 0;
+  size_t j = 0;
+  double t = 1.0;
+  double value = -kInf;
 };
 
-// Solves one slice: maximize (x·d + l)ᵀπ subject to π·a = x (+ simplex row),
-// 0 ≤ π ≤ upper. Returns −inf when the slice is infeasible. With a warm
-// family the solve reuses its arrays and chained basis; otherwise it is a
-// cold two-phase solve.
-double SolveSlice(const QpSolver::Objective& objective,
-                  const linalg::Vector& upper,
-                  QpSolver::ConstraintSet constraint, double x,
-                  linalg::Vector* argmax, WarmIo* warm) {
-  const size_t n = objective.a.size();
-  const bool simplex = constraint == QpSolver::ConstraintSet::kSimplex;
-  const size_t rows = simplex ? 2 : 1;
-
-  LpSolution sol;
-  if (warm != nullptr && warm->family != nullptr) {
-    if (warm->slice_b.size() != rows) warm->slice_b = linalg::Vector(rows);
-    if (warm->slice_c.size() != n) warm->slice_c = linalg::Vector(n);
-    warm->slice_b[0] = x;
-    if (simplex) warm->slice_b[1] = 1.0;
-    for (size_t j = 0; j < n; ++j) {
-      warm->slice_c[j] = x * objective.d[j] + objective.l[j];
-    }
-    sol = warm->family->Solve(warm->slice_b, warm->slice_c);
-  } else {
-    LpProblem lp;
-    lp.a = linalg::Matrix(rows, n);
-    for (size_t j = 0; j < n; ++j) lp.a(0, j) = objective.a[j];
-    lp.b = linalg::Vector(rows);
-    lp.b[0] = x;
-    if (simplex) {
-      for (size_t j = 0; j < n; ++j) lp.a(1, j) = 1.0;
-      lp.b[1] = 1.0;
-    }
-    lp.c = linalg::Vector(n);
-    for (size_t j = 0; j < n; ++j) {
-      lp.c[j] = x * objective.d[j] + objective.l[j];
-    }
-    lp.upper = upper;
-    sol = SolveBoundedLp(lp);
+// Raises *best to the highest interior edge peak among the edges (i, j),
+// j > i. Convex and linear edges peak at a vertex, which the caller has
+// already scanned.
+PRISTE_HOT_PATH void ScanEdges(const double* a, const double* d,
+                               const double* l, size_t i, size_t n,
+                               EdgePoint* best) {
+  const double ai = a[i];
+  const double di = d[i];
+  const double li = l[i];
+  for (size_t j = i + 1; j < n; ++j) {
+    const double da = ai - a[j];
+    const double dd = di - d[j];
+    const double dl = li - l[j];
+    // q(t) = A·t² + B·t + C along the edge, with weight t on e_i. A concave
+    // edge (A < 0) peaks inside (0, 1) iff t* = −B/(2A) does, i.e.
+    // 0 < B < −2A.
+    const double curvature = da * dd;
+    const double slope = a[j] * dd + d[j] * da + dl;
+    if (!(curvature < 0.0 && slope > 0.0 && slope < -2.0 * curvature)) continue;
+    const double t = slope / (-2.0 * curvature);
+    const double value = (a[j] + t * da) * (d[j] + t * dd) + (l[j] + t * dl);
+    if (value > best->value) *best = {i, j, t, value};
   }
-  if (sol.outcome != LpSolution::Outcome::kOptimal) return -kInf;
-  // The LP objective is the linearized form; the true bilinear value uses
-  // the *achieved* π·a (equal to x up to solver tolerance).
-  const double value = objective.Evaluate(sol.x);
-  if (argmax != nullptr) *argmax = std::move(sol.x);
-  return value;
-}
-
-void ClipToBox(const linalg::Vector& upper, linalg::Vector* v) {
-  for (size_t i = 0; i < v->size(); ++i) {
-    (*v)[i] = std::clamp((*v)[i], 0.0, upper[i]);
-  }
-}
-
-// The search core shared by the full-dimension and support-reduced paths:
-// slice sweep + refinement, PGA multistarts, near-zero escalation. `upper`
-// carries the per-coordinate caps (all 1 in the full problem; the reduced
-// simplex problem appends a slack coordinate capped at the off-support
-// count).
-QpSolver::Result MaximizeCore(const QpSolver::Objective& objective,
-                              const linalg::Vector& upper,
-                              const QpSolver::Options& options,
-                              const Deadline& deadline, WarmIo* warm) {
-  const size_t n = objective.a.size();
-  PRISTE_CHECK(n > 0);
-  PRISTE_CHECK(objective.d.size() == n && objective.l.size() == n);
-  PRISTE_CHECK(upper.size() == n);
-  const bool simplex = options.constraint == QpSolver::ConstraintSet::kSimplex;
-
-  QpSolver::Result result;
-  result.argmax = linalg::Vector(n);
-  result.max_value = -kInf;
-  result.reduced_dim = n;
-
-  const auto consider = [&result](double value, const linalg::Vector& pi) {
-    if (value > result.max_value) {
-      result.max_value = value;
-      result.argmax = pi;
-    }
-  };
-
-  // Seed a feasible incumbent BEFORE any deadline-checked work: expiry at
-  // any later point still returns a genuine lower bound with a feasible
-  // argmax, never −inf or an uninitialized vector.
-  {
-    linalg::Vector seed(n);
-    if (simplex) {
-      const double share = 1.0 / static_cast<double>(n);
-      for (size_t i = 0; i < n; ++i) seed[i] = share;  // share ≤ 1 ≤ upper_i
-    }  // box: the all-zeros vector is feasible
-    consider(objective.Evaluate(seed), seed);
-  }
-  double x_lo = 0.0, x_hi = 0.0;
-  SliceRange(objective.a, upper, options.constraint, &x_lo, &x_hi);
-
-  // One argmax scratch for every slice solve below — SolveSlice move-fills
-  // it, and `consider` copies only on an actual improvement. The sweep
-  // solves hundreds of slices whose optima rarely improve the incumbent, so
-  // per-slice argmax allocations were pure overhead.
-  linalg::Vector arg;
-
-  // Cross-call seed (previous optimum, same reduced frame): take it as a
-  // second incumbent — the first PGA restart polishes it — and solve its
-  // slice x = π·a up front, so the sweep starts from a near-final incumbent.
-  // Both are pure additions to the cold path's candidate set.
-  if (warm != nullptr && warm->seed_pi != nullptr &&
-      warm->seed_pi->size() == n) {
-    consider(objective.Evaluate(*warm->seed_pi), *warm->seed_pi);
-    if (!deadline.Expired()) {
-      const double x_seed =
-          std::clamp(warm->seed_pi->Dot(objective.a), x_lo, x_hi);
-      const double v =
-          SolveSlice(objective, upper, options.constraint, x_seed, &arg, warm);
-      ++result.slices_solved;
-      if (v > -kInf) consider(v, arg);
-    }
-  }
-
-  // --- Slice sweep: grid + local shrink refinement. ---
-  // The refinement trajectory (best_x / center moves) is driven ONLY by the
-  // slice values themselves, never by the global incumbent: an incumbent
-  // that beats every slice (a warm seed, or the uniform-prior seed) must not
-  // stop the refinement from homing in on the best slice region — otherwise
-  // a warm-started search could explore less than the cold one and return a
-  // smaller (under-certifying) maximum.
-  const auto sweep = [&](double lo, double hi, int points) -> bool {
-    if (points < 2 || hi <= lo) {
-      const double v =
-          SolveSlice(objective, upper, options.constraint, lo, &arg, warm);
-      ++result.slices_solved;
-      if (v > -kInf) consider(v, arg);
-      return true;
-    }
-    double best_x = lo;
-    double best_slice = -kInf;
-    for (int g = 0; g < points; ++g) {
-      if (deadline.Expired()) return false;
-      const double x = lo + (hi - lo) * g / (points - 1);
-      const double v =
-          SolveSlice(objective, upper, options.constraint, x, &arg, warm);
-      ++result.slices_solved;
-      if (v > -kInf) {
-        if (v >= best_slice) {
-          best_slice = v;
-          best_x = x;
-        }
-        consider(v, arg);
-      }
-    }
-    // Shrinking local refinement around the best slice.
-    double span = (hi - lo) / (points - 1);
-    double center = best_x;
-    for (int it = 0; it < options.refine_iters; ++it) {
-      if (deadline.Expired()) return false;
-      bool improved = false;
-      for (const double x :
-           {center - span, center - 0.5 * span, center + 0.5 * span, center + span}) {
-        if (x < lo || x > hi) continue;
-        const double v =
-            SolveSlice(objective, upper, options.constraint, x, &arg, warm);
-        ++result.slices_solved;
-        if (v > -kInf && v > best_slice) {
-          best_slice = v;
-          consider(v, arg);
-          center = x;
-          improved = true;
-        }
-      }
-      if (!improved) span *= 0.5;
-      if (span < 1e-14 * std::max(1.0, std::fabs(center))) break;
-    }
-    return true;
-  };
-
-  bool finished = sweep(x_lo, x_hi, options.grid_points);
-
-  // --- Projected gradient ascent multistarts. ---
-  Rng rng(options.seed);
-  const auto project = [&](linalg::Vector* pi) {
-    if (simplex) {
-      ProjectOntoCappedSimplexInPlace(*pi, upper);
-    } else {
-      ClipToBox(upper, pi);
-    }
-  };
-  linalg::Vector grad(n);
-  linalg::Vector cand(n);
-  for (int restart = 0; restart < options.pga_restarts && finished; ++restart) {
-    if (deadline.Expired()) {
-      finished = false;
-      break;
-    }
-    linalg::Vector pi(n);
-    if (restart == 0) {
-      pi = result.argmax;  // polish the incumbent (always seeded above)
-    } else {
-      for (size_t i = 0; i < n; ++i) pi[i] = rng.NextDouble();
-      project(&pi);
-    }
-    double value = objective.Evaluate(pi);
-    double step = 1.0;
-    for (int it = 0; it < options.pga_iters; ++it) {
-      const double xa = pi.Dot(objective.a);
-      const double xd = pi.Dot(objective.d);
-      for (size_t i = 0; i < n; ++i) {
-        grad[i] = xd * objective.a[i] + xa * objective.d[i] + objective.l[i];
-      }
-      const double gnorm = grad.MaxAbs();
-      if (gnorm < 1e-15) break;
-      bool improved = false;
-      for (int bt = 0; bt < 8; ++bt) {
-        cand = pi;
-        for (size_t i = 0; i < n; ++i) cand[i] += step / gnorm * grad[i];
-        project(&cand);
-        const double cv = objective.Evaluate(cand);
-        if (cv > value + 1e-15) {
-          std::swap(pi, cand);  // adopt the improved iterate, keep the buffer
-          value = cv;
-          improved = true;
-          break;
-        }
-        step *= 0.5;
-      }
-      if (!improved) break;
-    }
-    consider(value, pi);
-  }
-
-  // --- Near-zero escalation: densify before certifying "≤ 0". The band is
-  // relative to the objective's natural magnitude. ---
-  const double objective_scale = std::max(
-      {objective.l.MaxAbs(), objective.a.MaxAbs() * objective.d.MaxAbs(), 1e-300});
-  if (finished && result.max_value <= 0.0 &&
-      result.max_value > -options.escalation_band * objective_scale) {
-    // (points − 1)·factor + 1 points subdivide each base-grid interval into
-    // `factor` parts, so every factor-th escalated x is the SAME grid formula
-    // lo + (hi−lo)·g/(points−1) with g scaled by `factor` in both numerator
-    // and denominator — bit-identical to the base sweep's x when factor·
-    // (points−1) stays a power-of-two multiple (the 65-point/8× default),
-    // which lets those slices reinstate their memoized exact-RHS bases. The
-    // old points·factor grid shared (almost) no x with the base sweep. Other
-    // configs just miss the memo; the escalation itself is unchanged.
-    finished = sweep(x_lo, x_hi,
-                     (options.grid_points - 1) * options.escalation_factor + 1);
-  }
-
-  result.timed_out = !finished;
-  if (warm != nullptr && warm->family != nullptr) {
-    result.warm_accepted_slices = warm->family->warm_accepted();
-    result.warm_rejected_slices = warm->family->warm_rejected();
-  }
-  return result;
-}
-
-// True when every index of sorted `sub` appears in sorted `super`.
-bool IsSortedSubset(const std::vector<size_t>& sub,
-                    const std::vector<size_t>& super) {
-  return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
-}
-
-std::vector<size_t> SortedUnion(const std::vector<size_t>& a,
-                                const std::vector<size_t>& b) {
-  std::vector<size_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-const std::vector<size_t>* UpdateWarmFrame(const std::vector<size_t>& scan,
-                                           QpSolver::WarmState* warm,
-                                           bool* frame_reused) {
-  warm->last_scan_support = scan.size();
-  if (!warm->has_support) {
-    warm->support = scan;
-    warm->has_support = true;
-  } else if (IsSortedSubset(scan, warm->support)) {
-    *frame_reused = true;
-    ++warm->support_hits;
-  } else {
-    warm->support = SortedUnion(warm->support, scan);
-    warm->has_argmax = false;
-    warm->has_argmax2 = false;
-    warm->lp.valid = false;
-    warm->slice_memo.Clear();  // entries are frame-coordinate, like the basis
-  }
-  return &warm->support;
-}
-
-// Warm-frame maintenance shared by Maximize and MaximizePair: record the
-// pre-union scan size (the release engine's drift policy reads it), seed or
-// extend the union frame, and invalidate every piece of frame-coordinate
-// state (argmax seeds, slice basis) on an extension. Returns the frame to
-// solve in; sets *frame_reused when the scan fit the existing frame.
-const std::vector<size_t>* UpdateWarmFrame(const std::vector<size_t>& scan,
-                                           QpSolver::WarmState* warm,
-                                           bool* frame_reused);
-
-// Joint (a, d, l) support scan over one objective, or over a pair sharing
-// one size (the two Theorem conditions maximize over one frame).
-std::vector<size_t> JointSupport(const QpSolver::Objective& first,
-                                 const QpSolver::Objective* second) {
-  const size_t n = first.a.size();
-  std::vector<size_t> scan;
-  scan.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const bool hit =
-        first.a[i] != 0.0 || first.d[i] != 0.0 || first.l[i] != 0.0 ||
-        (second != nullptr && (second->a[i] != 0.0 || second->d[i] != 0.0 ||
-                               second->l[i] != 0.0));
-    if (hit) scan.push_back(i);
-  }
-  return scan;
-}
-
-// Gathers `full` into frame coordinates; the trailing simplex slack keeps
-// zero objective coefficients.
-QpSolver::Objective GatherReduced(const QpSolver::Objective& full,
-                                  const std::vector<size_t>& support,
-                                  bool simplex) {
-  const size_t ns = support.size() + (simplex ? 1 : 0);
-  QpSolver::Objective reduced;
-  reduced.a = linalg::Vector(ns);
-  reduced.d = linalg::Vector(ns);
-  reduced.l = linalg::Vector(ns);
-  for (size_t j = 0; j < support.size(); ++j) {
-    reduced.a[j] = full.a[support[j]];
-    reduced.d[j] = full.d[support[j]];
-    reduced.l[j] = full.l[support[j]];
-  }
-  return reduced;
-}
-
-// Scatters the reduced argmax back to n dimensions, resolving off-support
-// coordinates in closed form: the slack mass spreads uniformly (each share
-// is ≤ 1 because the slack is capped at the off-support count). The
-// objective value is unchanged — off-support coefficients are all zero.
-void ScatterArgmax(const std::vector<size_t>& support, size_t n, bool simplex,
-                   QpSolver::Result* result) {
-  const size_t off = n - support.size();
-  const size_t ns = support.size() + (simplex ? 1 : 0);
-  linalg::Vector full(n);
-  for (size_t j = 0; j < support.size(); ++j) {
-    full[support[j]] = result->argmax[j];
-  }
-  if (simplex && off > 0) {
-    const double share = result->argmax[ns - 1] / static_cast<double>(off);
-    size_t next_support = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (next_support < support.size() && support[next_support] == i) {
-        ++next_support;
-      } else {
-        full[i] = share;
-      }
-    }
-  }
-  result->argmax = std::move(full);
 }
 
 }  // namespace
 
-linalg::Vector ProjectOntoCappedSimplex(const linalg::Vector& v) {
-  return ProjectOntoCappedSimplex(v, linalg::Vector::Ones(v.size()));
-}
-
-linalg::Vector ProjectOntoCappedSimplex(const linalg::Vector& v,
-                                        const linalg::Vector& upper) {
-  linalg::Vector out = v;
-  ProjectOntoCappedSimplexInPlace(out, upper);
-  return out;
-}
-
-PRISTE_HOT_PATH void ProjectOntoCappedSimplexInPlace(
-    linalg::Vector& v, const linalg::Vector& upper) {
-  const size_t n = v.size();
-  PRISTE_CHECK(n > 0 && upper.size() == n);
-  double total_cap = 0.0;
-  for (const double u : upper) {
-    PRISTE_CHECK_MSG(u >= 0.0, "negative cap");
-    total_cap += u;
-  }
-  PRISTE_CHECK_MSG(total_cap >= 1.0 - 1e-12,
-                   "caps cannot carry unit mass — feasible set is empty");
-  if (total_cap <= 1.0) {  // the unique feasible point
-    v = upper;
-    return;
-  }
-
-  // Find τ with Σ clamp(v_i − τ, 0, u_i) = 1 exactly: mass(τ) is
-  // non-increasing piecewise linear with breakpoints at v_i (coordinate i
-  // activates) and v_i − u_i (coordinate i saturates at its cap). Sweep the
-  // breakpoints in descending τ order, tracking the interval's closed form
-  // mass(τ) = V − a·τ + S (V = Σ v over active, a = #active, S = Σ u over
-  // saturated), and solve the crossing interval linearly. O(n log n) — this
-  // projection runs inside every PGA backtrack, so the old 60-plus-pass
-  // bisection was the hot constant of the whole QP search.
-  struct Breakpoint {
-    double tau;
-    bool activates;  // true: τ = v_i; false: τ = v_i − u_i
-    size_t i;
-  };
-  // Reused across calls: this projection runs inside every PGA backtrack
-  // (thousands per Maximize), so the per-call allocation was measurable.
-  static thread_local std::vector<Breakpoint> breaks;
-  breaks.clear();
-  // priste-lint: allow(hot-path-alloc) thread_local scratch, amortized O(1)
-  breaks.reserve(2 * n);
-  for (size_t i = 0; i < n; ++i) {
-    if (upper[i] == 0.0) continue;  // never contributes
-    // priste-lint: allow(hot-path-alloc) within reserved thread_local scratch
-    breaks.push_back({v[i], true, i});
-    // priste-lint: allow(hot-path-alloc) within reserved thread_local scratch
-    breaks.push_back({v[i] - upper[i], false, i});
-  }
-  std::sort(breaks.begin(), breaks.end(),
-            [](const Breakpoint& a, const Breakpoint& b) { return a.tau > b.tau; });
-  double active_vsum = 0.0;
-  double saturated = 0.0;
-  size_t active = 0;
-  double tau = breaks.front().tau;  // mass(tau) = 0 there
-  bool solved = false;
-  for (size_t e = 0; e < breaks.size() && !solved; ++e) {
-    const double tau_cur = breaks[e].tau;
-    // Process every event at this τ before examining the interval below it.
-    while (e < breaks.size() && breaks[e].tau == tau_cur) {
-      if (breaks[e].activates) {
-        active_vsum += v[breaks[e].i];
-        ++active;
-      } else {
-        active_vsum -= v[breaks[e].i];
-        --active;
-        saturated += upper[breaks[e].i];
-      }
-      ++e;
-    }
-    --e;
-    const bool last = e + 1 == breaks.size();
-    // Mass at the interval's lower end; below the final breakpoint it is
-    // total_cap > 1, so a crossing interval always exists.
-    const double mass_next =
-        last ? total_cap
-             : active_vsum - static_cast<double>(active) * breaks[e + 1].tau +
-                   saturated;
-    if (mass_next >= 1.0) {
-      tau = active > 0 ? (active_vsum + saturated - 1.0) /
-                             static_cast<double>(active)
-                       : (last ? tau_cur : breaks[e + 1].tau);
-      solved = true;
-    }
-  }
-  PRISTE_CHECK_MSG(solved, "capped-simplex projection found no crossing");
-  // In-place from here: the sweep above was the last read of the raw input.
-  for (size_t i = 0; i < n; ++i) v[i] = std::clamp(v[i] - tau, 0.0, upper[i]);
-
-  // Restore the unit sum exactly — but only through coordinates with room in
-  // the needed direction, so no entry ever leaves [0, u_i]. (The old global
-  // 1/Σ rescale could push capped coordinates past their cap and returned
-  // the zero vector when Σ underflowed to 0.)
-  double residual = 1.0 - v.Sum();
-  for (int pass = 0; pass < 8 && residual != 0.0; ++pass) {
-    size_t room = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (residual > 0.0 ? v[i] < upper[i] : v[i] > 0.0) ++room;
-    }
-    if (room == 0) break;
-    const double share = residual / static_cast<double>(room);
-    for (size_t i = 0; i < n; ++i) {
-      const bool has_room = residual > 0.0 ? v[i] < upper[i] : v[i] > 0.0;
-      if (!has_room) continue;
-      const double nv = std::clamp(v[i] + share, 0.0, upper[i]);
-      residual -= nv - v[i];
-      v[i] = nv;
-    }
-  }
-}
-
 QpSolver::Result QpSolver::Maximize(const Objective& objective,
-                                    const Deadline& deadline,
-                                    WarmState* warm) const {
+                                    const Deadline& deadline) const {
   const size_t n = objective.a.size();
   PRISTE_CHECK(n > 0);
   PRISTE_CHECK(objective.d.size() == n && objective.l.size() == n);
-  const bool simplex = options_.constraint == ConstraintSet::kSimplex;
-  const bool use_warm = options_.warm_start && warm != nullptr;
 
-  // Joint support of (a, d, l): a coordinate outside it has zero coefficient
-  // in every term of f(π) = (π·a)(π·d) + π·l, so its only role is carrying
-  // probability mass — which one aggregate slack coordinate (capped at the
-  // off-support count) models exactly on the simplex, and which is simply
-  // irrelevant on the box.
-  std::vector<size_t> scan;
-  if (options_.exploit_support) scan = JointSupport(objective, nullptr);
-  // With warm state the calls of one release step share a *stable* support
-  // frame — the union of every joint support seen — so reduced coordinates,
-  // the cached argmax, and the slice bases all stay aligned across calls. A
-  // frame extension (rare: candidate emissions mostly share support)
-  // invalidates the cached argmax/basis but keeps the frame monotone.
-  bool frame_reused = false;
-  const std::vector<size_t>* support = &scan;
-  if (options_.exploit_support && use_warm) {
-    support = UpdateWarmFrame(scan, warm, &frame_reused);
-  }
-  const bool reduce = options_.exploit_support && support->size() < n;
-
-  // Within-call slice chaining (the reusable slice family) runs even without
-  // caller state; cross-call chaining and incumbent seeding need the
-  // WarmState.
-  WarmIo io;
-  std::unique_ptr<SliceLpSolver> family;
-  const auto make_family = [&](const Objective& core,
-                               const linalg::Vector& caps) {
-    if (!options_.warm_start) return;
-    const size_t nc = core.a.size();
-    const size_t rows = simplex ? 2 : 1;
-    linalg::Matrix lp_a(rows, nc);
-    for (size_t j = 0; j < nc; ++j) {
-      lp_a(0, j) = core.a[j];
-      if (simplex) lp_a(1, j) = 1.0;
+  // The enumerated coordinates: every i with d_i ≠ 0 or l_i ≠ 0, plus the
+  // smallest-a and the largest-a of the rest, gathered contiguously.
+  std::vector<size_t> index;
+  index.reserve(n);
+  size_t lo = n;
+  size_t hi = n;
+  for (size_t i = 0; i < n; ++i) {
+    if (objective.d[i] != 0.0 || objective.l[i] != 0.0) {
+      index.push_back(i);
+    } else {
+      if (lo == n || objective.a[i] < objective.a[lo]) lo = i;
+      if (hi == n || objective.a[i] > objective.a[hi]) hi = i;
     }
-    family = std::make_unique<SliceLpSolver>(std::move(lp_a), caps);
-    if (use_warm) family->AttachMemo(&warm->slice_memo);
-    if (use_warm && warm->lp.valid) family->ImportWarm(warm->lp);
-    io.family = family.get();
-  };
-  if (use_warm && warm->has_argmax) io.seed_pi = &warm->argmax;
-  WarmIo* warm_io = options_.warm_start ? &io : nullptr;
+  }
+  if (lo != n) index.push_back(lo);
+  if (hi != lo) index.push_back(hi);
+  const size_t k = index.size();
+  std::vector<double> a(k);
+  std::vector<double> d(k);
+  std::vector<double> l(k);
+  for (size_t r = 0; r < k; ++r) {
+    a[r] = objective.a[index[r]];
+    d[r] = objective.d[index[r]];
+    l[r] = objective.l[index[r]];
+  }
 
-  const auto finalize = [&](Result result, const linalg::Vector& core_argmax) {
-    result.support_frame_reused = frame_reused;
-    if (use_warm) {
-      warm->argmax = core_argmax;
-      warm->has_argmax = true;
-      if (family != nullptr) {
-        family->ExportWarm(&warm->lp);
-        warm->warm_accepts += family->warm_accepted();
-        warm->warm_rejects += family->warm_rejected();
-      }
+  // Vertices before the first deadline check, so even an expired deadline
+  // returns a feasible incumbent.
+  EdgePoint best;
+  for (size_t r = 0; r < k; ++r) {
+    const double value = a[r] * d[r] + l[r];
+    if (value > best.value) best = {r, r, 1.0, value};
+  }
+  Result result;
+  for (size_t i = 0; i < k; ++i) {
+    if (deadline.Expired()) {
+      result.timed_out = true;
+      break;
     }
-    RecordQpMetrics(result);
-    return result;
-  };
-
-  if (!reduce) {
-    const linalg::Vector caps = linalg::Vector::Ones(n);
-    make_family(objective, caps);
-    Result result = MaximizeCore(objective, caps, options_, deadline, warm_io);
-    const linalg::Vector core_argmax = result.argmax;
-    return finalize(std::move(result), core_argmax);
+    ScanEdges(a.data(), d.data(), l.data(), i, k, &best);
   }
 
-  const size_t off = n - support->size();
-  if (support->empty() && !simplex) {
-    // Identically-zero objective on the box: 0 at the zero vector is the
-    // exact maximum; there is nothing to search.
-    Result result;
-    result.argmax = linalg::Vector(n);
-    result.max_value = 0.0;
-    result.reduced_dim = 0;
-    result.support_frame_reused = frame_reused;
-    RecordQpMetrics(result);
-    return result;
-  }
-
-  // Reduced problem: gathered support coordinates, plus (simplex only) the
-  // slack with zero objective coefficients and cap `off`.
-  const size_t ns = support->size() + (simplex ? 1 : 0);
-  const Objective reduced = GatherReduced(objective, *support, simplex);
-  linalg::Vector upper = linalg::Vector::Ones(ns);
-  if (simplex) upper[ns - 1] = static_cast<double>(off);
-
-  make_family(reduced, upper);
-  Result result = MaximizeCore(reduced, upper, options_, deadline, warm_io);
-  const linalg::Vector core_argmax = result.argmax;
-  ScatterArgmax(*support, n, simplex, &result);
-  return finalize(std::move(result), core_argmax);
-}
-
-void QpSolver::MaximizePair(const Objective& first, const Objective& second,
-                            const Deadline& deadline, WarmState* warm,
-                            Result* first_result, Result* second_result) const {
-  const size_t n = first.a.size();
-  PRISTE_CHECK(n > 0);
-  PRISTE_CHECK(first.d.size() == n && first.l.size() == n);
-  PRISTE_CHECK(second.a.size() == n && second.d.size() == n &&
-               second.l.size() == n);
-  PRISTE_CHECK(first_result != nullptr && second_result != nullptr);
-  if (!options_.warm_start) {
-    // Nothing to share without warm-start machinery: two independent cold
-    // maximizations, identical to the caller doing them itself.
-    *first_result = Maximize(first, deadline, nullptr);
-    *second_result = Maximize(second, deadline, nullptr);
-    return;
-  }
-  const bool simplex = options_.constraint == ConstraintSet::kSimplex;
-  const bool use_warm = warm != nullptr;
-
-  // One support scan over the pair: both conditions share the bilinear
-  // factor a, so the union frame serves both reduced problems (a coordinate
-  // live in only one of them still has zero coefficients in the other —
-  // harmless, same as any frame superset).
-  std::vector<size_t> scan;
-  if (options_.exploit_support) scan = JointSupport(first, &second);
-  bool frame_reused = false;
-  const std::vector<size_t>* support = &scan;
-  if (options_.exploit_support && use_warm) {
-    support = UpdateWarmFrame(scan, warm, &frame_reused);
-  }
-  const bool reduce = options_.exploit_support && support->size() < n;
-
-  // One slice family for both sweeps: the slice constraint matrix [a; 1]
-  // is identical across the pair, so the second sweep continues from the
-  // first's final basis (its Phase-1 work disappears). Sequential by
-  // construction — the family is stateful.
-  WarmIo io;
-  std::unique_ptr<SliceLpSolver> family;
-  const auto run_pair = [&](const Objective& c1, const Objective& c2,
-                            const linalg::Vector& caps) {
-    const size_t nc = c1.a.size();
-    const size_t rows = simplex ? 2 : 1;
-    linalg::Matrix lp_a(rows, nc);
-    for (size_t j = 0; j < nc; ++j) {
-      lp_a(0, j) = c1.a[j];
-      if (simplex) lp_a(1, j) = 1.0;
-    }
-    family = std::make_unique<SliceLpSolver>(std::move(lp_a), caps);
-    if (use_warm) family->AttachMemo(&warm->slice_memo);
-    if (use_warm && warm->lp.valid) family->ImportWarm(warm->lp);
-    io.family = family.get();
-
-    io.seed_pi = use_warm && warm->has_argmax ? &warm->argmax : nullptr;
-    *first_result = MaximizeCore(c1, caps, options_, deadline, &io);
-    const linalg::Vector core_argmax1 = first_result->argmax;
-    family->ResetCounters();  // per-sweep accept/reject accounting
-    io.seed_pi = use_warm && warm->has_argmax2 ? &warm->argmax2 : nullptr;
-    *second_result = MaximizeCore(c2, caps, options_, deadline, &io);
-    const linalg::Vector core_argmax2 = second_result->argmax;
-    first_result->support_frame_reused = frame_reused;
-    second_result->support_frame_reused = frame_reused;
-    if (use_warm) {
-      warm->argmax = core_argmax1;
-      warm->has_argmax = true;
-      warm->argmax2 = core_argmax2;
-      warm->has_argmax2 = true;
-      family->ExportWarm(&warm->lp);
-      warm->warm_accepts += first_result->warm_accepted_slices +
-                            second_result->warm_accepted_slices;
-      warm->warm_rejects += first_result->warm_rejected_slices +
-                            second_result->warm_rejected_slices;
-    }
-    RecordQpMetrics(*first_result);
-    RecordQpMetrics(*second_result);
-  };
-
-  if (!reduce) {
-    run_pair(first, second, linalg::Vector::Ones(n));
-    return;
-  }
-
-  const size_t off = n - support->size();
-  if (support->empty() && !simplex) {
-    // Identically-zero pair on the box: 0 at the zero vector is exact.
-    for (Result* r : {first_result, second_result}) {
-      *r = Result();
-      r->argmax = linalg::Vector(n);
-      r->max_value = 0.0;
-      r->reduced_dim = 0;
-      r->support_frame_reused = frame_reused;
-      RecordQpMetrics(*r);
-    }
-    return;
-  }
-
-  const size_t ns = support->size() + (simplex ? 1 : 0);
-  linalg::Vector upper = linalg::Vector::Ones(ns);
-  if (simplex) upper[ns - 1] = static_cast<double>(off);
-  run_pair(GatherReduced(first, *support, simplex),
-           GatherReduced(second, *support, simplex), upper);
-  ScatterArgmax(*support, n, simplex, first_result);
-  ScatterArgmax(*support, n, simplex, second_result);
+  result.argmax = linalg::Vector(n);
+  result.argmax[index[best.j]] = 1.0 - best.t;
+  result.argmax[index[best.i]] = best.t;
+  result.max_value = objective.Evaluate(result.argmax);
+  RecordQpMetrics(result.timed_out);
+  return result;
 }
 
 }  // namespace priste::core

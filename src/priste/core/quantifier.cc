@@ -132,7 +132,7 @@ bool PrivacyQuantifier::CheckFixedPrior(const TheoremVectors& v,
 
 PrivacyCheckResult PrivacyQuantifier::CheckArbitraryPrior(
     const TheoremVectors& raw, double epsilon, const QpSolver& solver,
-    const Deadline& deadline, QpSolver::WarmState* warm) const {
+    const Deadline& deadline) const {
   // Joint (b̄, c̄) rescaling is sign-preserving (see the quantifier tests);
   // normalizing to O(1) keeps the QP objectives well-scaled on long
   // observation prefixes.
@@ -163,22 +163,12 @@ PrivacyCheckResult PrivacyQuantifier::CheckArbitraryPrior(
   }
   f16.l = v.b_bar.Scaled(-e_eps);
 
-  // The conditions differ only in (d, l), so the pair resolves through one
-  // support frame and slice family; with `warm` the frame, the basis chain
-  // and the per-condition argmax seeds persist across the checks of a
-  // release step. Sequential and internally deterministic, so the result is
-  // identical at any thread count.
-  QpSolver::Result r15;
-  QpSolver::Result r16;
-  solver.MaximizePair(f15, f16, deadline, warm, &r15, &r16);
+  const QpSolver::Result r15 = solver.Maximize(f15, deadline);
+  const QpSolver::Result r16 = solver.Maximize(f16, deadline);
 
   PrivacyCheckResult out;
   out.max_condition15 = r15.max_value;
   out.max_condition16 = r16.max_value;
-  out.warm_accepted_slices = r15.warm_accepted_slices + r16.warm_accepted_slices;
-  out.warm_rejected_slices = r15.warm_rejected_slices + r16.warm_rejected_slices;
-  out.support_frame_reused =
-      r15.support_frame_reused && r16.support_frame_reused;
   out.timed_out = r15.timed_out || r16.timed_out;
   out.worst_pi = r15.max_value >= r16.max_value ? r15.argmax : r16.argmax;
   out.satisfied = !out.timed_out && r15.max_value <= 0.0 && r16.max_value <= 0.0;

@@ -1,7 +1,6 @@
 #ifndef PRISTE_CORE_QUANTIFIER_H_
 #define PRISTE_CORE_QUANTIFIER_H_
 
-#include <memory>
 #include <vector>
 
 #include "priste/common/timer.h"
@@ -37,17 +36,11 @@ struct PrivacyCheckResult {
   /// True when the QP search hit its deadline — PriSTE's conservative
   /// release treats this as "not satisfied".
   bool timed_out = false;
-  /// The (approximate) maxima of the two condition LHSs.
+  /// The maxima of the two condition LHSs over the prior simplex.
   double max_condition15 = 0.0;
   double max_condition16 = 0.0;
   /// The prior achieving the larger violation (diagnostics).
   linalg::Vector worst_pi;
-  /// Warm-start diagnostics summed over the two condition maximizations
-  /// (zero with the solver's warm_start off).
-  int warm_accepted_slices = 0;
-  int warm_rejected_slices = 0;
-  /// True when both maximizations reused their memoized support frame.
-  bool support_frame_reused = false;
 };
 
 /// Computes Theorem IV.1 quantities for a two-world event model and checks
@@ -89,18 +82,10 @@ class PrivacyQuantifier {
                               double epsilon, double tol = 1e-12);
 
   /// The arbitrary-prior check of Section IV-A: maximizes both conditions
-  /// over the QP solver's constraint set under `deadline`. The two
-  /// conditions differ only in the objective's (d, l) — they share the
-  /// bilinear factor ā — so they resolve through QpSolver::MaximizePair: ONE
-  /// support frame, ONE slice-LP family, and per-condition argmax seeds,
-  /// threaded across consecutive calls of one release step by a non-null
-  /// `warm`. Same certified answers as two independent maximizations,
-  /// roughly half the frame/basis work; with the solver's
-  /// Options.warm_start off the pair is two independent cold maximizations.
+  /// over the prior simplex with `solver` under `deadline`.
   PrivacyCheckResult CheckArbitraryPrior(const TheoremVectors& v, double epsilon,
                                          const QpSolver& solver,
-                                         const Deadline& deadline,
-                                         QpSolver::WarmState* warm = nullptr) const;
+                                         const Deadline& deadline) const;
 
  private:
   const LiftedEventModel* model_;

@@ -26,10 +26,6 @@ struct ReleaseMetrics {
       MetricsRegistry::Global().GetCounter("release.cached_checks");
   Counter& cold_checks =
       MetricsRegistry::Global().GetCounter("release.cold_checks");
-  Counter& frame_resets =
-      MetricsRegistry::Global().GetCounter("release.frame_resets");
-  Counter& frame_carries =
-      MetricsRegistry::Global().GetCounter("release.frame_carries");
   Histogram& check_seconds =
       MetricsRegistry::Global().GetHistogram("release.check_seconds");
 
@@ -222,18 +218,7 @@ ReleaseCheckOutcome ReleaseStepContext::CheckCandidate(
                                   ? Deadline::After(qp_threshold_seconds)
                                   : Deadline::Infinite();
     const PrivacyCheckResult check = engine.quantifier.CheckArbitraryPrior(
-        vectors, epsilon, *solver_, deadline, &engine.warm);
-    if (check.support_frame_reused) ++diagnostics_.qp_support_hits;
-    diagnostics_.warm_accepted_slices += check.warm_accepted_slices;
-    diagnostics_.warm_rejected_slices += check.warm_rejected_slices;
-    // The frame-reset policy's streak trigger: a check whose slice LPs
-    // rejected more warm bases than they accepted.
-    if (check.warm_rejected_slices > check.warm_accepted_slices &&
-        check.warm_rejected_slices > 0) {
-      ++engine.warm_reject_streak;
-    } else {
-      engine.warm_reject_streak = 0;
-    }
+        vectors, epsilon, *solver_, deadline);
     out.per_model.push_back(check);
     if (!check.satisfied) {
       out.all_satisfied = false;
@@ -319,40 +304,8 @@ void ReleaseStepContext::BuildMaskedRows(ModelEngine& engine) {
   engine.step_rows_masked_ready = false;
 }
 
-void ReleaseStepContext::ApplyFrameResetPolicy() {
-  // The support frame is memoized across the QP checks of one release step;
-  // whether it survives the commit is the policy's call. Keeping a frame is
-  // always sound — a superset frame never changes a certified answer, the
-  // extra coordinates have zero objective coefficients — so the policy only
-  // trades reduced-dimension growth against rebuild cost.
-  for (ModelEngine& engine : engines_) {
-    QpSolver::WarmState& warm = engine.warm;
-    if (!warm.has_support) {
-      engine.warm_reject_streak = 0;
-      continue;
-    }
-    const double frame_size = static_cast<double>(warm.support.size());
-    const double scan_size = static_cast<double>(
-        std::max<size_t>(size_t{1}, warm.last_scan_support));
-    const bool drifted = frame_size > options_.frame_drift_ratio * scan_size;
-    const bool streak =
-        options_.frame_reject_streak > 0 &&
-        engine.warm_reject_streak >= options_.frame_reject_streak;
-    if (drifted || streak) {
-      warm.ResetFrame();
-      engine.warm_reject_streak = 0;
-      ++diagnostics_.frame_resets;
-      ReleaseMetrics::Get().frame_resets.Increment();
-    } else {
-      ++diagnostics_.frame_carries;
-      ReleaseMetrics::Get().frame_carries.Increment();
-    }
-  }
-}
-
 void ReleaseStepContext::Commit(const linalg::Vector& column) {
   PRISTE_CHECK(column.size() == engines_.front().model->num_states());
-  ApplyFrameResetPolicy();
   if (mode_ == Mode::kUndecided) {
     DecideMode(column);
     return;

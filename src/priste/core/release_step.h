@@ -26,18 +26,6 @@ struct ReleaseStepOptions {
   /// non-negative integer (strictly parsed), overrides this knob at context
   /// construction.
   size_t max_cache_support = 64;
-
-  /// Lifecycle of the memoized QP warm frame across *release steps*. A
-  /// frame is kept across commits — a frame superset never changes a
-  /// certified answer, only the reduced dimension — and dropped at a commit
-  /// only when it stops paying: when |frame| > frame_drift_ratio · |last
-  /// joint support| (the δ-location set moved on and the union only grows
-  /// the reduced dimension; any ratio below 1 drops a non-empty frame at
-  /// every commit), or after frame_reject_streak consecutive QP checks whose
-  /// slice LPs rejected more warm bases than they accepted (≤ 0 disables the
-  /// streak trigger).
-  double frame_drift_ratio = 4.0;
-  int frame_reject_streak = 4;
 };
 
 /// Counters the engine accumulates over a run (cheap; always collected).
@@ -57,19 +45,6 @@ struct ReleaseStepDiagnostics {
   /// Lifted row-extension steps applied at commits (per model, per support
   /// cell).
   long prefix_extensions = 0;
-  /// QP checks whose condition maximizations reused the memoized support
-  /// frame.
-  long qp_support_hits = 0;
-  /// Slice LPs solved from an accepted warm basis / rejected into the cold
-  /// fallback, summed over all QP checks.
-  long warm_accepted_slices = 0;
-  long warm_rejected_slices = 0;
-  /// Live warm frames dropped / kept at commits — per model engine, per
-  /// commit (a 3-model context can count 3 resets for one commit; engines'
-  /// streaks diverge, so they decide independently). Commits where an
-  /// engine has no frame yet count in neither.
-  long frame_resets = 0;
-  long frame_carries = 0;
 };
 
 /// Aggregate outcome of checking one candidate column against every event
@@ -82,9 +57,9 @@ struct ReleaseCheckOutcome {
   std::vector<PrivacyCheckResult> per_model;
 };
 
-/// The release-step evaluation engine: owns, per event model, the quantifier,
-/// the incremental Theorem-vector state, and the QP warm-start state, and
-/// serves every candidate check of Algorithm 2/3's budget-halving search.
+/// The release-step evaluation engine: owns, per event model, the quantifier
+/// and the incremental Theorem-vector state, and serves every candidate check
+/// of Algorithm 2/3's budget-halving search.
 ///
 /// The incremental state exploits the structure of the Lemma III.2/III.3
 /// chain: ContractColumn reads a lifted column only through the first
@@ -164,13 +139,6 @@ class ReleaseStepContext {
 
     const LiftedEventModel* model;
     PrivacyQuantifier quantifier;
-    // Shared warm state for the two Theorem conditions (one frame, one
-    // slice-basis chain, per-condition argmax seeds).
-    QpSolver::WarmState warm;
-    // Consecutive QP checks whose warm slice bases were mostly rejected —
-    // the adaptive frame-reset policy's streak trigger.
-    int warm_reject_streak = 0;
-
     // Cached-mode state: one lifted row per support cell (u = r_s above),
     // plus the accepting-masked family once the event window has been fully
     // consumed — each family a single contiguous 64-byte-aligned RowBlock,
@@ -203,7 +171,6 @@ class ReleaseStepContext {
                                const linalg::Vector& column);
   void DecideMode(const linalg::Vector& first_column);
   void BuildMaskedRows(ModelEngine& engine);
-  void ApplyFrameResetPolicy();
 
   double CandidateScale(const linalg::Vector& column) const;
 

@@ -124,11 +124,6 @@ core::PristeOptions DefaultBenchOptions(double epsilon, double alpha) {
   options.epsilon = epsilon;
   options.initial_alpha = alpha;
   options.qp_threshold_seconds = 1.0;
-  // Bench-friendly QP effort; escalation still densifies near the boundary.
-  options.qp.grid_points = 33;
-  options.qp.refine_iters = 12;
-  options.qp.pga_restarts = 2;
-  options.qp.pga_iters = 60;
   return options;
 }
 

@@ -154,12 +154,16 @@ std::string TrajectoryToCsv(const geo::Trajectory& trajectory) {
   return out;
 }
 
-std::string RunResultToCsv(const core::RunResult& run) {
+std::string RunResultToCsv(const core::RunResult& run,
+                           const geo::Trajectory& truth) {
+  PRISTE_DCHECK(truth.length() == run.released.length() &&
+                run.steps.size() == static_cast<size_t>(truth.length()));
   std::string out =
       "t,true_cell,released_cell,released_budget,halvings,conservative\n";
-  for (const auto& step : run.steps) {
-    out += StrFormat("%d,%d,%d,%.10g,%d,%d\n", step.t, step.true_cell,
-                     step.released_cell, step.released_alpha, step.halvings,
+  for (int t = 1; t <= truth.length(); ++t) {
+    const core::StepRecord& step = run.steps[static_cast<size_t>(t - 1)];
+    out += StrFormat("%d,%d,%d,%.10g,%d,%d\n", t, truth.At(t),
+                     run.released.At(t), step.released_alpha, step.halvings,
                      step.conservative_timeouts);
   }
   return out;

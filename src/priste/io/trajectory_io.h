@@ -37,9 +37,11 @@ Result<geo::Trajectory> ParseTrajectoryCsv(const std::string& csv,
 /// Serializes a trajectory in the discrete format.
 std::string TrajectoryToCsv(const geo::Trajectory& trajectory);
 
-/// Serializes a PriSTE run: one row per timestamp with the true cell,
-/// released cell, released budget, halvings and conservative timeouts.
-std::string RunResultToCsv(const core::RunResult& run);
+/// Serializes a PriSTE run of the true trajectory `truth`: one row per
+/// timestamp with the true cell, released cell, released budget, halvings
+/// and conservative timeouts.
+std::string RunResultToCsv(const core::RunResult& run,
+                           const geo::Trajectory& truth);
 
 /// File helpers.
 Result<geo::Trajectory> ReadTrajectoryFile(const std::string& path,

@@ -15,7 +15,7 @@ namespace priste::linalg::kernels {
 /// order (acc0+acc2)+(acc1+acc3), and a sequential tail added after the
 /// reduction. The AVX2 path multiplies and adds separately (no FMA), so the
 /// rounding of every intermediate matches the scalar path exactly. This is
-/// what keeps the cache/warm-start equivalence suites and the cross-build
+/// what keeps the cached-vs-cold equivalence suites and the cross-build
 /// determinism story intact regardless of which path a host selects.
 ///
 /// Short spans skip the dispatch table entirely: below kInlineThreshold (and

@@ -17,7 +17,7 @@ namespace priste::lppm {
 struct EmissionKey {
   enum class Kind : int {
     kPlanarLaplace = 0,  // param = α (the PLM budget)
-    kCloaking = 1,       // param = radius_km
+    kCloaking = 1,       // param = radius_km (+∞ once it covers the map)
   };
 
   Kind kind = Kind::kPlanarLaplace;

@@ -53,6 +53,16 @@ double ValidateRadius(double radius_km) {
   return radius_km;
 }
 
+// Every radius of at least the map diameter puts the whole map in every
+// disk, i.e. yields the same uniform matrix: such radii are keyed and built
+// at +∞, so they share one cache entry.
+double EmissionRadius(const geo::Grid& grid, double radius_km) {
+  const double diameter =
+      grid.CellDistanceKm(0, static_cast<int>(grid.num_cells()) - 1);
+  return radius_km >= diameter ? std::numeric_limits<double>::infinity()
+                               : radius_km;
+}
+
 }  // namespace
 
 CloakingMechanism::CloakingMechanism(const geo::Grid& grid, double radius_km)
@@ -60,8 +70,11 @@ CloakingMechanism::CloakingMechanism(const geo::Grid& grid, double radius_km)
       radius_km_(ValidateRadius(radius_km)),
       emission_(EmissionCache::GetOrBuild(
           EmissionKey{EmissionKey::Kind::kCloaking, grid.width(), grid.height(),
-                      grid.cell_size_km(), radius_km},
-          [this] { return BuildCloakingEmission(grid_, radius_km_); })) {}
+                      grid.cell_size_km(), EmissionRadius(grid_, radius_km_)},
+          [this] {
+            return BuildCloakingEmission(grid_,
+                                         EmissionRadius(grid_, radius_km_));
+          })) {}
 
 std::string CloakingMechanism::name() const {
   return StrFormat("cloak(R=%skm)", FormatDouble(radius_km_, 3).c_str());

@@ -86,7 +86,8 @@ class CloakingMechanism : public Lppm {
   geo::Grid grid_;
   double radius_km_;
   /// Shared through the process-wide EmissionCache, like the planar-Laplace
-  /// emission (key kind kCloaking, param = radius_km).
+  /// emission (key kind kCloaking, param = radius_km, or +∞ for every radius
+  /// that covers the whole map).
   EmissionCache::Handle emission_;
 };
 

@@ -155,9 +155,6 @@ TEST(AutomatonWorldTest, PristeProtectsAtLeastTwiceEvent) {
   const double epsilon = 0.7;
   options.epsilon = epsilon;
   options.initial_alpha = 0.4;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
 
   const PristeGeoInd priste(grid, {*model}, options);
   Rng rng(65);
@@ -171,9 +168,10 @@ TEST(AutomatonWorldTest, PristeProtectsAtLeastTwiceEvent) {
   for (int trial = 0; trial < 10; ++trial) {
     const linalg::Vector pi = testing::RandomProbability(m, prior_rng);
     JointCalculator calc(model->get(), pi);
-    for (const auto& step : result->steps) {
+    for (int t = 1; t <= result->released.length(); ++t) {
+      const auto& step = result->steps[static_cast<size_t>(t - 1)];
       const lppm::PlanarLaplaceMechanism mech(grid, step.released_alpha);
-      calc.Push(mech.emission().EmissionColumn(step.released_cell));
+      calc.Push(mech.emission().EmissionColumn(result->released.At(t)));
       EXPECT_LE(calc.LikelihoodRatio(), std::exp(epsilon) * (1 + 1e-6));
       EXPECT_GE(calc.LikelihoodRatio(), std::exp(-epsilon) * (1 - 1e-6));
     }

@@ -22,10 +22,6 @@ PristeOptions FastOptions(double epsilon, double alpha) {
   options.epsilon = epsilon;
   options.initial_alpha = alpha;
   options.qp_threshold_seconds = 5.0;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
-  options.qp.pga_iters = 40;
   return options;
 }
 
@@ -63,15 +59,16 @@ TEST(PristeDeltaLocTest, ReleasesTrackDeltaLocationSets) {
   ASSERT_TRUE(result.ok());
 
   linalg::Vector posterior = s.pi;
-  for (const auto& step : result->steps) {
+  for (int t = 1; t <= result->released.length(); ++t) {
+    const auto& step = result->steps[static_cast<size_t>(t - 1)];
     const linalg::Vector predicted = markov::TransitionMatrix(s.model.transition())
                                          .Propagate(posterior);
     const auto set = lppm::DeltaLocationSet(predicted, delta);
     ASSERT_TRUE(set.ok());
-    EXPECT_TRUE(set->Contains(step.released_cell)) << "t=" << step.t;
+    EXPECT_TRUE(set->Contains(result->released.At(t))) << "t=" << t;
     const lppm::DeltaRestrictedPlanarLaplace mech(s.grid, step.released_alpha, *set);
     const auto updated = hmm::PosteriorUpdate(
-        predicted, mech.emission().EmissionColumn(step.released_cell));
+        predicted, mech.emission().EmissionColumn(result->released.At(t)));
     ASSERT_TRUE(updated.ok());
     posterior = *updated;
   }
@@ -93,12 +90,13 @@ TEST(PristeDeltaLocTest, ReleasedSequenceSatisfiesPrivacyBound) {
   std::vector<linalg::Vector> columns;
   linalg::Vector posterior = s.pi;
   const markov::TransitionMatrix transition = s.model.transition();
-  for (const auto& step : result->steps) {
+  for (int t = 1; t <= result->released.length(); ++t) {
+    const auto& step = result->steps[static_cast<size_t>(t - 1)];
     const linalg::Vector predicted = transition.Propagate(posterior);
     const auto set = lppm::DeltaLocationSet(predicted, delta);
     ASSERT_TRUE(set.ok());
     const lppm::DeltaRestrictedPlanarLaplace mech(s.grid, step.released_alpha, *set);
-    columns.push_back(mech.emission().EmissionColumn(step.released_cell));
+    columns.push_back(mech.emission().EmissionColumn(result->released.At(t)));
     const auto updated = hmm::PosteriorUpdate(predicted, columns.back());
     ASSERT_TRUE(updated.ok());
     posterior = *updated;

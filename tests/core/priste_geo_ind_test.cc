@@ -34,10 +34,6 @@ PristeOptions FastOptions(double epsilon, double alpha) {
   options.epsilon = epsilon;
   options.initial_alpha = alpha;
   options.qp_threshold_seconds = 5.0;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
-  options.qp.pga_iters = 40;
   return options;
 }
 
@@ -53,9 +49,10 @@ TEST(PristeGeoIndTest, RunProducesFullRelease) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->released.length(), 6);
   EXPECT_EQ(result->steps.size(), 6u);
-  for (const auto& step : result->steps) {
-    EXPECT_GE(step.released_cell, 0);
-    EXPECT_LT(step.released_cell, 16);
+  for (int t = 1; t <= result->released.length(); ++t) {
+    const auto& step = result->steps[static_cast<size_t>(t - 1)];
+    EXPECT_GE(result->released.At(t), 0);
+    EXPECT_LT(result->released.At(t), 16);
     EXPECT_LE(step.released_alpha, 0.3 + 1e-12);
     EXPECT_GE(step.released_alpha, 0.0);
   }
@@ -81,14 +78,15 @@ TEST(PristeGeoIndTest, ReleasedSequenceSatisfiesPrivacyBound) {
   for (int trial = 0; trial < 30; ++trial) {
     const linalg::Vector pi = testing::RandomProbability(16, prior_rng);
     JointCalculator calc(&model, pi);
-    for (const auto& step : result->steps) {
+    for (int t = 1; t <= result->released.length(); ++t) {
+      const auto& step = result->steps[static_cast<size_t>(t - 1)];
       const lppm::PlanarLaplaceMechanism mech(setup.grid, step.released_alpha);
-      calc.Push(mech.emission().EmissionColumn(step.released_cell));
+      calc.Push(mech.emission().EmissionColumn(result->released.At(t)));
       const double ratio = calc.LikelihoodRatio();
       EXPECT_LE(ratio, std::exp(epsilon) * (1.0 + 1e-6))
-          << "t=" << step.t << " trial=" << trial;
+          << "t=" << t << " trial=" << trial;
       EXPECT_GE(ratio, std::exp(-epsilon) * (1.0 - 1e-6))
-          << "t=" << step.t << " trial=" << trial;
+          << "t=" << t << " trial=" << trial;
     }
   }
 }
@@ -120,8 +118,9 @@ TEST(PristeGeoIndTest, LooseEpsilonKeepsFullBudget) {
   const geo::Trajectory truth(chain.Sample(5, rng));
   const auto result = loose.Run(truth, rng);
   ASSERT_TRUE(result.ok());
-  for (const auto& step : result->steps) {
-    EXPECT_DOUBLE_EQ(step.released_alpha, 0.2) << "t=" << step.t;
+  for (int t = 1; t <= result->released.length(); ++t) {
+    const auto& step = result->steps[static_cast<size_t>(t - 1)];
+    EXPECT_DOUBLE_EQ(step.released_alpha, 0.2) << "t=" << t;
   }
 }
 
@@ -148,9 +147,10 @@ TEST(PristeGeoIndTest, MultipleEventsAllProtected) {
     for (int trial = 0; trial < 10; ++trial) {
       const linalg::Vector pi = testing::RandomProbability(16, prior_rng);
       JointCalculator calc(&event_model, pi);
-      for (const auto& step : result->steps) {
+      for (int t = 1; t <= result->released.length(); ++t) {
+        const auto& step = result->steps[static_cast<size_t>(t - 1)];
         const lppm::PlanarLaplaceMechanism mech(grid, step.released_alpha);
-        calc.Push(mech.emission().EmissionColumn(step.released_cell));
+        calc.Push(mech.emission().EmissionColumn(result->released.At(t)));
         EXPECT_LE(calc.LikelihoodRatio(), std::exp(epsilon) * (1.0 + 1e-6));
         EXPECT_GE(calc.LikelihoodRatio(), std::exp(-epsilon) * (1.0 - 1e-6));
       }

@@ -1,6 +1,9 @@
 #include "priste/core/qp_solver.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -39,78 +42,6 @@ double RandomSearchMax(const QpSolver::Objective& objective, int samples,
   return best;
 }
 
-TEST(ProjectionTest, ProjectsOntoCappedSimplex) {
-  Rng rng(3);
-  for (int trial = 0; trial < 20; ++trial) {
-    const linalg::Vector v = RandomVec(6, rng, -2.0, 2.0);
-    const linalg::Vector p = ProjectOntoCappedSimplex(v);
-    EXPECT_NEAR(p.Sum(), 1.0, 1e-9);
-    EXPECT_TRUE(p.AllInRange(0.0, 1.0, 1e-9));
-  }
-}
-
-TEST(ProjectionTest, FixedPointForFeasibleInput) {
-  const linalg::Vector v{0.2, 0.3, 0.5};
-  const linalg::Vector p = ProjectOntoCappedSimplex(v);
-  EXPECT_LT(p.Minus(v).MaxAbs(), 1e-6);
-}
-
-// Regression for the old final step, which rescaled the clipped mass by
-// 1/total: that could push a capped coordinate above 1 and returned the
-// all-zero vector when the bisection landed on total == 0. The projection
-// must now deliver max ≤ 1 and Σ = 1 ± 1e-12 on every input — including
-// adversarial magnitudes the bisection cannot resolve.
-TEST(ProjectionTest, AdversarialInputsStayFeasible) {
-  const std::vector<linalg::Vector> adversarial = {
-      {2.0, 0.0},                         // one coordinate pinned at its cap
-      {5.0, 5.0, 5.0},                    // all above cap, exact ties
-      {-3.0, -3.0, -3.0, -3.0},           // all negative
-      {1e300, -1e300, 0.5},               // range beyond bisection resolution
-      {1e-300, 2e-300, 3e-300},           // subnormal-scale spread
-      {1.0},                              // n = 1: the only feasible point
-      {1.0 + 1e-15, 1.0 - 1e-15},         // caps within one ulp
-      {0.25, 0.25, 0.25, 0.25},           // already feasible
-  };
-  for (const linalg::Vector& v : adversarial) {
-    const linalg::Vector p = ProjectOntoCappedSimplex(v);
-    ASSERT_EQ(p.size(), v.size());
-    EXPECT_LE(p.Max(), 1.0) << v.ToString();
-    EXPECT_GE(p.Min(), 0.0) << v.ToString();
-    EXPECT_NEAR(p.Sum(), 1.0, 1e-12) << v.ToString();
-  }
-  Rng rng(77);
-  for (int trial = 0; trial < 200; ++trial) {
-    linalg::Vector v(5);
-    const double scale = std::pow(10.0, rng.Uniform(-5.0, 5.0));
-    for (size_t i = 0; i < v.size(); ++i) v[i] = scale * rng.Uniform(-2.0, 2.0);
-    const linalg::Vector p = ProjectOntoCappedSimplex(v);
-    EXPECT_LE(p.Max(), 1.0);
-    EXPECT_GE(p.Min(), 0.0);
-    EXPECT_NEAR(p.Sum(), 1.0, 1e-12);
-  }
-}
-
-TEST(ProjectionTest, PerCoordinateCapsAreRespected) {
-  const linalg::Vector caps{1.0, 1.0, 3.0};
-  const linalg::Vector p = ProjectOntoCappedSimplex({5.0, 5.0, 5.0}, caps);
-  EXPECT_NEAR(p.Sum(), 1.0, 1e-12);
-  for (size_t i = 0; i < p.size(); ++i) {
-    EXPECT_GE(p[i], 0.0);
-    EXPECT_LE(p[i], caps[i]);
-  }
-  // A slack-style cap can absorb more than 1 unit of mass.
-  const linalg::Vector slack_caps{1.0, 9.0};
-  const linalg::Vector q =
-      ProjectOntoCappedSimplex({-10.0, 10.0}, slack_caps);
-  EXPECT_NEAR(q.Sum(), 1.0, 1e-12);
-  EXPECT_NEAR(q[1], 1.0, 1e-9);  // all mass lands on the high coordinate
-  // Σ caps == 1: the unique feasible point is the cap vector itself.
-  const linalg::Vector tight =
-      ProjectOntoCappedSimplex({42.0, -42.0}, {0.25, 0.75});
-  EXPECT_NEAR(tight[0], 0.25, 1e-300);
-  EXPECT_NEAR(tight[1], 0.75, 1e-300);
-}
-
 TEST(QpSolverTest, LinearObjectiveExactOnSimplex) {
   // With a = 0 the objective is linear; the simplex max is the best entry.
   QpSolver::Objective obj;
@@ -132,21 +63,6 @@ TEST(QpSolverTest, RankOneQuadraticKnownMax) {
   QpSolver solver;
   const auto result = solver.Maximize(obj, Deadline::Infinite());
   EXPECT_NEAR(result.max_value, 1.0, 1e-6);
-}
-
-TEST(QpSolverTest, BoxConstraintDominatesSimplex) {
-  // On the box the same objective can use π = 1 everywhere.
-  QpSolver::Objective obj;
-  obj.a = linalg::Vector{1.0, 1.0};
-  obj.d = linalg::Vector{1.0, 1.0};
-  obj.l = linalg::Vector(2);
-  QpSolver::Options box_options;
-  box_options.constraint = QpSolver::ConstraintSet::kBox;
-  const auto box = QpSolver(box_options).Maximize(obj, Deadline::Infinite());
-  const auto simplex = QpSolver().Maximize(obj, Deadline::Infinite());
-  EXPECT_NEAR(box.max_value, 4.0, 1e-6);     // (π·a)² = 2² on all-ones
-  EXPECT_NEAR(simplex.max_value, 1.0, 1e-6); // Σπ = 1 caps π·a at 1
-  EXPECT_GE(box.max_value, simplex.max_value);
 }
 
 class QpRandomComparisonTest : public ::testing::TestWithParam<int> {};
@@ -212,32 +128,30 @@ TEST(QpSolverTest, ZeroDeadlineStillReturnsFeasibleBestSoFar) {
   ExpectFeasibleResult(obj, result);
 }
 
-TEST(QpSolverTest, MidSweepDeadlineStillReturnsFeasibleBestSoFar) {
-  // A deadline short enough to fire somewhere inside the sweep of a large
-  // dense problem. Whether it fires before the first slice or between two
-  // slices depends on wall clock — the invariants must hold either way.
+TEST(QpSolverTest, MidScanDeadlineStillReturnsFeasibleBestSoFar) {
+  // A deadline short enough to fire somewhere inside the edge scan of a
+  // large dense problem. Whether it fires before the first row or between
+  // two rows depends on wall clock — the invariants must hold either way.
   Rng rng(53);
   const size_t n = 96;
   QpSolver::Objective obj;
   obj.a = RandomVec(n, rng, 0.0, 1.0);
   obj.d = RandomVec(n, rng);
   obj.l = RandomVec(n, rng);
-  QpSolver::Options options;
-  options.grid_points = 257;  // enough slices that expiry lands mid-sweep
-  const QpSolver solver(options);
+  double best_vertex = -1e300;
+  for (size_t i = 0; i < n; ++i) {
+    best_vertex = std::max(best_vertex, obj.a[i] * obj.d[i] + obj.l[i]);
+  }
+  const QpSolver solver;
   for (const double seconds : {1e-7, 1e-4, 2e-3}) {
     const auto result = solver.Maximize(obj, Deadline::After(seconds));
     ExpectFeasibleResult(obj, result);
-    if (result.timed_out) {
-      // The incumbent is at least the seeded uniform prior.
-      const linalg::Vector uniform =
-          linalg::Vector::UniformProbability(n);
-      EXPECT_GE(result.max_value, obj.Evaluate(uniform) - 1e-12);
-    }
+    // The vertices are scanned before the first deadline check.
+    EXPECT_GE(result.max_value, best_vertex - 1e-12);
   }
 }
 
-// --- Support-aware reduction. ---
+// --- Coordinates with d_i = l_i = 0. ---
 
 // Builds an objective supported on `support` of the n coordinates.
 QpSolver::Objective SparseObjective(size_t n, const std::vector<size_t>& support,
@@ -254,52 +168,6 @@ QpSolver::Objective SparseObjective(size_t n, const std::vector<size_t>& support
   return obj;
 }
 
-class SupportAwareTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SupportAwareTest, ReducedMatchesFullSweep) {
-  Rng rng(4000 + GetParam());
-  const size_t n = 40;
-  std::vector<size_t> support;
-  for (size_t i = 3; i < n; i += 7) support.push_back(i);
-  const QpSolver::Objective obj = SparseObjective(n, support, rng);
-
-  // PGA off isolates the deterministic slice sweep, which must agree to
-  // solver tolerance between the full and the reduced path.
-  QpSolver::Options options;
-  options.pga_restarts = 0;
-  for (const auto constraint :
-       {QpSolver::ConstraintSet::kSimplex, QpSolver::ConstraintSet::kBox}) {
-    options.constraint = constraint;
-    options.exploit_support = true;
-    QpSolver::Options dense_options = options;
-    dense_options.exploit_support = false;
-
-    const auto reduced = QpSolver(options).Maximize(obj, Deadline::Infinite());
-    const auto full =
-        QpSolver(dense_options).Maximize(obj, Deadline::Infinite());
-    EXPECT_FALSE(reduced.timed_out);
-    EXPECT_FALSE(full.timed_out);
-    EXPECT_NEAR(reduced.max_value, full.max_value, 1e-7)
-        << "constraint=" << static_cast<int>(constraint);
-
-    // Reduced dimension: |support| (+ slack on the simplex); the full path
-    // reports n.
-    const bool simplex = constraint == QpSolver::ConstraintSet::kSimplex;
-    EXPECT_EQ(reduced.reduced_dim, support.size() + (simplex ? 1 : 0));
-    EXPECT_EQ(full.reduced_dim, n);
-
-    // The scattered argmax is feasible in the FULL space and consistent.
-    ASSERT_EQ(reduced.argmax.size(), n);
-    EXPECT_TRUE(reduced.argmax.AllInRange(0.0, 1.0, 1e-9));
-    if (simplex) {
-      EXPECT_NEAR(reduced.argmax.Sum(), 1.0, 1e-9);
-    }
-    EXPECT_NEAR(obj.Evaluate(reduced.argmax), reduced.max_value, 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Trials, SupportAwareTest, ::testing::Range(0, 8));
-
 TEST(SupportAwareTest, DefaultOptionsBeatRandomSearchOnSparseObjective) {
   Rng rng(61);
   const size_t n = 30;
@@ -314,29 +182,6 @@ TEST(SupportAwareTest, DefaultOptionsBeatRandomSearchOnSparseObjective) {
   EXPECT_TRUE(result.argmax.AllInRange(0.0, 1.0, 1e-6));
 }
 
-TEST(SupportAwareTest, LargeGridSmallSupportSolvesTinyLps) {
-  // The ISSUE-3 acceptance scenario: a 1024-cell grid whose Theorem vectors
-  // are supported on a 9-cell δ-location set — every slice LP runs in
-  // dimension 10 (support + slack), ~100× smaller than the dense 1024.
-  Rng rng(63);
-  const size_t n = 1024;
-  std::vector<size_t> support;
-  for (size_t i = 0; i < 9; ++i) support.push_back(100 + 3 * i);
-  const QpSolver::Objective obj = SparseObjective(n, support, rng);
-  QpSolver::Options options;
-  options.grid_points = 17;
-  options.refine_iters = 4;
-  options.pga_restarts = 1;
-  options.pga_iters = 30;
-  const auto result = QpSolver(options).Maximize(obj, Deadline::Infinite());
-  EXPECT_FALSE(result.timed_out);
-  EXPECT_EQ(result.reduced_dim, 10u);
-  ASSERT_EQ(result.argmax.size(), n);
-  EXPECT_NEAR(result.argmax.Sum(), 1.0, 1e-9);
-  EXPECT_TRUE(result.argmax.AllInRange(0.0, 1.0, 1e-9));
-  EXPECT_NEAR(obj.Evaluate(result.argmax), result.max_value, 1e-9);
-}
-
 TEST(SupportAwareTest, AllZeroObjectiveIsHandledInClosedForm) {
   QpSolver::Objective obj;
   obj.a = linalg::Vector(6);
@@ -347,274 +192,93 @@ TEST(SupportAwareTest, AllZeroObjectiveIsHandledInClosedForm) {
   EXPECT_NEAR(simplex.max_value, 0.0, 1e-12);
   EXPECT_NEAR(simplex.argmax.Sum(), 1.0, 1e-9);
   EXPECT_TRUE(simplex.argmax.AllInRange(0.0, 1.0, 1e-9));
-
-  QpSolver::Options box_options;
-  box_options.constraint = QpSolver::ConstraintSet::kBox;
-  const auto box = QpSolver(box_options).Maximize(obj, Deadline::Infinite());
-  EXPECT_FALSE(box.timed_out);
-  EXPECT_NEAR(box.max_value, 0.0, 1e-12);
-  EXPECT_EQ(box.reduced_dim, 0u);
 }
 
-TEST(QpSolverTest, SlicesSolvedIsPositive) {
-  Rng rng(7);
+// --- Exactness. ---
+
+// Calls `visit` on every point of the barycentric grid
+// {k / resolution : k ∈ ℕⁿ, Σk = resolution}, filling pi[next..] with the
+// `left` grid units not yet placed.
+void VisitGrid(int resolution, size_t next, int left, linalg::Vector* pi,
+               const std::function<void(const linalg::Vector&)>& visit) {
+  if (next + 1 == pi->size()) {
+    (*pi)[next] = static_cast<double>(left) / resolution;
+    visit(*pi);
+    return;
+  }
+  for (int k = 0; k <= left; ++k) {
+    (*pi)[next] = static_cast<double>(k) / resolution;
+    VisitGrid(resolution, next + 1, left - k, pi, visit);
+  }
+}
+
+class ExactMaximumTest : public ::testing::TestWithParam<int> {};
+
+// Differential check against brute force on random objectives over n ≤ 6
+// coordinates, some with d_i = l_i = 0 (the ones the solver reduces to
+// their smallest-a and largest-a members): no point of a dense barycentric
+// grid and no Dirichlet draw may beat the reported maximum, which must be
+// the value of a feasible, at most 2-sparse argmax.
+TEST_P(ExactMaximumTest, NoSimplexSampleExceedsTheMaximum) {
+  Rng rng(9100 + GetParam());
+  const size_t n = 1 + rng.NextBelow(6);
   QpSolver::Objective obj;
-  obj.a = RandomVec(4, rng, 0.0, 1.0);
-  obj.d = RandomVec(4, rng);
-  obj.l = RandomVec(4, rng);
+  obj.a = RandomVec(n, rng);
+  obj.d = RandomVec(n, rng);
+  obj.l = RandomVec(n, rng);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.NextDouble() < 0.4) {
+      obj.d[i] = 0.0;
+      obj.l[i] = 0.0;
+    }
+  }
   const auto result = QpSolver().Maximize(obj, Deadline::Infinite());
-  EXPECT_GT(result.slices_solved, 0);
+  ASSERT_FALSE(result.timed_out);
+  ASSERT_EQ(result.argmax.size(), n);
+  EXPECT_TRUE(result.argmax.AllInRange(0.0, 1.0, 0.0));
+  EXPECT_NEAR(result.argmax.Sum(), 1.0, 1e-15);
+  EXPECT_LE(std::count_if(result.argmax.begin(), result.argmax.end(),
+                          [](double p) { return p != 0.0; }),
+            2);
+  EXPECT_EQ(obj.Evaluate(result.argmax), result.max_value);
+
+  double best_sample = -1e300;
+  linalg::Vector pi(n);
+  VisitGrid(24, 0, 24, &pi, [&](const linalg::Vector& p) {
+    best_sample = std::max(best_sample, obj.Evaluate(p));
+  });
+  for (int draw = 0; draw < 20000; ++draw) {
+    for (size_t i = 0; i < n; ++i) pi[i] = rng.NextExponential(1.0);
+    pi.ScaleInPlace(1.0 / pi.Sum());
+    best_sample = std::max(best_sample, obj.Evaluate(pi));
+  }
+  EXPECT_LE(best_sample, result.max_value + 1e-12)
+      << "n=" << n << " max=" << result.max_value;
 }
 
-// A sequence of adjacent objectives (the budget-halving shape: d and l
-// rescale, a stays put) threaded through one WarmState must reproduce the
-// cold maxima while actually accepting warm bases.
-TEST(QpSolverWarmStartTest, AdjacentObjectiveSequenceMatchesColdMaxima) {
-  Rng rng(5150);
-  const size_t n = 64;
+INSTANTIATE_TEST_SUITE_P(Trials, ExactMaximumTest, ::testing::Range(0, 40));
+
+// At the paper-figure search settings the former slice-grid / projected-
+// gradient search returned −0.00260124 here (the value at e₂) and so
+// certified a condition whose true maximum, at the vertex e₀, is positive.
+TEST(QpSolverTest, FindsThePositiveVertexTheSliceSearchMissed) {
+  QpSolver::Options options;
+  options.grid_points = 33;
+  options.refine_iters = 12;
+  options.pga_restarts = 2;
+  options.pga_iters = 60;
   QpSolver::Objective obj;
-  obj.a = linalg::Vector(n);
-  obj.d = linalg::Vector(n);
-  obj.l = linalg::Vector(n);
-  for (size_t j = 0; j < 9; ++j) {
-    const size_t i = 3 + 6 * j;
-    obj.a[i] = rng.NextDouble();
-    obj.d[i] = rng.Uniform(-1.0, 1.0);
-    obj.l[i] = rng.Uniform(-1.0, 1.0);
-  }
-  QpSolver::Options warm_options;
-  warm_options.grid_points = 9;
-  warm_options.refine_iters = 4;
-  warm_options.pga_restarts = 1;
-  QpSolver::Options cold_options = warm_options;
-  cold_options.warm_start = false;
-  const QpSolver warm_solver(warm_options);
-  const QpSolver cold_solver(cold_options);
-
-  QpSolver::WarmState state;
-  long total_accepts = 0;
-  for (int step = 0; step < 6; ++step) {
-    QpSolver::Objective scaled = obj;
-    const double f = std::pow(0.5, step);
-    scaled.d.ScaleInPlace(f);
-    scaled.l.ScaleInPlace(0.5 + 0.5 * f);
-    const auto warm = warm_solver.Maximize(scaled, Deadline::Infinite(), &state);
-    const auto cold = cold_solver.Maximize(scaled, Deadline::Infinite());
-    EXPECT_NEAR(warm.max_value, cold.max_value, 1e-9) << "step=" << step;
-    EXPECT_EQ(warm.reduced_dim, cold.reduced_dim);
-    if (step > 0) {
-      EXPECT_TRUE(warm.support_frame_reused) << "step=" << step;
-    }
-    total_accepts += warm.warm_accepted_slices;
-  }
-  EXPECT_TRUE(state.has_support);
-  EXPECT_EQ(state.support.size(), 9u);
-  EXPECT_GT(total_accepts, 0);
-  EXPECT_EQ(state.warm_accepts, total_accepts);
+  obj.a = linalg::Vector{0.13687894379232793, 0.0013727588524197274,
+                         0.82974386494369823};
+  obj.d = linalg::Vector{-1.2398238501196377, -0.68049494962565416,
+                         -0.25707772996103784};
+  obj.l = linalg::Vector{0.17555454527880987, -0.80247150988644067,
+                         0.21070743183094143};
+  const auto result = QpSolver(options).Maximize(obj, Deadline::Infinite());
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_GT(result.max_value, 0.0);
+  EXPECT_NEAR(result.max_value, 0.00584877, 1e-8);
+  EXPECT_EQ(result.argmax[0], 1.0);
 }
-
-TEST(QpSolverWarmStartTest, SupportFrameUnionsAcrossObjectives) {
-  const size_t n = 32;
-  QpSolver::Objective first;
-  first.a = linalg::Vector(n);
-  first.d = linalg::Vector(n);
-  first.l = linalg::Vector(n);
-  first.a[4] = 0.8;
-  first.l[4] = 0.5;
-  QpSolver::Objective second = first;
-  second.a[9] = 0.3;
-  second.l[9] = -0.2;
-
-  QpSolver::WarmState state;
-  const QpSolver solver;
-  const auto r1 = solver.Maximize(first, Deadline::Infinite(), &state);
-  EXPECT_EQ(state.support.size(), 1u);
-  const auto r2 = solver.Maximize(second, Deadline::Infinite(), &state);
-  // The frame grew to the union; the widened first objective still solves in
-  // the union frame and reports a reuse.
-  EXPECT_EQ(state.support.size(), 2u);
-  EXPECT_FALSE(r2.support_frame_reused);
-  const auto r3 = solver.Maximize(first, Deadline::Infinite(), &state);
-  EXPECT_TRUE(r3.support_frame_reused);
-  // A frame that is a superset of the true joint support never changes the
-  // answer — the extra coordinates have zero objective coefficients.
-  const QpSolver fresh;
-  const auto ref1 = fresh.Maximize(first, Deadline::Infinite());
-  const auto ref2 = fresh.Maximize(second, Deadline::Infinite());
-  EXPECT_NEAR(r1.max_value, ref1.max_value, 1e-9);
-  EXPECT_NEAR(r2.max_value, ref2.max_value, 1e-9);
-  EXPECT_NEAR(r3.max_value, ref1.max_value, 1e-9);
-}
-
-TEST(QpSolverWarmStartTest, WarmMaximumNeverBelowCold) {
-  // Safety direction of warm starts: the seed is an extra incumbent/slice
-  // and the refinement trajectory is slice-value-driven (shared with cold),
-  // so a warm search must never return a smaller maximum than the cold
-  // search — an under-certified maximum could flip an unsatisfied privacy
-  // check to satisfied. Regression for the incumbent-driven best_x bug:
-  // randomized sequences with *shifting* supports, where the carried-over
-  // incumbent used to beat every slice and strand the refinement at x_lo.
-  Rng rng(20260726);
-  QpSolver::Options warm_options;
-  warm_options.grid_points = 9;
-  warm_options.refine_iters = 6;
-  warm_options.pga_restarts = 1;
-  warm_options.pga_iters = 20;
-  QpSolver::Options cold_options = warm_options;
-  cold_options.warm_start = false;
-  const QpSolver warm_solver(warm_options);
-  const QpSolver cold_solver(cold_options);
-  const size_t n = 64;
-  for (int sequence = 0; sequence < 40; ++sequence) {
-    QpSolver::WarmState state;
-    for (int step = 0; step < 5; ++step) {
-      QpSolver::Objective obj;
-      obj.a = linalg::Vector(n);
-      obj.d = linalg::Vector(n);
-      obj.l = linalg::Vector(n);
-      const size_t base = rng.NextBelow(n - 12);
-      for (size_t j = 0; j < 8; ++j) {
-        obj.a[base + j] = rng.NextDouble();
-        obj.d[base + j] = rng.Uniform(-1.0, 1.0);
-        obj.l[base + j] = rng.Uniform(-1.0, 1.0);
-      }
-      const auto warm = warm_solver.Maximize(obj, Deadline::Infinite(), &state);
-      const auto cold = cold_solver.Maximize(obj, Deadline::Infinite());
-      EXPECT_GE(warm.max_value, cold.max_value - 1e-9)
-          << "sequence=" << sequence << " step=" << step;
-    }
-  }
-}
-
-// The two-objective resolve (one support frame + one slice family for a
-// pair sharing `a` — the Theorem-condition shape) must reproduce the
-// independent cold maxima across a warm-threaded sequence.
-TEST(QpSolverPairTest, PairMatchesIndependentColdMaxima) {
-  Rng rng(909);
-  QpSolver::Options warm_options;
-  warm_options.grid_points = 9;
-  warm_options.refine_iters = 4;
-  warm_options.pga_restarts = 1;
-  warm_options.pga_iters = 30;
-  QpSolver::Options cold_options = warm_options;
-  cold_options.warm_start = false;
-  const QpSolver warm_solver(warm_options);
-  const QpSolver cold_solver(cold_options);
-  const size_t n = 48;
-  QpSolver::WarmState state;
-  for (int step = 0; step < 6; ++step) {
-    QpSolver::Objective f15;
-    f15.a = linalg::Vector(n);
-    f15.d = linalg::Vector(n);
-    f15.l = linalg::Vector(n);
-    for (size_t j = 0; j < 7; ++j) {
-      const size_t i = 2 + 5 * j;
-      f15.a[i] = rng.NextDouble();
-      f15.d[i] = rng.Uniform(-1.0, 1.0);
-      f15.l[i] = rng.Uniform(-1.0, 1.0);
-    }
-    // The f16 shape: same a, different (d, l) combination.
-    QpSolver::Objective f16 = f15;
-    for (size_t i = 0; i < n; ++i) {
-      f16.d[i] = 0.5 * f15.d[i] + 0.25 * f15.l[i];
-      f16.l[i] = -1.5 * f15.l[i];
-    }
-    QpSolver::Result r1, r2;
-    warm_solver.MaximizePair(f15, f16, Deadline::Infinite(), &state, &r1, &r2);
-    const auto c1 = cold_solver.Maximize(f15, Deadline::Infinite());
-    const auto c2 = cold_solver.Maximize(f16, Deadline::Infinite());
-    EXPECT_NEAR(r1.max_value, c1.max_value, 1e-9) << "step=" << step;
-    EXPECT_NEAR(r2.max_value, c2.max_value, 1e-9) << "step=" << step;
-    // Warm starts only add candidates: never below cold.
-    EXPECT_GE(r1.max_value, c1.max_value - 1e-9);
-    EXPECT_GE(r2.max_value, c2.max_value - 1e-9);
-    if (step > 0) {
-      EXPECT_TRUE(r1.support_frame_reused);
-      EXPECT_TRUE(r2.support_frame_reused);
-    }
-  }
-  // One shared frame over the pair, and per-condition argmax seeds.
-  EXPECT_TRUE(state.has_support);
-  EXPECT_EQ(state.support.size(), 7u);
-  EXPECT_TRUE(state.has_argmax);
-  EXPECT_TRUE(state.has_argmax2);
-  EXPECT_EQ(state.last_scan_support, 7u);
-  EXPECT_GT(state.warm_accepts, 0);
-}
-
-TEST(QpSolverPairTest, SecondSweepContinuesFirstSweepsBasisChain) {
-  // Within ONE MaximizePair call the second objective's sweep starts from
-  // the first's final basis — it must report accepted warm slices even with
-  // a fresh state (no cross-call history at all).
-  Rng rng(311);
-  QpSolver::Options options;
-  options.grid_points = 17;
-  options.refine_iters = 4;
-  options.pga_restarts = 1;
-  options.pga_iters = 20;
-  const QpSolver solver(options);
-  const size_t n = 32;
-  QpSolver::Objective f15;
-  f15.a = linalg::Vector(n);
-  f15.d = linalg::Vector(n);
-  f15.l = linalg::Vector(n);
-  for (size_t j = 0; j < 6; ++j) {
-    const size_t i = 1 + 5 * j;
-    f15.a[i] = rng.NextDouble();
-    f15.d[i] = rng.Uniform(-1.0, 0.0);
-    f15.l[i] = rng.Uniform(-1.0, 0.0);
-  }
-  QpSolver::Objective f16 = f15;
-  for (size_t i = 0; i < n; ++i) f16.l[i] = 0.5 * f15.l[i];
-  QpSolver::WarmState state;
-  QpSolver::Result r1, r2;
-  solver.MaximizePair(f15, f16, Deadline::Infinite(), &state, &r1, &r2);
-  // First sweep chains its own slices; the second additionally inherits the
-  // first's final basis, so both accept warm bases.
-  EXPECT_GT(r1.warm_accepted_slices, 0);
-  EXPECT_GT(r2.warm_accepted_slices, 0);
-  EXPECT_EQ(state.warm_accepts, r1.warm_accepted_slices + r2.warm_accepted_slices);
-  EXPECT_EQ(state.warm_rejects, r1.warm_rejected_slices + r2.warm_rejected_slices);
-}
-
-TEST(QpSolverPairTest, WarmStartOffDegradesToIndependentColdPair) {
-  QpSolver::Options options;
-  options.warm_start = false;
-  const QpSolver off(options);
-  const QpSolver on;
-  QpSolver::Objective f15;
-  f15.a = linalg::Vector{0.2, 0.7, 0.1, 0.0};
-  f15.d = linalg::Vector{0.5, -0.3, 0.2, 0.0};
-  f15.l = linalg::Vector{0.0, 0.1, -0.1, 0.0};
-  QpSolver::Objective f16 = f15;
-  f16.l = linalg::Vector{0.1, -0.2, 0.3, 0.0};
-  QpSolver::WarmState state;
-  QpSolver::Result r1, r2;
-  off.MaximizePair(f15, f16, Deadline::Infinite(), &state, &r1, &r2);
-  EXPECT_FALSE(state.has_support);
-  EXPECT_FALSE(state.has_argmax);
-  EXPECT_FALSE(state.has_argmax2);
-  QpSolver::Result w1, w2;
-  on.MaximizePair(f15, f16, Deadline::Infinite(), nullptr, &w1, &w2);
-  EXPECT_NEAR(r1.max_value, w1.max_value, 1e-9);
-  EXPECT_NEAR(r2.max_value, w2.max_value, 1e-9);
-}
-
-TEST(QpSolverWarmStartTest, WarmStartOffIgnoresState) {
-  QpSolver::Options options;
-  options.warm_start = false;
-  const QpSolver solver(options);
-  QpSolver::Objective obj;
-  obj.a = linalg::Vector{0.2, 0.7, 0.1};
-  obj.d = linalg::Vector{0.5, -0.3, 0.2};
-  obj.l = linalg::Vector{0.0, 0.1, -0.1};
-  QpSolver::WarmState state;
-  const auto result = solver.Maximize(obj, Deadline::Infinite(), &state);
-  EXPECT_FALSE(state.has_support);
-  EXPECT_FALSE(state.has_argmax);
-  EXPECT_EQ(result.warm_accepted_slices, 0);
-  EXPECT_EQ(result.warm_rejected_slices, 0);
-}
-
 }  // namespace
 }  // namespace priste::core

@@ -129,6 +129,24 @@ TEST(QuantifierTest, UniformEmissionsSatisfyAnyEpsilon) {
       << "max15=" << check.max_condition15 << " max16=" << check.max_condition16;
 }
 
+TEST(QuantifierTest, ExpiredDeadlineIsAConservativeFailure) {
+  // The uninformative emissions above pass with time to search; with the
+  // deadline already expired the check reports a timeout and certifies
+  // nothing (Section IV-C's conservative release).
+  Rng rng(43);
+  const size_t m = 4;
+  const auto model = RandomModel(m, true, 2, 2, rng);
+  const PrivacyQuantifier quantifier(model.get());
+  const std::vector<linalg::Vector> emissions(
+      5, linalg::Vector(m, 1.0 / static_cast<double>(m)));
+  const TheoremVectors v = quantifier.ComputeVectors(emissions);
+  const QpSolver solver;
+  const PrivacyCheckResult check =
+      quantifier.CheckArbitraryPrior(v, 0.01, solver, Deadline::After(-1.0));
+  EXPECT_TRUE(check.timed_out);
+  EXPECT_FALSE(check.satisfied);
+}
+
 TEST(QuantifierTest, RevealingEmissionsViolateSmallEpsilon) {
   // An emission that pins the user inside the event region at an event
   // timestamp makes the event nearly certain — small ε must fail.

@@ -32,16 +32,6 @@ bool CacheForcedOffByEnv() {
   return env != nullptr && std::string(env) == "0";
 }
 
-QpSolver::Options SmallQpOptions(bool warm) {
-  QpSolver::Options options;
-  options.grid_points = 9;
-  options.refine_iters = 4;
-  options.pga_restarts = 1;
-  options.pga_iters = 30;
-  options.warm_start = warm;
-  return options;
-}
-
 void ExpectVectorsNear(const TheoremVectors& cached, const TheoremVectors& cold,
                        double tol) {
   ASSERT_EQ(cached.t, cold.t);
@@ -57,15 +47,14 @@ void ExpectVectorsNear(const TheoremVectors& cached, const TheoremVectors& cold,
 
 // Drives a full release-step schedule — several candidates per timestamp,
 // the last one committed — over sparse δ-location-set-style columns, and
-// requires the cached/warm-started engine to agree with the cold
-// recompute-from-t=1 path at every prefix: Theorem vectors to ≤ 1e-9, QP
-// condition maxima to ≤ 1e-9, and the certified decision exactly.
+// requires the cached engine to agree with the cold recompute-from-t=1 path
+// at every prefix: Theorem vectors to ≤ 1e-9, QP condition maxima to
+// ≤ 1e-9, and the certified decision exactly.
 void RunEquivalenceSchedule(const LiftedEventModel* model, size_t m,
                             uint64_t seed) {
   Rng rng(seed);
-  const QpSolver warm_solver(SmallQpOptions(/*warm=*/true));
-  const QpSolver cold_solver(SmallQpOptions(/*warm=*/false));
-  ReleaseStepContext context({model}, &warm_solver);
+  const QpSolver solver;
+  ReleaseStepContext context({model}, &solver);
   const PrivacyQuantifier cold(model, /*normalize_emissions=*/true);
   const double epsilon = 0.4;
 
@@ -84,7 +73,7 @@ void RunEquivalenceSchedule(const LiftedEventModel* model, size_t m,
       const ReleaseCheckOutcome outcome =
           context.CheckCandidate(column, epsilon, /*qp_threshold_seconds=*/-1.0);
       const PrivacyCheckResult cold_check = cold.CheckArbitraryPrior(
-          reference, epsilon, cold_solver, Deadline::Infinite());
+          reference, epsilon, solver, Deadline::Infinite());
       ASSERT_EQ(outcome.per_model.size(), 1u);
       EXPECT_EQ(outcome.per_model[0].satisfied, cold_check.satisfied)
           << "t=" << t << " cand=" << cand;
@@ -158,7 +147,7 @@ TEST(ReleaseStepContextTest, DenseFirstColumnFallsBackToColdChain) {
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
   ReleaseStepContext context({&model}, &solver);
   const PrivacyQuantifier cold(&model, true);
 
@@ -184,7 +173,7 @@ TEST(ReleaseStepContextTest, PrefixCacheOptOutMatchesCachedResults) {
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
   ReleaseStepOptions off;
   off.max_cache_support = 0;
   ReleaseStepContext cached_ctx({&model}, &solver);
@@ -212,11 +201,10 @@ TEST(ReleaseStepContextTest, PrefixCacheOptOutMatchesCachedResults) {
 void RunDenseEquivalenceSchedule(const LiftedEventModel* model, size_t m,
                                  uint64_t seed) {
   Rng rng(seed);
-  const QpSolver warm_solver(SmallQpOptions(/*warm=*/true));
-  const QpSolver cold_solver(SmallQpOptions(/*warm=*/false));
+  const QpSolver solver;
   ReleaseStepOptions options;
   options.max_cache_support = 4;  // every random dense column overflows this
-  ReleaseStepContext context({model}, &warm_solver, true, options);
+  ReleaseStepContext context({model}, &solver, true, options);
   context.SetHorizonHint(static_cast<int>(2 * m));
   const PrivacyQuantifier cold(model, /*normalize_emissions=*/true);
   const double epsilon = 0.4;
@@ -235,23 +223,14 @@ void RunDenseEquivalenceSchedule(const LiftedEventModel* model, size_t m,
       const ReleaseCheckOutcome outcome =
           context.CheckCandidate(column, epsilon, /*qp_threshold_seconds=*/-1.0);
       const PrivacyCheckResult cold_check = cold.CheckArbitraryPrior(
-          reference, epsilon, cold_solver, Deadline::Infinite());
+          reference, epsilon, solver, Deadline::Infinite());
       ASSERT_EQ(outcome.per_model.size(), 1u);
       EXPECT_EQ(outcome.per_model[0].satisfied, cold_check.satisfied)
           << "t=" << t << " cand=" << cand;
-      // Full-support objectives are where the grid-plus-PGA sweep is only
-      // approximate, so warm-vs-cold maxima agree to sweep resolution, not
-      // machine epsilon — but soundness is one-sided and exact: the warm
-      // maximum is never below the cold one (the seed only adds candidate
-      // evaluations).
-      EXPECT_GE(outcome.per_model[0].max_condition15,
-                cold_check.max_condition15 - 1e-9);
-      EXPECT_GE(outcome.per_model[0].max_condition16,
-                cold_check.max_condition16 - 1e-9);
       EXPECT_NEAR(outcome.per_model[0].max_condition15,
-                  cold_check.max_condition15, 1e-3);
+                  cold_check.max_condition15, 1e-9);
       EXPECT_NEAR(outcome.per_model[0].max_condition16,
-                  cold_check.max_condition16, 1e-3);
+                  cold_check.max_condition16, 1e-9);
       history.pop_back();
 
       if (cand == 1) {
@@ -322,7 +301,7 @@ TEST(ReleaseStepDensePrefixTest, MaxCacheSupportBoundaryIsInclusive) {
   const markov::TransitionMatrix chain = testing::RandomTransition(m, rng);
   const TwoWorldModel model_a(chain, ev_a);
   const TwoWorldModel model_b(chain, ev_b);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
 
   ReleaseStepOptions options;
   options.max_cache_support = 5;
@@ -376,7 +355,7 @@ TEST(ReleaseStepDensePrefixTest, AutoPolicyNeedsTheHorizonToClearBreakEven) {
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
   ReleaseStepOptions options;
   options.max_cache_support = 4;
   Rng col_rng(704);
@@ -422,7 +401,7 @@ TEST(ReleaseStepDensePrefixTest, EnvOverridesMaxCacheSupport) {
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
+  const QpSolver solver;
   Rng col_rng(706);
   const linalg::Vector sparse_col =
       testing::RandomSparseEmissionColumn(m, 3, col_rng);
@@ -467,80 +446,21 @@ TEST(ReleaseStepDensePrefixTest, EnvOverridesMaxCacheSupport) {
   }
 }
 
-TEST(ReleaseStepFramePolicyTest, NeverResetMatchesResetEveryCommit) {
-  // Fuzz the frame-reset settings against each other over a shifting-support
-  // schedule: never-reset (drift ratio huge, streak off) and always-drift
-  // (ratio < 1 → resets every commit) must produce the same certified maxima
-  // and decisions — a kept frame is a superset frame, which never changes an
-  // answer.
-  Rng rng(7331);
-  const size_t m = 20;
-  std::vector<geo::Region> regions{testing::RandomRegion(m, rng),
-                                   testing::RandomRegion(m, rng)};
-  const auto ev = std::make_shared<PresenceEvent>(regions, 2);  // window [2, 3]
-  const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver solver(SmallQpOptions(true));
-
-  ReleaseStepOptions keep;
-  keep.frame_drift_ratio = 1e9;
-  keep.frame_reject_streak = 0;  // streak trigger disabled
-  ReleaseStepOptions drift;
-  drift.frame_drift_ratio = 0.5;  // fires at every commit
-
-  ReleaseStepContext ctx_keep({&model}, &solver, true, keep);
-  ReleaseStepContext ctx_drift({&model}, &solver, true, drift);
-
-  Rng col_rng(7332);
-  const int horizon = 8;
-  for (int t = 1; t <= horizon; ++t) {
-    for (int cand = 0; cand < 3; ++cand) {
-      const linalg::Vector column =
-          testing::RandomSparseEmissionColumn(m, 4, col_rng);
-      const auto out_keep = ctx_keep.CheckCandidate(column, 0.4, -1.0);
-      const auto out_drift = ctx_drift.CheckCandidate(column, 0.4, -1.0);
-      ASSERT_EQ(out_keep.per_model.size(), 1u);
-      EXPECT_EQ(out_keep.per_model[0].satisfied,
-                out_drift.per_model[0].satisfied)
-          << "t=" << t << " cand=" << cand;
-      EXPECT_NEAR(out_keep.per_model[0].max_condition15,
-                  out_drift.per_model[0].max_condition15, 1e-9);
-      EXPECT_NEAR(out_keep.per_model[0].max_condition16,
-                  out_drift.per_model[0].max_condition16, 1e-9);
-      if (cand == 2) {
-        ctx_keep.Commit(column);
-        ctx_drift.Commit(column);
-      }
-    }
-  }
-  // Policy audit trail: never-reset carried every live frame, always-drift
-  // dropped every one.
-  EXPECT_GT(ctx_keep.diagnostics().frame_carries, 0);
-  EXPECT_EQ(ctx_keep.diagnostics().frame_resets, 0);
-  EXPECT_GT(ctx_drift.diagnostics().frame_resets, 0);
-  EXPECT_EQ(ctx_drift.diagnostics().frame_carries, 0);
-}
-
 TEST(ReleaseStepFramePolicyTest, DenseToSparseTransitionKeepsColdAgreement) {
-  // Warm-state lifecycle across dense→sparse candidate transitions: a dense
-  // first column engages the dense-prefix family (full-support Theorem
-  // vectors → wide QP frames), then the candidates turn sparse. With the
-  // frame carried across steps (never-reset settings) every check must
-  // still match the cold chain — the frame is only ever a superset, and any
-  // extension invalidates the cached argmax/basis rather than reusing them
-  // across incompatible supports.
+  // Dense→sparse candidate transitions: a dense first column engages the
+  // dense-prefix family (full-support Theorem vectors), then the candidates
+  // alternate with sparse ones of drifting support. Every check must still
+  // match the cold chain.
   Rng rng(811);
   const size_t m = 14;
   std::vector<geo::Region> regions{testing::RandomRegion(m, rng),
                                    testing::RandomRegion(m, rng)};
   const auto ev = std::make_shared<PresenceEvent>(regions, 2);  // window [2, 3]
   const TwoWorldModel model(testing::RandomTransition(m, rng), ev);
-  const QpSolver warm_solver(SmallQpOptions(true));
-  const QpSolver cold_solver(SmallQpOptions(false));
+  const QpSolver solver;
   ReleaseStepOptions options;
   options.max_cache_support = 4;
-  options.frame_drift_ratio = 1e9;  // never reset: maximum carried state
-  options.frame_reject_streak = 0;
-  ReleaseStepContext context({&model}, &warm_solver, true, options);
+  ReleaseStepContext context({&model}, &solver, true, options);
   context.SetHorizonHint(static_cast<int>(2 * m));
   const PrivacyQuantifier cold(&model, true);
 
@@ -561,7 +481,7 @@ TEST(ReleaseStepFramePolicyTest, DenseToSparseTransitionKeepsColdAgreement) {
       ExpectVectorsNear(cached, reference, 1e-9);
       const auto outcome = context.CheckCandidate(column, 0.4, -1.0);
       const auto cold_check = cold.CheckArbitraryPrior(
-          reference, 0.4, cold_solver, Deadline::Infinite());
+          reference, 0.4, solver, Deadline::Infinite());
       EXPECT_EQ(outcome.per_model[0].satisfied, cold_check.satisfied)
           << "t=" << t << " cand=" << cand;
       EXPECT_NEAR(outcome.per_model[0].max_condition15,
@@ -577,7 +497,6 @@ TEST(ReleaseStepFramePolicyTest, DenseToSparseTransitionKeepsColdAgreement) {
   }
   if (!CacheForcedOffByEnv()) {
     EXPECT_GT(context.diagnostics().dense_prefix_checks, 0);
-    EXPECT_GT(context.diagnostics().frame_carries, 0);
   }
 }
 
@@ -586,11 +505,6 @@ PristeOptions DeltaLocOptions(bool accelerated) {
   options.epsilon = 0.6;
   options.initial_alpha = 0.3;
   options.qp_threshold_seconds = 5.0;
-  options.qp.grid_points = 9;
-  options.qp.refine_iters = 4;
-  options.qp.pga_restarts = 1;
-  options.qp.pga_iters = 30;
-  options.qp.warm_start = accelerated;
   if (!accelerated) options.release.max_cache_support = 0;
   return options;
 }
@@ -618,12 +532,12 @@ TEST(ReleaseStepContextTest, FullDeltaLocHalvingRunMatchesColdConfiguration) {
   const auto result_b = cold.Run(truth, rng_b);
   ASSERT_TRUE(result_a.ok()) << result_a.status();
   ASSERT_TRUE(result_b.ok()) << result_b.status();
+  EXPECT_EQ(result_a->released.states(), result_b->released.states());
   ASSERT_EQ(result_a->steps.size(), result_b->steps.size());
   for (size_t i = 0; i < result_a->steps.size(); ++i) {
-    EXPECT_EQ(result_a->steps[i].released_cell, result_b->steps[i].released_cell)
-        << "t=" << result_a->steps[i].t;
     EXPECT_DOUBLE_EQ(result_a->steps[i].released_alpha,
-                     result_b->steps[i].released_alpha);
+                     result_b->steps[i].released_alpha)
+        << "t=" << i + 1;
     EXPECT_EQ(result_a->steps[i].halvings, result_b->steps[i].halvings);
   }
 }
@@ -644,17 +558,16 @@ TEST(ReleaseStepContextTest, FullGeoIndRunMatchesColdConfiguration) {
   const auto result_b = cold.Run(truth, rng_b);
   ASSERT_TRUE(result_a.ok()) << result_a.status();
   ASSERT_TRUE(result_b.ok()) << result_b.status();
+  EXPECT_EQ(result_a->released.states(), result_b->released.states());
   ASSERT_EQ(result_a->steps.size(), result_b->steps.size());
   for (size_t i = 0; i < result_a->steps.size(); ++i) {
-    EXPECT_EQ(result_a->steps[i].released_cell,
-              result_b->steps[i].released_cell);
     EXPECT_DOUBLE_EQ(result_a->steps[i].released_alpha,
-                     result_b->steps[i].released_alpha);
+                     result_b->steps[i].released_alpha)
+        << "t=" << i + 1;
   }
   // GeoInd columns are dense and the horizon (4) is far below the
   // dense-prefix break-even (2m = 32), so from t = 2 on the engine must
-  // have chosen the cold chain — the QP warm starts are the acceleration
-  // there — and recorded the fallback.
+  // have chosen the cold chain and recorded the fallback.
   EXPECT_GT(result_a->release_diagnostics.cold_checks, 0);
   EXPECT_EQ(result_a->release_diagnostics.prefix_extensions, 0);
   if (!CacheForcedOffByEnv()) {
@@ -686,13 +599,12 @@ TEST(ReleaseStepDensePrefixTest, FullGeoIndRunWithDensePrefixMatchesCold) {
   const auto result_b = cold.Run(truth, rng_b);
   ASSERT_TRUE(result_a.ok()) << result_a.status();
   ASSERT_TRUE(result_b.ok()) << result_b.status();
+  EXPECT_EQ(result_a->released.states(), result_b->released.states());
   ASSERT_EQ(result_a->steps.size(), result_b->steps.size());
   for (size_t i = 0; i < result_a->steps.size(); ++i) {
-    EXPECT_EQ(result_a->steps[i].released_cell,
-              result_b->steps[i].released_cell)
-        << "t=" << result_a->steps[i].t;
     EXPECT_DOUBLE_EQ(result_a->steps[i].released_alpha,
-                     result_b->steps[i].released_alpha);
+                     result_b->steps[i].released_alpha)
+        << "t=" << i + 1;
     EXPECT_EQ(result_a->steps[i].halvings, result_b->steps[i].halvings);
   }
   if (!CacheForcedOffByEnv()) {

@@ -13,7 +13,7 @@ namespace {
 
 // The dispatch layer's end-to-end contract: the scalar and SIMD kernel paths
 // produce BIT-identical numbers, so a full PristeGeoInd run — forward/backward
-// recursions, release-step caches, QP sweeps, sampling — must make the exact
+// recursions, release-step caches, QP checks, sampling — must make the exact
 // same decisions and release the exact same trajectory under either path. On
 // a host without AVX2 both runs take the scalar table and the test is
 // trivially green.
@@ -34,10 +34,6 @@ RunRecord RunPipeline(bool simd) {
   options.epsilon = 0.5;
   options.initial_alpha = 0.4;
   options.qp_threshold_seconds = 5.0;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
-  options.qp.pga_iters = 40;
   const PristeGeoInd priste(grid, model.transition(), {ev}, options);
   Rng rng(21);
   const markov::MarkovChain chain(model.transition(),
@@ -48,8 +44,8 @@ RunRecord RunPipeline(bool simd) {
   EXPECT_TRUE(result.ok()) << result.status();
   RunRecord record;
   if (!result.ok()) return record;
+  record.cells = result->released.states();
   for (const auto& step : result->steps) {
-    record.cells.push_back(step.released_cell);
     record.alphas.push_back(step.released_alpha);
     record.halvings.push_back(step.halvings);
   }

@@ -83,9 +83,6 @@ TEST(StabilityTest, EventEndingAtTrajectoryEndWorks) {
   const auto ev = std::make_shared<event::PresenceEvent>(
       geo::Region(9, {0, 1}), 4, 6);
   PristeOptions options;
-  options.qp.grid_points = 9;
-  options.qp.refine_iters = 4;
-  options.qp.pga_restarts = 1;
   const PristeGeoInd priste(grid, mobility.transition(), {ev}, options);
   Rng rng(97);
   const markov::MarkovChain chain = mobility.ChainUniformStart();

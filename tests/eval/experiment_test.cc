@@ -114,7 +114,6 @@ TEST(ExperimentTest, RepeatedGeoIndRunsAggregate) {
   const SyntheticWorkload workload(scale, 1.0);
   const auto ev = event::PresenceEvent::Make(workload.grid.num_cells(), 1, 4, 2, 3);
   core::PristeOptions options = DefaultBenchOptions(0.8, 0.3);
-  options.qp.grid_points = 9;
   const RepeatedRunStats stats = RunRepeatedGeoInd(
       workload.grid, workload.Chain(), {ev}, options, scale, /*seed=*/42);
   EXPECT_EQ(stats.mean_budget.count(), 2u);
@@ -131,7 +130,6 @@ TEST(ExperimentTest, RepeatedDeltaLocRunsAggregate) {
   const SyntheticWorkload workload(scale, 1.0);
   const auto ev = event::PresenceEvent::Make(workload.grid.num_cells(), 1, 4, 2, 3);
   core::PristeOptions options = DefaultBenchOptions(0.8, 0.3);
-  options.qp.grid_points = 9;
   const RepeatedRunStats stats = RunRepeatedDeltaLoc(
       workload.grid, workload.Chain(), {ev}, 0.3, options, scale, /*seed=*/43);
   EXPECT_EQ(stats.mean_budget.count(), 2u);
@@ -153,7 +151,6 @@ TEST(ExperimentTest, RepeatedRunsAreDeterministic) {
   const SyntheticWorkload workload(scale, 1.0);
   const auto ev = event::PresenceEvent::Make(workload.grid.num_cells(), 1, 4, 2, 3);
   core::PristeOptions options = DefaultBenchOptions(0.8, 0.3);
-  options.qp.grid_points = 9;
   options.qp_threshold_seconds = 0.0;  // no wall-clock dependence
   const RepeatedRunStats a = RunRepeatedGeoInd(
       workload.grid, workload.Chain(), {ev}, options, scale, /*seed=*/77);

@@ -9,13 +9,10 @@ core::RunResult MakeRun() {
   core::RunResult run;
   for (int t = 1; t <= 3; ++t) {
     core::StepRecord step;
-    step.t = t;
-    step.true_cell = t - 1;
-    step.released_cell = t;        // one cell to the right each time
     step.released_alpha = 0.1 * t; // 0.1, 0.2, 0.3
     step.halvings = t;
     run.steps.push_back(step);
-    run.released.Append(step.released_cell);
+    run.released.Append(t);        // one cell to the right each time
   }
   return run;
 }

@@ -41,9 +41,6 @@ TEST(DeterminismTest, FullRunIsSeedDeterministic) {
   core::PristeOptions options;
   options.epsilon = 0.8;
   options.initial_alpha = 0.3;
-  options.qp.grid_points = 9;
-  options.qp.refine_iters = 4;
-  options.qp.pga_restarts = 1;
   const core::PristeGeoInd priste(grid, mobility.transition(), {ev}, options);
   const markov::MarkovChain chain = mobility.ChainUniformStart();
 

@@ -46,9 +46,6 @@ TEST(EndToEndTest, CommuterPipelineProtectsPresence) {
   core::PristeOptions options;
   options.epsilon = 0.7;
   options.initial_alpha = 0.5;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
 
   const core::PristeGeoInd priste(grid, *chain, {ev}, options);
   const markov::MarkovChain mc(*chain,
@@ -63,9 +60,10 @@ TEST(EndToEndTest, CommuterPipelineProtectsPresence) {
     const linalg::Vector pi =
         testing::RandomProbability(grid.num_cells(), rng);
     core::JointCalculator calc(&model, pi);
-    for (const auto& step : result->steps) {
-      const lppm::PlanarLaplaceMechanism mech(grid, step.released_alpha);
-      calc.Push(mech.emission().EmissionColumn(step.released_cell));
+    for (int t = 1; t <= result->released.length(); ++t) {
+      const lppm::PlanarLaplaceMechanism mech(
+          grid, result->steps[static_cast<size_t>(t - 1)].released_alpha);
+      calc.Push(mech.emission().EmissionColumn(result->released.At(t)));
       EXPECT_LE(calc.LikelihoodRatio(), std::exp(options.epsilon) * (1 + 1e-6));
       EXPECT_GE(calc.LikelihoodRatio(), std::exp(-options.epsilon) * (1 - 1e-6));
     }
@@ -91,9 +89,6 @@ TEST(EndToEndTest, PatternOverGaussianGrid) {
   core::PristeOptions options;
   options.epsilon = 0.5;
   options.initial_alpha = 0.4;
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
 
   const core::PristeGeoInd priste(grid, model.transition(), {ev}, options);
   const markov::MarkovChain mc = model.ChainUniformStart();

@@ -130,16 +130,15 @@ TEST(TrajectoryIoTest, RoundTrip) {
 }
 
 TEST(TrajectoryIoTest, RunResultCsvHasAllSteps) {
+  const geo::Trajectory truth({1, 2});
   core::RunResult run;
+  run.released = geo::Trajectory({2, 3});
   for (int t = 1; t <= 2; ++t) {
     core::StepRecord step;
-    step.t = t;
-    step.true_cell = t;
-    step.released_cell = t + 1;
     step.released_alpha = 0.25;
     run.steps.push_back(step);
   }
-  const std::string csv = RunResultToCsv(run);
+  const std::string csv = RunResultToCsv(run, truth);
   EXPECT_NE(csv.find("t,true_cell,released_cell"), std::string::npos);
   EXPECT_NE(csv.find("1,1,2,0.25,0,0"), std::string::npos);
   EXPECT_NE(csv.find("2,2,3,0.25,0,0"), std::string::npos);

@@ -124,5 +124,32 @@ TEST_F(EmissionCacheTest, ChargeBytesCoversThePayload) {
             m * m * sizeof(double));
 }
 
+TEST_F(EmissionCacheTest, MapCoveringCloakingRadiiShareOneMatrix) {
+  // A 20×20 map of 1 km cells (diameter ≈ 26.9 km) with R = 2 km / budget:
+  // budgets 1/16 (R = 32 km) and 1/1024 (R = 2048 km) both put the whole map
+  // in every disk, so they share one uniform matrix.
+  const geo::Grid grid(20, 20, 1.0);
+  const CloakingFamily family(grid, 2.0);
+  const auto covering = family.Instantiate(1.0 / 16);
+  const auto wider = family.Instantiate(1.0 / 1024);
+  EXPECT_EQ(&covering->emission(), &wider->emission());
+  const linalg::Matrix& uniform = covering->emission().matrix();
+  EXPECT_NEAR(uniform(0, 0), 1.0 / 400.0, 1e-15);
+  for (size_t i = 0; i < uniform.rows(); ++i) {
+    for (size_t o = 0; o < uniform.cols(); ++o) {
+      ASSERT_EQ(uniform(i, o), uniform(0, 0)) << i << "," << o;
+    }
+  }
+  // Each mechanism still reports the radius it was asked for.
+  const auto* cloak = dynamic_cast<const CloakingMechanism*>(wider.get());
+  ASSERT_NE(cloak, nullptr);
+  EXPECT_EQ(cloak->radius_km(), 2048.0);
+  EXPECT_EQ(cloak->name(), CloakingMechanism(grid, 2048.0).name());
+  EXPECT_NE(cloak->name(), CloakingMechanism(grid, 32.0).name());
+  // R = 16 km leaves corners outside some disks: its own entry.
+  const auto inner = family.Instantiate(1.0 / 8);
+  EXPECT_NE(&inner->emission(), &covering->emission());
+}
+
 }  // namespace
 }  // namespace priste::lppm

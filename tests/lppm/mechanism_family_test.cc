@@ -73,9 +73,6 @@ TEST(MechanismFamilyTest, PristeCalibratesCloakingFamily) {
   const double epsilon = 0.8;
   options.epsilon = epsilon;
   options.initial_alpha = 1.0;  // cloaking budget: R = 1 km initially
-  options.qp.grid_points = 17;
-  options.qp.refine_iters = 6;
-  options.qp.pga_restarts = 1;
 
   const auto family = std::make_shared<CloakingFamily>(grid);
   const core::PristeGeoInd priste(grid, {model}, options, family);
@@ -89,13 +86,14 @@ TEST(MechanismFamilyTest, PristeCalibratesCloakingFamily) {
   for (int trial = 0; trial < 15; ++trial) {
     const linalg::Vector pi = testing::RandomProbability(16, prior_rng);
     core::JointCalculator calc(model.get(), pi);
-    for (const auto& step : result->steps) {
-      const auto mech = family->Instantiate(step.released_alpha);
-      calc.Push(mech->emission().EmissionColumn(step.released_cell));
+    for (int t = 1; t <= result->released.length(); ++t) {
+      const auto mech = family->Instantiate(
+          result->steps[static_cast<size_t>(t - 1)].released_alpha);
+      calc.Push(mech->emission().EmissionColumn(result->released.At(t)));
       EXPECT_LE(calc.LikelihoodRatio(), std::exp(epsilon) * (1 + 1e-6))
-          << "t=" << step.t;
+          << "t=" << t;
       EXPECT_GE(calc.LikelihoodRatio(), std::exp(-epsilon) * (1 - 1e-6))
-          << "t=" << step.t;
+          << "t=" << t;
     }
   }
 }

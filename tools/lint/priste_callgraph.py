@@ -149,8 +149,8 @@ class Function:
     def __init__(self, rel_path, qualified, simple, start_line, end_line,
                  head, body):
         self.rel_path = rel_path
-        self.qualified = qualified      # e.g. "SliceLpSolver::Solve"
-        self.simple = simple            # e.g. "Solve"
+        self.qualified = qualified      # e.g. "QpSolver::Maximize"
+        self.simple = simple            # e.g. "Maximize"
         self.start_line = start_line    # 1-based line of the head
         self.end_line = end_line
         self.head = head                # text between previous boundary and '{'

@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
   }
 
   const Result<void> write =
-      io::WriteTextFile(args.output, io::RunResultToCsv(*result));
+      io::WriteTextFile(args.output, io::RunResultToCsv(*result, *trajectory));
   if (!write.ok()) {
     std::fprintf(stderr, "output: %s\n", write.error().ToString().c_str());
     return 1;
