@@ -5,6 +5,8 @@
 // seed the BENCH_micro.json perf trajectory (scripts/bench.sh).
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "priste/common/check.h"
 #include "priste/common/random.h"
 #include "priste/common/thread_pool.h"
@@ -79,6 +81,9 @@ void BM_JointPush(benchmark::State& state) {
 }
 BENCHMARK(BM_JointPush)->Arg(8)->Arg(16);
 
+// The cold Theorem IV.1 chain over an 8-column history past a t = 3..5
+// window: β through the post-window steps, then the b̄ and c̄ chains in
+// lockstep. Side 20 (m = 400) is the paper-scale shape.
 void BM_TheoremVectors(benchmark::State& state) {
   Fixture& f = SharedFixture(static_cast<int>(state.range(0)));
   const core::PrivacyQuantifier quantifier(&f.model);
@@ -88,7 +93,7 @@ void BM_TheoremVectors(benchmark::State& state) {
     benchmark::DoNotOptimize(quantifier.ComputeVectors(history).b_bar.Sum());
   }
 }
-BENCHMARK(BM_TheoremVectors)->Arg(8)->Arg(16);
+BENCHMARK(BM_TheoremVectors)->Arg(8)->Arg(16)->Arg(20);
 
 // One arbitrary-prior check (both Theorem IV.1 conditions) on dense
 // planar-Laplace Theorem vectors: the exact edge enumeration runs over all m
@@ -579,4 +584,19 @@ BENCHMARK(BM_RepeatedGeoIndExperiment)->Arg(4)->ArgName("runs")
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus priste's own build type and active kernel dispatch path
+// in the JSON context (Google Benchmark's library_build_type describes
+// libbenchmark, not the code under measurement).
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::string build_type = PRISTE_BUILD_TYPE;
+  benchmark::AddCustomContext("priste_build_type",
+                              build_type.empty() ? "none" : build_type);
+  benchmark::AddCustomContext(
+      "priste_simd_dispatch",
+      priste::linalg::kernels::SimdActive() ? "avx2" : "scalar");
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

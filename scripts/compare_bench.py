@@ -29,6 +29,7 @@ GUARDED_PREFIXES = [
     "BM_ForwardBackward/side:32/csr:1",
     "BM_SparseEmissionTheoremVectors/sparse_cols:1",
     "BM_SparseEmissionForwardBackward/csr:1/sparse_cols:1",
+    "BM_TheoremVectors",
     "BM_QpCheck",
     "BM_ReleaseStepCached/cached:1",
     "BM_ReleaseStepDensePrefix/dense_rows:1",

@@ -18,6 +18,14 @@ void LiftedEventModel::StepColumnInto(const linalg::Vector& v, int t,
   out = StepColumn(v, t);
 }
 
+void LiftedEventModel::StepColumnPairInto(const linalg::Vector& v1,
+                                          const linalg::Vector& v2, int t,
+                                          linalg::Vector& o1,
+                                          linalg::Vector& o2) const {
+  StepColumnInto(v1, t, o1);
+  StepColumnInto(v2, t, o2);
+}
+
 void LiftedEventModel::ApplyEmissionInPlace(const linalg::Vector& emission,
                                             linalg::Vector& v) const {
   v = ApplyEmission(emission, v);

@@ -64,6 +64,16 @@ class LiftedEventModel {
   virtual void StepColumnInto(const linalg::Vector& v, int t,
                               linalg::Vector& out) const;
 
+  /// Two column steps at the same t: o1 = M_t · v1, o2 = M_t · v2, each
+  /// bit-equal to its own StepColumnInto. The quantifier advances its b̄ and
+  /// c̄ chains in lockstep through this, so a model can stream its base
+  /// matrix once for both; the default makes the two calls. Neither output
+  /// may alias either input.
+  virtual void StepColumnPairInto(const linalg::Vector& v1,
+                                  const linalg::Vector& v2, int t,
+                                  linalg::Vector& o1,
+                                  linalg::Vector& o2) const;
+
   /// In-place emission product: v ← p̃ᴰ_o · v (entry-wise, so aliasing is
   /// inherent and safe).
   virtual void ApplyEmissionInPlace(const linalg::Vector& emission,

@@ -34,24 +34,34 @@ TheoremVectors ComputeVectorsImpl(const LiftedEventModel& model,
     }
   }
 
-  // Two ping-pong work vectors shared by every chain below — the only lifted
-  // allocations in this call, reused across all timesteps.
-  linalg::Vector cur(model.lifted_size());
-  linalg::Vector nxt(model.lifted_size());
+  // The b̄ and c̄ chains with their ping-pong buffers — the only lifted
+  // allocations in this call, reused across all timesteps. cur_c starts at
+  // the all-ones column: Eq. (18)'s c̄ seed and the start of Eq. (19)'s β.
+  const size_t lifted = model.lifted_size();
+  linalg::Vector cur_b(lifted), nxt_b(lifted), nxt_c(lifted);
+  linalg::Vector cur_c = linalg::Vector::Ones(lifted);
 
-  // Right-to-left application of the Lemma III.2/III.3 chain onto a seed
-  // column; `last` is the number of diag/transition factors to run through
-  // (t during the event, end after it). Leaves the result in `cur`.
-  const auto apply_prefix = [&](const linalg::Vector& seed, int last) {
-    cur = seed;
+  // Emission product p̃ᴰ_{o_i} and its normalization, in place.
+  const auto apply_emission = [&](int i, linalg::Vector& v) {
+    model.ApplyEmissionInPlace(emissions[static_cast<size_t>(i - 1)], v);
+    if (inv_scale[static_cast<size_t>(i - 1)] != 1.0) {
+      v.ScaleInPlace(inv_scale[static_cast<size_t>(i - 1)]);
+    }
+  };
+
+  // Right-to-left application of the Lemma III.2/III.3 chain onto the b̄
+  // and c̄ seeds in cur_b and cur_c; `last` is the number of
+  // diag/transition factors to run through (t during the event, end after
+  // it). The chains advance in lockstep, so each transition factor is one
+  // StepColumnPairInto — one pass over the base matrix for both.
+  const auto apply_prefix = [&](int last) {
     for (int i = last; i >= 1; --i) {
-      model.ApplyEmissionInPlace(emissions[static_cast<size_t>(i - 1)], cur);
-      if (inv_scale[static_cast<size_t>(i - 1)] != 1.0) {
-        cur.ScaleInPlace(inv_scale[static_cast<size_t>(i - 1)]);
-      }
+      apply_emission(i, cur_b);
+      apply_emission(i, cur_c);
       if (i > 1) {
-        model.StepColumnInto(cur, i - 1, nxt);
-        std::swap(cur, nxt);
+        model.StepColumnPairInto(cur_b, cur_c, i - 1, nxt_b, nxt_c);
+        std::swap(cur_b, nxt_b);
+        std::swap(cur_c, nxt_c);
       }
     }
   };
@@ -63,28 +73,21 @@ TheoremVectors ComputeVectorsImpl(const LiftedEventModel& model,
   if (t <= end) {
     // Eq. (18): b seeds with the event suffix v_t, c with the all-ones
     // column.
-    apply_prefix(model.SuffixTrue(t), t);
-    out.b_bar = model.ContractColumn(cur);
-    apply_prefix(linalg::Vector::Ones(model.lifted_size()), t);
-    out.c_bar = model.ContractColumn(cur);
+    cur_b = model.SuffixTrue(t);
+    apply_prefix(t);
   } else {
     // Eqs. (19)/(20): backward vector β over o_{end+1}..o_t, then the
-    // during-event prefix up to `end`.
-    linalg::Vector beta = linalg::Vector::Ones(model.lifted_size());
+    // during-event prefix up to `end`, seeded with β∘mask for b and β for c.
     for (int tau = t - 1; tau >= end; --tau) {
-      model.ApplyEmissionInPlace(emissions[static_cast<size_t>(tau)], beta);
-      if (inv_scale[static_cast<size_t>(tau)] != 1.0) {
-        beta.ScaleInPlace(inv_scale[static_cast<size_t>(tau)]);
-      }
-      model.StepColumnInto(beta, tau, nxt);
-      std::swap(beta, nxt);
+      apply_emission(tau + 1, cur_c);
+      model.StepColumnInto(cur_c, tau, nxt_c);
+      std::swap(cur_c, nxt_c);
     }
-    linalg::Vector beta_true = beta.Hadamard(model.AcceptingMask());
-    apply_prefix(beta_true, end);
-    out.b_bar = model.ContractColumn(cur);
-    apply_prefix(beta, end);
-    out.c_bar = model.ContractColumn(cur);
+    cur_b = cur_c.Hadamard(model.AcceptingMask());
+    apply_prefix(end);
   }
+  out.b_bar = model.ContractColumn(cur_b);
+  out.c_bar = model.ContractColumn(cur_c);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "priste/core/two_world.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "priste/common/check.h"
 #include "priste/linalg/kernels.h"
@@ -130,38 +131,80 @@ void TwoWorldModel::StepRowSpanInto(const double* v, int t,
 
 void TwoWorldModel::StepColumnInto(const linalg::Vector& v, int t,
                                    linalg::Vector& out) const {
+  PRISTE_CHECK(v.size() == 2 * num_states() && out.size() == 2 * num_states());
+  PRISTE_DCHECK(v.data() != out.data());
+  const double* vp = v.data();
+  double* op = out.data();
+  StepColumnSpans(&vp, &op, 1, t);
+}
+
+void TwoWorldModel::StepColumnPairInto(const linalg::Vector& v1,
+                                       const linalg::Vector& v2, int t,
+                                       linalg::Vector& o1,
+                                       linalg::Vector& o2) const {
+  const size_t n = 2 * num_states();
+  PRISTE_CHECK(v1.size() == n && v2.size() == n && o1.size() == n &&
+               o2.size() == n);
+  PRISTE_DCHECK(o1.data() != v1.data() && o1.data() != v2.data() &&
+                o2.data() != v1.data() && o2.data() != v2.data() &&
+                o1.data() != o2.data());
+  const double* v[2] = {v1.data(), v2.data()};
+  double* out[2] = {o1.data(), o2.data()};
+  StepColumnSpans(v, out, 2, t);
+}
+
+void TwoWorldModel::StepColumnSpans(const double* const* v, double* const* out,
+                                    size_t count, int t) const {
   const size_t m = num_states();
   PRISTE_CHECK(t >= 1);
-  PRISTE_CHECK(v.size() == 2 * m && out.size() == 2 * m);
-  PRISTE_DCHECK(v.data() != out.data());
+  PRISTE_DCHECK(count >= 1 && count <= 2);
   const markov::TransitionMatrix& base = schedule_.AtStep(t);
-  const double* vf = v.data();
-  const double* vt = v.data() + m;
-  double* of = out.data();
-  double* ot = out.data() + m;
+  // The step's base products, gathered for one pass over M.
+  const double* in[4] = {};
+  double* prod[4] = {};
+  size_t products = 0;
 
   const StepForm form = FormAt(t);
   if (!form.in_window) {
-    base.BackwardSpan(vf, of);
-    base.BackwardSpan(vt, ot);
+    // Block diagonal (Eq. 5/8): each world takes its own base product. The
+    // post-window β of the quantifier starts at Ones and meets only
+    // replicated emissions and equal blocks, so its halves stay bit-equal
+    // and one product serves both.
+    bool equal_halves[2] = {false, false};
+    for (size_t k = 0; k < count; ++k) {
+      equal_halves[k] = std::memcmp(v[k], v[k] + m, m * sizeof(double)) == 0;
+      in[products] = v[k];
+      prod[products++] = out[k];
+      if (!equal_halves[k]) {
+        in[products] = v[k] + m;
+        prod[products++] = out[k] + m;
+      }
+    }
+    base.BackwardSpans(in, prod, products);
+    for (size_t k = 0; k < count; ++k) {
+      if (equal_halves[k]) std::memcpy(out[k] + m, out[k], m * sizeof(double));
+    }
     return;
   }
 
   // Column step: keep·x + enter·y = M·((1−d)∘x + d∘y) — mix first, then one
   // base product per world.
   static thread_local std::vector<double> mix;
-  mix.resize(m);
+  mix.resize(2 * m);
   const Vector& d = *form.indicator;
-  for (size_t i = 0; i < m; ++i) {
-    mix[i] = (1.0 - d[i]) * vf[i] + d[i] * vt[i];
+  for (size_t k = 0; k < count; ++k) {
+    const double* vf = v[k];
+    const double* vt = v[k] + m;
+    double* mk = mix.data() + k * m;
+    for (size_t i = 0; i < m; ++i) {
+      mk[i] = (1.0 - d[i]) * vf[i] + d[i] * vt[i];
+    }
+    in[products] = form.enter_true ? mk : vf;
+    prod[products++] = out[k];
+    in[products] = form.enter_true ? vt : mk;
+    prod[products++] = out[k] + m;
   }
-  if (form.enter_true) {
-    base.BackwardSpan(mix.data(), of);
-    base.BackwardSpan(vt, ot);
-  } else {
-    base.BackwardSpan(vf, of);
-    base.BackwardSpan(mix.data(), ot);
-  }
+  base.BackwardSpans(in, prod, products);
 }
 
 void TwoWorldModel::ApplyEmissionInPlace(const linalg::Vector& emission,

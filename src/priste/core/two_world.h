@@ -70,6 +70,10 @@ class TwoWorldModel : public LiftedEventModel {
                    linalg::Vector& out) const override;
   void StepColumnInto(const linalg::Vector& v, int t,
                       linalg::Vector& out) const override;
+  /// Both vectors' base products — up to four — in one base-matrix pass.
+  void StepColumnPairInto(const linalg::Vector& v1, const linalg::Vector& v2,
+                          int t, linalg::Vector& o1,
+                          linalg::Vector& o2) const override;
   void ApplyEmissionInPlace(const linalg::Vector& emission,
                             linalg::Vector& v) const override;
   // Un-hide the inherited sparse-emission overload (the [F | T] layout is
@@ -89,6 +93,13 @@ class TwoWorldModel : public LiftedEventModel {
   };
 
   StepForm FormAt(int t) const;
+
+  /// Column step of `count` (1 or 2) lifted spans, out[k] = M_t · v[k], with
+  /// every base product of the step in one BackwardSpans pass. In a
+  /// block-diagonal step a span whose halves are bit-equal gets one product,
+  /// copied to both halves.
+  void StepColumnSpans(const double* const* v, double* const* out,
+                       size_t count, int t) const;
 
   markov::TransitionSchedule schedule_;
   event::EventPtr event_;

@@ -77,6 +77,7 @@ constexpr KernelTable kScalarTable = {
     &detail::ScalarHadamardInPlace,
     &detail::ScalarHadamardInto,
     &detail::ScalarGatherDot,
+    &detail::ScalarDotRows,
     &ScalarReplicateDot,
     &ScalarReplicateDotPair,
 };
@@ -169,6 +170,12 @@ void DispatchHadamardInto(const double* a, const double* b, double* out,
 double DispatchGatherDot(const double* values, const size_t* cols, size_t nnz,
                          const double* x) {
   return g_table->gather_dot(values, cols, nnz, x);
+}
+
+void DispatchDotRows(const double* rows, size_t stride, size_t nrows,
+                     const double* const* vs, size_t count, size_t n,
+                     double* const* outs) {
+  g_table->dot_rows(rows, stride, nrows, vs, count, n, outs);
 }
 
 }  // namespace detail

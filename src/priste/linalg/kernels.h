@@ -3,6 +3,7 @@
 
 #include <cstddef>
 
+#include "priste/common/check.h"
 #include "priste/common/thread_annotations.h"
 
 namespace priste::linalg::kernels {
@@ -124,6 +125,16 @@ PRISTE_HOT_PATH inline double ScalarGatherDot(const double* values, const size_t
   return total;
 }
 
+PRISTE_HOT_PATH inline void ScalarDotRows(const double* rows, size_t stride,
+                                          size_t nrows, const double* const* vs,
+                                          size_t count, size_t n,
+                                          double* const* outs) {
+  for (size_t r = 0; r < nrows; ++r) {
+    const double* row = rows + r * stride;
+    for (size_t j = 0; j < count; ++j) outs[j][r] = ScalarDot(row, vs[j], n);
+  }
+}
+
 // Out-of-line entry points that read the dispatch table (kernels.cc).
 double DispatchSum(const double* x, size_t n);
 double DispatchDot(const double* a, const double* b, size_t n);
@@ -136,6 +147,9 @@ void DispatchHadamardInto(const double* a, const double* b, double* out,
                           size_t n);
 double DispatchGatherDot(const double* values, const size_t* cols, size_t nnz,
                          const double* x);
+void DispatchDotRows(const double* rows, size_t stride, size_t nrows,
+                     const double* const* vs, size_t count, size_t n,
+                     double* const* outs);
 
 }  // namespace detail
 
@@ -149,6 +163,28 @@ PRISTE_HOT_PATH inline double Sum(const double* x, size_t n) {
 PRISTE_HOT_PATH inline double Dot(const double* a, const double* b, size_t n) {
   if (n < detail::kInlineThreshold) return detail::ScalarDot(a, b, n);
   return detail::DispatchDot(a, b, n);
+}
+
+/// Most vectors one DotRows call takes.
+inline constexpr size_t kDotRowsMaxVectors = 4;
+
+/// outs[j][r] = Dot(rows + r·stride, vs[j], n) for every r < nrows and
+/// j < count, 1 ≤ count ≤ kDotRowsMaxVectors: up to four matrix-vector
+/// products over one pass through the rows. The AVX2 path register-blocks
+/// rows × vectors (4×1, 4×2, 2×3 and 2×4 accumulators), which changes only
+/// which accumulators share the registers: each output keeps Dot's four
+/// lanes, its (l0+l2)+(l1+l3) reduction and its sequential tail, so every
+/// outs[j][r] is bit-equal to the per-row Dot on either path. No output may
+/// overlap `rows` or any vs[k].
+PRISTE_HOT_PATH inline void DotRows(const double* rows, size_t stride,
+                                    size_t nrows, const double* const* vs,
+                                    size_t count, size_t n,
+                                    double* const* outs) {
+  PRISTE_DCHECK(count >= 1 && count <= kDotRowsMaxVectors);
+  if (n < detail::kInlineThreshold) {
+    return detail::ScalarDotRows(rows, stride, nrows, vs, count, n, outs);
+  }
+  detail::DispatchDotRows(rows, stride, nrows, vs, count, n, outs);
 }
 
 /// Σ (a[i]·b[i])·c[i] — the fused triple-product reduction behind the

@@ -118,6 +118,72 @@ PRISTE_HOT_PATH double Avx2GatherDot(const double* values, const size_t* cols, s
   return total;
 }
 
+// One R-row × C-vector register block of DotRows, rows r0..r0+R−1.
+// acc[r][j] is Avx2Dot's accumulator for (row r, vector j), fed the same
+// products in the same order, and each output is reduced and finished with
+// the sequential tail exactly as Avx2Dot finishes its one — so blocking
+// shares the loads without changing a single rounding.
+template <size_t R, size_t C>
+PRISTE_HOT_PATH inline void Avx2DotBlock(const double* rows, size_t stride,
+                                         size_t r0, const double* const* vs,
+                                         size_t n, double* const* outs) {
+  const double* row[R];
+  const double* v[C];
+  __m256d acc[R][C];
+  for (size_t r = 0; r < R; ++r) row[r] = rows + (r0 + r) * stride;
+  for (size_t j = 0; j < C; ++j) v[j] = vs[j];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t j = 0; j < C; ++j) acc[r][j] = _mm256_setzero_pd();
+  }
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d x[C];
+    for (size_t j = 0; j < C; ++j) x[j] = _mm256_loadu_pd(v[j] + i);
+    for (size_t r = 0; r < R; ++r) {
+      const __m256d a = _mm256_loadu_pd(row[r] + i);
+      for (size_t j = 0; j < C; ++j) {
+        acc[r][j] = _mm256_add_pd(acc[r][j], _mm256_mul_pd(a, x[j]));
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t j = 0; j < C; ++j) {
+      double total = ReduceLanes(acc[r][j]);
+      for (size_t k = i; k < n; ++k) total += row[r][k] * v[j][k];
+      outs[j][r0 + r] = total;
+    }
+  }
+}
+
+// Full R-row blocks, then the leftover rows one at a time.
+template <size_t R, size_t C>
+PRISTE_HOT_PATH void Avx2DotRowsBlocked(const double* rows, size_t stride,
+                                        size_t nrows, const double* const* vs,
+                                        size_t n, double* const* outs) {
+  size_t r = 0;
+  for (; r + R <= nrows; r += R) {
+    Avx2DotBlock<R, C>(rows, stride, r, vs, n, outs);
+  }
+  for (; r < nrows; ++r) Avx2DotBlock<1, C>(rows, stride, r, vs, n, outs);
+}
+
+// Block shapes keep acc + one row load + C vector loads within the 16 ymm
+// registers: 4×1 and 4×2 for one or two vectors, 2×3 and 2×4 beyond.
+PRISTE_HOT_PATH void Avx2DotRows(const double* rows, size_t stride,
+                                 size_t nrows, const double* const* vs,
+                                 size_t count, size_t n, double* const* outs) {
+  switch (count) {
+    case 1:
+      return Avx2DotRowsBlocked<4, 1>(rows, stride, nrows, vs, n, outs);
+    case 2:
+      return Avx2DotRowsBlocked<4, 2>(rows, stride, nrows, vs, n, outs);
+    case 3:
+      return Avx2DotRowsBlocked<2, 3>(rows, stride, nrows, vs, n, outs);
+    default:
+      return Avx2DotRowsBlocked<2, 4>(rows, stride, nrows, vs, n, outs);
+  }
+}
+
 PRISTE_HOT_PATH double Avx2ReplicateDot(const double* row, size_t blocks, size_t m,
                         const double* cand) {
   double total = 0.0;
@@ -166,6 +232,7 @@ constexpr KernelTable kAvx2Table = {
     &Avx2HadamardInPlace,
     &Avx2HadamardInto,
     &Avx2GatherDot,
+    &Avx2DotRows,
     &Avx2ReplicateDot,
     &Avx2ReplicateDotPair,
 };

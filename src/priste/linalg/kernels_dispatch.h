@@ -18,6 +18,8 @@ struct KernelTable {
   void (*hadamard_in_place)(const double*, double*, size_t);
   void (*hadamard_into)(const double*, const double*, double*, size_t);
   double (*gather_dot)(const double*, const size_t*, size_t, const double*);
+  void (*dot_rows)(const double*, size_t, size_t, const double* const*, size_t,
+                   size_t, double* const*);
   double (*replicate_dot)(const double*, size_t, size_t, const double*);
   void (*replicate_dot_pair)(const double*, size_t, size_t, const double*,
                              const double*, double*, double*);

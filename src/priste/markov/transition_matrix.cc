@@ -86,14 +86,17 @@ void TransitionMatrix::PropagateSpan(const double* p, double* out) const {
 }
 
 void TransitionMatrix::BackwardSpan(const double* v, double* out) const {
+  BackwardSpans(&v, &out, 1);
+}
+
+void TransitionMatrix::BackwardSpans(const double* const* in,
+                                     double* const* out, size_t count) const {
   if (sparse_ != nullptr) {
-    sparse_->MatVecSpan(v, out);
+    for (size_t j = 0; j < count; ++j) sparse_->MatVecSpan(in[j], out[j]);
     return;
   }
   const size_t m = num_states();
-  for (size_t r = 0; r < m; ++r) {
-    out[r] = linalg::kernels::Dot(matrix_.RowPtr(r), v, m);
-  }
+  linalg::kernels::DotRows(matrix_.RowPtr(0), m, m, in, count, m, out);
 }
 
 void TransitionMatrix::PropagateInto(const linalg::Vector& p,

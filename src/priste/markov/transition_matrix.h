@@ -87,8 +87,17 @@ class TransitionMatrix {
 
   /// Raw-span kernels over buffers of length m (blockwise lifted-chain steps
   /// operate on slices of lifted vectors). `out` must not alias `p`/`v`.
+  /// BackwardSpan is BackwardSpans with one vector.
   void PropagateSpan(const double* p, double* out) const;
   void BackwardSpan(const double* v, double* out) const;
+
+  /// out[j] = M · in[j] for j < count, 1 ≤ count ≤
+  /// linalg::kernels::kDotRowsMaxVectors. The dense path streams M once for
+  /// all of them (kernels::DotRows); the CSR path runs one MatVecSpan per
+  /// vector. Either way out[j] is bit-equal to a lone BackwardSpan(in[j]).
+  /// No out[j] may overlap any in[k].
+  void BackwardSpans(const double* const* in, double* const* out,
+                     size_t count) const;
 
   /// k Markov steps.
   linalg::Vector PropagateSteps(const linalg::Vector& p, int steps) const;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "priste/event/pattern.h"
 #include "priste/event/presence.h"
 #include "priste/linalg/ops.h"
@@ -133,16 +135,29 @@ TEST(TwoWorldTest, SuffixVectorsAreEventProbabilities) {
   EXPECT_TRUE(model.PriorContraction().AllInRange(0.0, 1.0));
 }
 
+// A lifted column of random entries; with `equal_halves` the TRUE half is a
+// copy of the FALSE half, the shape of the quantifier's post-window β.
+linalg::Vector RandomLifted(size_t m, bool equal_halves, Rng& rng) {
+  linalg::Vector v(2 * m);
+  for (size_t i = 0; i < m; ++i) {
+    v[i] = rng.NextDouble();
+    v[m + i] = equal_halves ? v[i] : rng.NextDouble();
+  }
+  return v;
+}
+
 TEST(TwoWorldTest, BlockwiseStepKernelsMatchDenseTransitionOracle) {
   // StepRow/StepColumn never build M_t; both are checked here against
   // products with the dense TransitionAt(t) blocks, so a mistake the two
   // kernels share cannot cancel out in the cached-vs-cold suites (which run
   // one kernel against the other). Covers the capture (PRESENCE), entry and
   // continuation (PATTERN) forms, windows opening at t = 1..3, and the
-  // block-diagonal steps on either side of the window.
+  // block-diagonal steps on either side of the window — at small m, where
+  // the spans run inline, and at m = 18 and 37, where they dispatch and
+  // neither is a multiple of the 4-row block. Columns with bit-equal halves
+  // take the block-diagonal step's one-product shortcut.
   Rng rng(17);
-  for (int trial = 0; trial < 4; ++trial) {
-    const size_t m = 3 + rng.NextBelow(6);
+  const auto check = [&](size_t m) {
     const auto chain = testing::RandomTransition(m, rng);
     for (int start = 1; start <= 3; ++start) {
       const int len = 1 + static_cast<int>(rng.NextBelow(3));
@@ -160,15 +175,65 @@ TEST(TwoWorldTest, BlockwiseStepKernelsMatchDenseTransitionOracle) {
         const TwoWorldModel model(chain, ev);
         for (int t = 1; t <= model.event_end() + 1; ++t) {
           const linalg::Matrix dense = model.TransitionAt(t).ToDense();
-          linalg::Vector v(2 * m);
-          for (size_t i = 0; i < v.size(); ++i) v[i] = rng.NextDouble();
-          EXPECT_LT(model.StepRow(v, t).Minus(linalg::VecMat(v, dense)).MaxAbs(),
-                    1e-12)
-              << "presence=" << presence << " start=" << start << " t=" << t;
-          EXPECT_LT(
-              model.StepColumn(v, t).Minus(linalg::MatVec(dense, v)).MaxAbs(),
-              1e-12)
-              << "presence=" << presence << " start=" << start << " t=" << t;
+          for (const bool equal_halves : {false, true}) {
+            const linalg::Vector v = RandomLifted(m, equal_halves, rng);
+            EXPECT_LT(
+                model.StepRow(v, t).Minus(linalg::VecMat(v, dense)).MaxAbs(),
+                1e-12)
+                << "m=" << m << " presence=" << presence << " start=" << start
+                << " t=" << t;
+            EXPECT_LT(
+                model.StepColumn(v, t).Minus(linalg::MatVec(dense, v)).MaxAbs(),
+                1e-12)
+                << "m=" << m << " presence=" << presence << " start=" << start
+                << " t=" << t << " equal_halves=" << equal_halves;
+          }
+        }
+      }
+    }
+  };
+  for (int trial = 0; trial < 4; ++trial) check(3 + rng.NextBelow(6));
+  check(18);
+  check(37);
+}
+
+TEST(TwoWorldTest, StepColumnPairIsBitEqualToTwoSingleSteps) {
+  // The pair step streams the base matrix once for both vectors; each output
+  // must still be bit-equal to its own StepColumnInto. A window of three
+  // steps opening at t = 3 gives, for PRESENCE, the capture form at t = 2..4
+  // and, for PATTERN, the entry form at t = 2 and the continuation form at
+  // t = 3..4; t = 1 and t = 5..6 are block diagonal. Each step pairs columns
+  // with unequal halves, with equal halves, and one of each.
+  Rng rng(19);
+  for (const size_t m : {5ul, 18ul, 37ul}) {
+    const auto chain = testing::RandomTransition(m, rng);
+    std::vector<geo::Region> regions;
+    for (int i = 0; i < 3; ++i) regions.push_back(testing::RandomRegion(m, rng));
+    for (const bool presence : {true, false}) {
+      event::EventPtr ev;
+      if (presence) {
+        ev = std::make_shared<PresenceEvent>(regions, 3);
+      } else {
+        ev = std::make_shared<PatternEvent>(regions, 3);
+      }
+      const TwoWorldModel model(chain, ev);
+      for (int t = 1; t <= model.event_end() + 1; ++t) {
+        for (const auto& [eq1, eq2] : {std::pair{false, false},
+                                       std::pair{true, true},
+                                       std::pair{true, false},
+                                       std::pair{false, true}}) {
+          const linalg::Vector v1 = RandomLifted(m, eq1, rng);
+          const linalg::Vector v2 = RandomLifted(m, eq2, rng);
+          linalg::Vector o1(2 * m), o2(2 * m), s1(2 * m), s2(2 * m);
+          model.StepColumnPairInto(v1, v2, t, o1, o2);
+          model.StepColumnInto(v1, t, s1);
+          model.StepColumnInto(v2, t, s2);
+          EXPECT_EQ(o1.as_std(), s1.as_std())
+              << "m=" << m << " presence=" << presence << " t=" << t
+              << " equal_halves=" << eq1 << "," << eq2;
+          EXPECT_EQ(o2.as_std(), s2.as_std())
+              << "m=" << m << " presence=" << presence << " t=" << t
+              << " equal_halves=" << eq1 << "," << eq2;
         }
       }
     }

@@ -166,6 +166,60 @@ TEST(KernelsTest, ReplicateKernelsAreBitIdenticalAcrossPaths) {
   }
 }
 
+// DotRows blocks rows × vectors, but every output must keep the exact
+// operation sequence of the per-row Dot: row counts straddle the 4- and
+// 2-row blocks, lengths straddle the inline threshold and the lane tail.
+TEST(KernelsTest, DotRowsMatchesPerRowDotOnBothPaths) {
+  Rng rng(99);
+  for (const size_t count : {1ul, 2ul, 3ul, 4ul}) {
+    for (const size_t nrows : {1ul, 3ul, 4ul, 5ul, 9ul}) {
+      for (const size_t n : {3ul, 15ul, 16ul, 17ul, 33ul, 100ul}) {
+        // Rows padded to a stride wider than n, so a kernel reading past n
+        // or ignoring the stride shows.
+        const size_t stride = n + 3;
+        const std::vector<double> rows = RandomSpan(nrows * stride, rng);
+        std::vector<std::vector<double>> vs;
+        std::vector<const double*> vp;
+        for (size_t j = 0; j < count; ++j) {
+          vs.push_back(RandomSpan(n, rng));
+          vp.push_back(vs.back().data());
+        }
+        const auto run = [&] {
+          std::vector<std::vector<double>> outs(count,
+                                                std::vector<double>(nrows));
+          std::vector<double*> op;
+          for (auto& o : outs) op.push_back(o.data());
+          DotRows(rows.data(), stride, nrows, vp.data(), count, n, op.data());
+          return outs;
+        };
+        const auto per_row_dot = [&] {
+          std::vector<std::vector<double>> outs(count,
+                                                std::vector<double>(nrows));
+          for (size_t j = 0; j < count; ++j) {
+            for (size_t r = 0; r < nrows; ++r) {
+              outs[j][r] = Dot(rows.data() + r * stride, vp[j], n);
+            }
+          }
+          return outs;
+        };
+        std::vector<std::vector<double>> scalar;
+        {
+          ScopedSimd off(false);
+          scalar = run();
+          EXPECT_EQ(scalar, per_row_dot())
+              << "scalar count=" << count << " nrows=" << nrows << " n=" << n;
+        }
+        ScopedSimd on(true);
+        const auto simd = run();
+        EXPECT_EQ(simd, per_row_dot())
+            << "simd count=" << count << " nrows=" << nrows << " n=" << n;
+        EXPECT_EQ(simd, scalar)
+            << "count=" << count << " nrows=" << nrows << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, SetSimdEnabledForTestReturnsPreviousState) {
   const bool initial = SimdActive();
   const bool prev = SetSimdEnabledForTest(false);

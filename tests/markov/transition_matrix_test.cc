@@ -180,6 +180,35 @@ TEST(TransitionMatrixTest, SparseEmissionFusedKernelsMatchDenseColumns) {
   }
 }
 
+TEST(TransitionMatrixTest, BackwardSpansMatchSeparateBackwardSpans) {
+  // One pass for up to four vectors must reproduce the lone products bit for
+  // bit, on the dense (DotRows) and the CSR (per-vector MatVecSpan) paths.
+  Rng rng(29);
+  for (const bool allow_sparse : {false, true}) {
+    const TransitionMatrix chain = GridRandomWalk(7, 5, allow_sparse);
+    ASSERT_EQ(chain.has_sparse(), allow_sparse);
+    const size_t m = chain.num_states();
+    std::vector<linalg::Vector> in;
+    for (int j = 0; j < 4; ++j) in.push_back(testing::RandomProbability(m, rng));
+    for (size_t count = 1; count <= 4; ++count) {
+      std::vector<linalg::Vector> fused(count, linalg::Vector(m));
+      std::vector<const double*> ip;
+      std::vector<double*> op;
+      for (size_t j = 0; j < count; ++j) {
+        ip.push_back(in[j].data());
+        op.push_back(fused[j].data());
+      }
+      chain.BackwardSpans(ip.data(), op.data(), count);
+      for (size_t j = 0; j < count; ++j) {
+        linalg::Vector lone(m);
+        chain.BackwardSpan(in[j].data(), lone.data());
+        EXPECT_EQ(fused[j].as_std(), lone.as_std())
+            << "csr=" << allow_sparse << " count=" << count << " j=" << j;
+      }
+    }
+  }
+}
+
 TEST(TransitionMatrixTest, RowDistributionIsProbability) {
   Rng rng(11);
   const TransitionMatrix m = testing::RandomTransition(4, rng);
