@@ -276,87 +276,6 @@ BENCHMARK(BM_ForwardBackward)
     ->ArgNames({"side", "csr"});
 
 // ---------------------------------------------------------------------------
-// Sparse-emission pairs: the workload is a 1024-cell grid whose
-// observations are δ-location-set style — each emission column is supported
-// on 9 cells. The sparse pipeline carries the columns as index/value pairs
-// end to end.
-// ---------------------------------------------------------------------------
-
-// Deterministic 9-cell-support emission columns over a side×side grid. The
-// support is a strip inside one row whose anchor drifts one cell per step:
-// consecutive supports overlap in 8 Moore-adjacent cells, so the observation
-// sequence stays possible under the grid walk (a δ-location set tracking a
-// slowly moving user).
-std::vector<linalg::Vector> DeltaLocSetColumns(int side, int steps) {
-  PRISTE_CHECK(steps + 9 <= side);
-  Rng rng(1234);
-  const size_t m = static_cast<size_t>(side) * static_cast<size_t>(side);
-  std::vector<linalg::Vector> columns;
-  size_t anchor = static_cast<size_t>(side / 2) * static_cast<size_t>(side);
-  for (int t = 0; t < steps; ++t, ++anchor) {
-    linalg::Vector e(m);
-    for (size_t j = 0; j < 9; ++j) {
-      e[anchor + j] = 0.1 + 0.9 * rng.NextDouble();
-    }
-    columns.push_back(std::move(e));
-  }
-  return columns;
-}
-
-// Theorem-vector chain over the 1024-cell CSR chain, dense vs sparse columns.
-void BM_SparseEmissionTheoremVectors(benchmark::State& state) {
-  const int side = 32;
-  const bool sparse_columns = state.range(0) != 0;
-  const markov::TransitionMatrix chain = MooreGridWalk(side, /*allow_sparse=*/true);
-  const size_t m = chain.num_states();
-  const auto ev = event::PresenceEvent::Make(m, 1, 8, 3, 5);
-  const core::TwoWorldModel model(chain, ev);
-  const core::PrivacyQuantifier quantifier(&model);
-  const std::vector<linalg::Vector> dense_columns = DeltaLocSetColumns(side, 8);
-  std::vector<linalg::SparseVector> sparse_cols;
-  for (const auto& c : dense_columns) {
-    sparse_cols.push_back(linalg::SparseVector::FromDense(c));
-  }
-  for (auto _ : state) {
-    const double sum =
-        sparse_columns ? quantifier.ComputeVectors(sparse_cols).b_bar.Sum()
-                       : quantifier.ComputeVectors(dense_columns).b_bar.Sum();
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_SparseEmissionTheoremVectors)->Arg(0)->Arg(1)->ArgName("sparse_cols");
-
-// Forward–backward over the same grid and columns: dense vs sparse columns
-// on both chain paths. On the dense chain the sparse-column fused kernel
-// sweeps only the support columns of p·M — O(m·nnz) instead of O(m²) per
-// step — which is where δ-location-set observations pay off most.
-void BM_SparseEmissionForwardBackward(benchmark::State& state) {
-  const int side = 32;
-  const bool csr = state.range(0) != 0;
-  const bool sparse_columns = state.range(1) != 0;
-  const markov::TransitionMatrix chain = MooreGridWalk(side, csr);
-  const size_t m = chain.num_states();
-  const linalg::Vector initial = linalg::Vector::UniformProbability(m);
-  // Full-support first column pins a nonzero likelihood; the rest are
-  // 9-cell δ-location-set columns.
-  std::vector<linalg::Vector> dense_columns = DeltaLocSetColumns(side, 16);
-  dense_columns[0] = linalg::Vector(m, 1.0 / static_cast<double>(m));
-  std::vector<linalg::SparseVector> sparse_cols;
-  for (const auto& c : dense_columns) {
-    sparse_cols.push_back(linalg::SparseVector::FromDense(c));
-  }
-  for (auto _ : state) {
-    const auto result =
-        sparse_columns ? hmm::ForwardBackward(chain, initial, sparse_cols)
-                       : hmm::ForwardBackward(chain, initial, dense_columns);
-    benchmark::DoNotOptimize(result->log_likelihood);
-  }
-}
-BENCHMARK(BM_SparseEmissionForwardBackward)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->ArgNames({"csr", "sparse_cols"});
-
-// ---------------------------------------------------------------------------
 // Release-step engine pairs (ISSUE-4 acceptance, ≥3× each): the workload is
 // the 1024-cell grid with 9-support δ-location-set-style emissions. A
 // release step checks several candidate budgets over a shared observation

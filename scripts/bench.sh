@@ -44,11 +44,10 @@ PRISTE_THREADS="${PRISTE_THREADS:-4}" \
   --benchmark_context=priste_threads="${PRISTE_THREADS:-4}" \
   --benchmark_counters_tabular=true $EXTRA
 
-# The cold-chain / sparse-emission / QP-check / release-step-engine families
-# are part of the recorded perf trajectory — fail loudly if a refactor drops
-# them from the binary.
-for family in BM_TheoremVectors BM_SparseEmissionTheoremVectors \
-              BM_SparseEmissionForwardBackward \
+# The cold-chain / QP-check / release-step-engine families are part of the
+# recorded perf trajectory — fail loudly if a refactor drops them from the
+# binary.
+for family in BM_TheoremVectors \
               BM_QpCheck BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
               BM_SharedEmissionCache BM_RowBlockReplicateDot; do
   if ! grep -q "$family" "$OUT"; then

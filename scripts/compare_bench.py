@@ -27,8 +27,6 @@ GUARDED_PREFIXES = [
     "BM_PropagateSparse",
     "BM_LiftedStepColumn/side:32/csr:1",
     "BM_ForwardBackward/side:32/csr:1",
-    "BM_SparseEmissionTheoremVectors/sparse_cols:1",
-    "BM_SparseEmissionForwardBackward/csr:1/sparse_cols:1",
     "BM_TheoremVectors",
     "BM_QpCheck",
     "BM_ReleaseStepCached/cached:1",

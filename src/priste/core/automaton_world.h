@@ -61,9 +61,6 @@ class AutomatonWorldModel : public LiftedEventModel {
                       linalg::Vector& out) const override;
   void ApplyEmissionInPlace(const linalg::Vector& emission,
                             linalg::Vector& v) const override;
-  // Un-hide the inherited sparse-emission overload (lifted states are q·m + s
-  // — k contiguous blocks of m, the base class's layout convention).
-  using LiftedEventModel::ApplyEmissionInPlace;
 
  private:
   AutomatonWorldModel(markov::TransitionSchedule schedule,

@@ -31,12 +31,6 @@ void LiftedEventModel::ApplyEmissionInPlace(const linalg::Vector& emission,
   v = ApplyEmission(emission, v);
 }
 
-void LiftedEventModel::ApplyEmissionInPlace(const linalg::SparseVector& emission,
-                                            linalg::Vector& v) const {
-  PRISTE_CHECK(v.size() == lifted_size());
-  ApplyEmissionSpanInPlace(emission, v.data());
-}
-
 void LiftedEventModel::StepRowSpanInto(const double* v, int t,
                                        double* out) const {
   linalg::Vector vin(std::vector<double>(v, v + lifted_size()));
@@ -53,17 +47,6 @@ void LiftedEventModel::ApplyEmissionSpanInPlace(const linalg::Vector& emission,
   const size_t k = lifted_size() / m;
   for (size_t q = 0; q < k; ++q) {
     linalg::kernels::HadamardInPlace(emission.data(), v + q * m, m);
-  }
-}
-
-void LiftedEventModel::ApplyEmissionSpanInPlace(
-    const linalg::SparseVector& emission, double* v) const {
-  const size_t m = num_states();
-  PRISTE_CHECK(emission.size() == m);
-  PRISTE_CHECK(m > 0 && lifted_size() % m == 0);
-  const size_t k = lifted_size() / m;
-  for (size_t q = 0; q < k; ++q) {
-    emission.HadamardSpanInPlace(v + q * m);
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "priste/linalg/sparse_vector.h"
 #include "priste/linalg/vector.h"
 
 namespace priste::core {
@@ -79,15 +78,6 @@ class LiftedEventModel {
   virtual void ApplyEmissionInPlace(const linalg::Vector& emission,
                                     linalg::Vector& v) const;
 
-  /// Sparse emission view: the column carries only its support (δ-location-
-  /// set columns are mostly zero), and the product touches O(k·support)
-  /// entries while zero-filling the gaps in one pass per event-state block.
-  /// The default implementation relies on the documented lifted layout — k
-  /// contiguous blocks of m map states — which both built-in models share;
-  /// a model with a different layout must override.
-  virtual void ApplyEmissionInPlace(const linalg::SparseVector& emission,
-                                    linalg::Vector& v) const;
-
   /// Raw-span forms over lifted spans of lifted_size() doubles — the unit
   /// the RowBlock-backed release engine stores its row chains in. The
   /// emission defaults implement the documented k-block layout directly on
@@ -96,8 +86,6 @@ class LiftedEventModel {
   /// kernels. `out` must not alias `v`.
   virtual void StepRowSpanInto(const double* v, int t, double* out) const;
   virtual void ApplyEmissionSpanInPlace(const linalg::Vector& emission,
-                                        double* v) const;
-  virtual void ApplyEmissionSpanInPlace(const linalg::SparseVector& emission,
                                         double* v) const;
 
   /// Indicator of event-true lifted states after the window has been fully

@@ -6,16 +6,16 @@
 #include "priste/common/check.h"
 
 namespace priste::core {
-namespace {
 
-// Shared Lemma III.2/III.3 chain over dense or sparse emission columns. Both
-// column types expose size() and MaxAbs(), and the model overloads
-// ApplyEmissionInPlace on the column type — the sparse form touches only the
-// support of each column.
-template <typename Column>
-TheoremVectors ComputeVectorsImpl(const LiftedEventModel& model,
-                                  bool normalize_emissions,
-                                  const std::vector<Column>& emissions) {
+PrivacyQuantifier::PrivacyQuantifier(const LiftedEventModel* model,
+                                     bool normalize_emissions)
+    : model_(model), normalize_emissions_(normalize_emissions) {
+  PRISTE_CHECK(model_ != nullptr);
+}
+
+TheoremVectors PrivacyQuantifier::ComputeVectors(
+    const std::vector<linalg::Vector>& emissions) const {
+  const LiftedEventModel& model = *model_;
   const size_t m = model.num_states();
   const int t = static_cast<int>(emissions.size());
   PRISTE_CHECK_MSG(t >= 1, "need at least one observation");
@@ -26,7 +26,7 @@ TheoremVectors ComputeVectorsImpl(const LiftedEventModel& model,
   // conditions are scale-invariant); applied in place after each emission
   // product, so columns are never copied.
   std::vector<double> inv_scale(emissions.size(), 1.0);
-  if (normalize_emissions) {
+  if (normalize_emissions_) {
     for (size_t i = 0; i < emissions.size(); ++i) {
       const double scale = emissions[i].MaxAbs();
       PRISTE_CHECK_MSG(scale > 0.0, "emission column is all-zero");
@@ -89,24 +89,6 @@ TheoremVectors ComputeVectorsImpl(const LiftedEventModel& model,
   out.b_bar = model.ContractColumn(cur_b);
   out.c_bar = model.ContractColumn(cur_c);
   return out;
-}
-
-}  // namespace
-
-PrivacyQuantifier::PrivacyQuantifier(const LiftedEventModel* model,
-                                     bool normalize_emissions)
-    : model_(model), normalize_emissions_(normalize_emissions) {
-  PRISTE_CHECK(model_ != nullptr);
-}
-
-TheoremVectors PrivacyQuantifier::ComputeVectors(
-    const std::vector<linalg::Vector>& emissions) const {
-  return ComputeVectorsImpl(*model_, normalize_emissions_, emissions);
-}
-
-TheoremVectors PrivacyQuantifier::ComputeVectors(
-    const std::vector<linalg::SparseVector>& emissions) const {
-  return ComputeVectorsImpl(*model_, normalize_emissions_, emissions);
 }
 
 double PrivacyQuantifier::Condition15(const TheoremVectors& v,

@@ -63,13 +63,6 @@ class PrivacyQuantifier {
   /// regimes. Cost: O(t·m²) (O(t·nnz) on a sparse chain).
   TheoremVectors ComputeVectors(const std::vector<linalg::Vector>& emissions) const;
 
-  /// Sparse-column form: each p̃_o carries only its support, and every
-  /// emission product in the chain runs O(k·support) through the model's
-  /// sparse ApplyEmissionInPlace (δ-location-set columns are mostly zero).
-  /// Numerically identical to the dense overload on the densified columns.
-  TheoremVectors ComputeVectors(
-      const std::vector<linalg::SparseVector>& emissions) const;
-
   /// LHS of Eq. (15)/(16) for a fixed prior.
   static double Condition15(const TheoremVectors& v, const linalg::Vector& pi,
                             double epsilon);

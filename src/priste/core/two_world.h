@@ -76,9 +76,6 @@ class TwoWorldModel : public LiftedEventModel {
                           linalg::Vector& o2) const override;
   void ApplyEmissionInPlace(const linalg::Vector& emission,
                             linalg::Vector& v) const override;
-  // Un-hide the inherited sparse-emission overload (the [F | T] layout is
-  // exactly the base class's two-blocks-of-m convention).
-  using LiftedEventModel::ApplyEmissionInPlace;
 
  private:
   /// Shape of the lifted step t → t+1 (Equations 4–8).

@@ -45,23 +45,6 @@ linalg::Vector EmissionMatrix::EmissionColumn(int output) const {
   return matrix_.Col(static_cast<size_t>(output));
 }
 
-linalg::SparseVector EmissionMatrix::SparseEmissionColumn(
-    int output, double prune_tol) const {
-  PRISTE_CHECK(output >= 0 && static_cast<size_t>(output) < num_outputs());
-  const size_t o = static_cast<size_t>(output);
-  std::vector<size_t> indices;
-  std::vector<double> values;
-  for (size_t r = 0; r < num_states(); ++r) {
-    const double v = matrix_(r, o);
-    if (std::fabs(v) > prune_tol) {
-      indices.push_back(r);
-      values.push_back(v);
-    }
-  }
-  return linalg::SparseVector(num_states(), std::move(indices),
-                              std::move(values));
-}
-
 linalg::Vector EmissionMatrix::OutputDistribution(int state) const {
   PRISTE_CHECK(state >= 0 && static_cast<size_t>(state) < num_states());
   return matrix_.Row(static_cast<size_t>(state));

@@ -3,7 +3,6 @@
 
 #include "priste/common/status.h"
 #include "priste/linalg/matrix.h"
-#include "priste/linalg/sparse_vector.h"
 #include "priste/linalg/vector.h"
 
 namespace priste::hmm {
@@ -36,12 +35,6 @@ class EmissionMatrix {
 
   /// The emission column p̃_o for observation `output`.
   linalg::Vector EmissionColumn(int output) const;
-
-  /// The same column as a sparse view, keeping entries with
-  /// |value| > prune_tol — the natural form for δ-location-set mechanisms
-  /// whose columns are zero outside a small support.
-  linalg::SparseVector SparseEmissionColumn(int output,
-                                            double prune_tol = 0.0) const;
 
   /// The output distribution of true state `state` (row `state`).
   linalg::Vector OutputDistribution(int state) const;

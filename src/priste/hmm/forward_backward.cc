@@ -5,24 +5,16 @@
 namespace priste::hmm {
 namespace {
 
-// Dense/sparse emission columns share every recursion below; the only
-// per-type operations are the size probe (both types spell it size()), the
-// first-step Hadamard with the initial distribution, and the fused
-// transition kernels (overloaded on the column type).
-void FirstAlphaInto(const linalg::Vector& initial, const linalg::Vector& e,
-                    linalg::Vector& out) {
-  for (size_t i = 0; i < out.size(); ++i) out[i] = initial[i] * e[i];
-}
-
-void FirstAlphaInto(const linalg::Vector& initial,
-                    const linalg::SparseVector& e, linalg::Vector& out) {
-  e.HadamardInto(initial, out);
-}
-
-template <typename Column>
-Status ValidateInputs(const markov::TransitionMatrix& transition,
-                      const linalg::Vector& initial,
-                      const std::vector<Column>& emissions) {
+// Scaled forward pass shared by ForwardBackward and ForwardOnly: validates
+// the inputs, then fills `alphas` with α̂_t (each summing to 1) and `scales`
+// with the per-step normalizers c_t. Allocation-free per step: every vector
+// is written in place via the chain's fused kernels. Fails only on a genuine
+// zero.
+Status ScaledForward(const markov::TransitionMatrix& transition,
+                     const linalg::Vector& initial,
+                     const std::vector<linalg::Vector>& emissions,
+                     std::vector<linalg::Vector>& alphas,
+                     std::vector<double>& scales) {
   const size_t m = transition.num_states();
   if (initial.size() != m) {
     return Status::InvalidArgument("initial distribution size != num_states");
@@ -35,20 +27,6 @@ Status ValidateInputs(const markov::TransitionMatrix& transition,
       return Status::InvalidArgument("emission column size != num_states");
     }
   }
-  return Status::Ok();
-}
-
-// Scaled forward pass shared by ForwardBackward and ForwardOnly: fills
-// `alphas` with α̂_t (each summing to 1) and `scales` with the per-step
-// normalizers c_t. Allocation-free per step: every vector is written in
-// place via the chain's fused kernels. Fails only on a genuine zero.
-template <typename Column>
-Status ScaledForward(const markov::TransitionMatrix& transition,
-                     const linalg::Vector& initial,
-                     const std::vector<Column>& emissions,
-                     std::vector<linalg::Vector>& alphas,
-                     std::vector<double>& scales) {
-  const size_t m = transition.num_states();
   const size_t T = emissions.size();
   alphas.assign(T, linalg::Vector());
   scales.assign(T, 0.0);
@@ -58,7 +36,7 @@ Status ScaledForward(const markov::TransitionMatrix& transition,
   for (size_t t = 0; t < T; ++t) {
     alphas[t] = linalg::Vector(m);
     if (t == 0) {
-      FirstAlphaInto(initial, emissions[0], alphas[0]);
+      for (size_t i = 0; i < m; ++i) alphas[0][i] = initial[i] * emissions[0][i];
     } else {
       transition.PropagateHadamardInto(alphas[t - 1], emissions[t], alphas[t]);
     }
@@ -73,17 +51,16 @@ Status ScaledForward(const markov::TransitionMatrix& transition,
   return Status::Ok();
 }
 
-template <typename Column>
-StatusOr<ForwardBackwardResult> ForwardBackwardImpl(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<Column>& emissions) {
-  PRISTE_RETURN_IF_ERROR(ValidateInputs(transition, initial, emissions));
-  const size_t m = transition.num_states();
-  const size_t T = emissions.size();
+}  // namespace
 
+StatusOr<ForwardBackwardResult> ForwardBackward(
+    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
+    const std::vector<linalg::Vector>& emissions) {
   ForwardBackwardResult out;
   PRISTE_RETURN_IF_ERROR(
       ScaledForward(transition, initial, emissions, out.alphas, out.scales));
+  const size_t m = transition.num_states();
+  const size_t T = emissions.size();
   out.log_likelihood = 0.0;
   for (const double c : out.scales) out.log_likelihood += std::log(c);
   out.likelihood = std::exp(out.log_likelihood);
@@ -115,42 +92,14 @@ StatusOr<ForwardBackwardResult> ForwardBackwardImpl(
   return out;
 }
 
-template <typename Column>
-StatusOr<std::vector<linalg::Vector>> ForwardOnlyImpl(
+StatusOr<std::vector<linalg::Vector>> ForwardOnly(
     const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<Column>& emissions) {
-  PRISTE_RETURN_IF_ERROR(ValidateInputs(transition, initial, emissions));
+    const std::vector<linalg::Vector>& emissions) {
   std::vector<linalg::Vector> alphas;
   std::vector<double> scales;
   PRISTE_RETURN_IF_ERROR(
       ScaledForward(transition, initial, emissions, alphas, scales));
   return alphas;
-}
-
-}  // namespace
-
-StatusOr<ForwardBackwardResult> ForwardBackward(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::Vector>& emissions) {
-  return ForwardBackwardImpl(transition, initial, emissions);
-}
-
-StatusOr<ForwardBackwardResult> ForwardBackward(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::SparseVector>& emissions) {
-  return ForwardBackwardImpl(transition, initial, emissions);
-}
-
-StatusOr<std::vector<linalg::Vector>> ForwardOnly(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::Vector>& emissions) {
-  return ForwardOnlyImpl(transition, initial, emissions);
-}
-
-StatusOr<std::vector<linalg::Vector>> ForwardOnly(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::SparseVector>& emissions) {
-  return ForwardOnlyImpl(transition, initial, emissions);
 }
 
 StatusOr<linalg::Vector> PosteriorUpdate(const linalg::Vector& prior,
@@ -159,21 +108,6 @@ StatusOr<linalg::Vector> PosteriorUpdate(const linalg::Vector& prior,
     return Status::InvalidArgument("prior/emission size mismatch");
   }
   linalg::Vector post = prior.Hadamard(emission_column);
-  const double norm = post.Sum();
-  if (norm <= 0.0) {
-    return Status::FailedPrecondition("observation impossible under prior");
-  }
-  post.ScaleInPlace(1.0 / norm);
-  return post;
-}
-
-StatusOr<linalg::Vector> PosteriorUpdate(
-    const linalg::Vector& prior, const linalg::SparseVector& emission_column) {
-  if (prior.size() != emission_column.size()) {
-    return Status::InvalidArgument("prior/emission size mismatch");
-  }
-  linalg::Vector post(prior.size());
-  emission_column.HadamardInto(prior, post);
   const double norm = post.Sum();
   if (norm <= 0.0) {
     return Status::FailedPrecondition("observation impossible under prior");

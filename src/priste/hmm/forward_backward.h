@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "priste/common/status.h"
-#include "priste/linalg/sparse_vector.h"
 #include "priste/linalg/vector.h"
 #include "priste/markov/transition_matrix.h"
 
@@ -46,33 +45,19 @@ StatusOr<ForwardBackwardResult> ForwardBackward(
     const markov::TransitionMatrix& transition, const linalg::Vector& initial,
     const std::vector<linalg::Vector>& emissions);
 
-/// Sparse-emission form: each column carries only its support (δ-location-set
-/// columns are mostly zero), and every α/β emission step runs through the
-/// chain's sparse-emission fused kernels — O(support) instead of O(m) per
-/// masked entry, O(m·nnz) instead of O(m²) per dense-chain step. Numerically
-/// identical to the dense overload on the densified columns.
-StatusOr<ForwardBackwardResult> ForwardBackward(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::SparseVector>& emissions);
-
 /// Forward filtering only: returns the sequence of scaled α̂_t (identical to
 /// ForwardBackward().alphas). Cheaper than the full pass when betas are not
 /// needed.
 StatusOr<std::vector<linalg::Vector>> ForwardOnly(
     const markov::TransitionMatrix& transition, const linalg::Vector& initial,
     const std::vector<linalg::Vector>& emissions);
-StatusOr<std::vector<linalg::Vector>> ForwardOnly(
-    const markov::TransitionMatrix& transition, const linalg::Vector& initial,
-    const std::vector<linalg::SparseVector>& emissions);
 
 /// The Bayesian posterior update of δ-location set privacy (Eq. 21):
 /// p⁺[i] ∝ Pr(o | u = s_i) · p⁻[i]. Returns InvalidArgument on a size
 /// mismatch, FailedPrecondition when the evidence has zero probability under
-/// the prior. The sparse form touches only the column's support.
+/// the prior.
 StatusOr<linalg::Vector> PosteriorUpdate(const linalg::Vector& prior,
                                          const linalg::Vector& emission_column);
-StatusOr<linalg::Vector> PosteriorUpdate(
-    const linalg::Vector& prior, const linalg::SparseVector& emission_column);
 
 }  // namespace priste::hmm
 

@@ -48,45 +48,4 @@ Matrix ScaleColumns(const Matrix& m, const Vector& d) {
   return out;
 }
 
-Matrix ScaleRows(const Vector& d, const Matrix& m) {
-  PRISTE_CHECK(d.size() == m.rows());
-  Matrix out = m;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    kernels::Scale(out.RowPtr(r), d[r], out.cols());
-  }
-  return out;
-}
-
-Matrix Outer(const Vector& a, const Vector& b) {
-  Matrix out(a.size(), b.size());
-  for (size_t r = 0; r < a.size(); ++r) {
-    const double ar = a[r];
-    double* row = out.RowPtr(r);
-    for (size_t c = 0; c < b.size(); ++c) row[c] = ar * b[c];
-  }
-  return out;
-}
-
-Matrix Symmetrize(const Matrix& m) {
-  PRISTE_CHECK(m.rows() == m.cols());
-  Matrix out(m.rows(), m.cols());
-  for (size_t r = 0; r < m.rows(); ++r) {
-    for (size_t c = 0; c < m.cols(); ++c) {
-      out(r, c) = 0.5 * (m(r, c) + m(c, r));
-    }
-  }
-  return out;
-}
-
-double QuadraticForm(const Vector& pi, const Matrix& m) {
-  PRISTE_CHECK(m.rows() == m.cols() && pi.size() == m.rows());
-  double total = 0.0;
-  for (size_t r = 0; r < m.rows(); ++r) {
-    const double pr = pi[r];
-    if (pr == 0.0) continue;
-    total += pr * kernels::Dot(m.RowPtr(r), pi.data(), m.cols());
-  }
-  return total;
-}
-
 }  // namespace priste::linalg

@@ -19,19 +19,6 @@ Matrix MatMul(const Matrix& a, const Matrix& b);
 /// right-multiplication by a diagonal emission matrix p̃ᴰ_o.
 Matrix ScaleColumns(const Matrix& m, const Vector& d);
 
-/// dᴰ · M — scales row i of M by d[i].
-Matrix ScaleRows(const Vector& d, const Matrix& m);
-
-/// Outer product a bᵀ (a.size() × b.size()).
-Matrix Outer(const Vector& a, const Vector& b);
-
-/// (M + Mᵀ)/2 — the symmetric part used when analyzing the Theorem IV.1
-/// quadratic forms.
-Matrix Symmetrize(const Matrix& m);
-
-/// π M πᵀ for square M. Requires pi.size() == M.rows() == M.cols().
-double QuadraticForm(const Vector& pi, const Matrix& m);
-
 }  // namespace priste::linalg
 
 #endif  // PRISTE_LINALG_OPS_H_

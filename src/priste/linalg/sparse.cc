@@ -114,31 +114,6 @@ void SparseMatrix::MatVecHadamardInto(const Vector& h, const Vector& x,
   MatVecSpan(scratch.data(), out.data());
 }
 
-void SparseMatrix::VecMatHadamardInto(const Vector& x, const SparseVector& h,
-                                      Vector& out) const {
-  PRISTE_CHECK(x.size() == rows_ && h.size() == cols_ && out.size() == cols_);
-  VecMatSpan(x.data(), out.data());
-  h.HadamardSpanInPlace(out.data());
-}
-
-void SparseMatrix::MatVecHadamardInto(const SparseVector& h, const Vector& x,
-                                      Vector& out) const {
-  PRISTE_CHECK(x.size() == cols_ && h.size() == cols_ && out.size() == rows_);
-  // The scratch buffer stays all-zero between calls: the support entries
-  // written below are re-zeroed before returning, and resize only appends
-  // zeros — so lookups off h's support read exact zeros without a memset.
-  static thread_local std::vector<double> scratch;
-  if (scratch.size() < cols_) scratch.resize(cols_, 0.0);
-  const std::vector<size_t>& idx = h.indices();
-  const std::vector<double>& val = h.values();
-  const double* xp = x.data();
-  for (size_t k = 0; k < idx.size(); ++k) {
-    scratch[idx[k]] = val[k] * xp[idx[k]];
-  }
-  MatVecSpan(scratch.data(), out.data());
-  for (size_t k = 0; k < idx.size(); ++k) scratch[idx[k]] = 0.0;
-}
-
 Matrix SparseMatrix::ToDense() const {
   Matrix out(rows_, cols_);
   for (size_t r = 0; r < rows_; ++r) {

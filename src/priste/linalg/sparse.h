@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "priste/linalg/matrix.h"
-#include "priste/linalg/sparse_vector.h"
 #include "priste/linalg/vector.h"
 
 namespace priste::linalg {
@@ -48,16 +47,6 @@ class SparseMatrix {
 
   /// Fused backward step: out = M · (h ∘ x). Requires h.size() == cols().
   void MatVecHadamardInto(const Vector& h, const Vector& x, Vector& out) const;
-
-  /// Sparse-emission forms of the fused steps: `h` carries only its support.
-  /// The forward form masks the product down to h's support after the O(nnz)
-  /// row scatter; the backward form scatters h ∘ x into a thread-local dense
-  /// scratch that is re-zeroed on the support only, so the whole step stays
-  /// O(nnz(M) + nnz(h)) with no per-call allocation.
-  void VecMatHadamardInto(const Vector& x, const SparseVector& h,
-                          Vector& out) const;
-  void MatVecHadamardInto(const SparseVector& h, const Vector& x,
-                          Vector& out) const;
 
   /// Raw-span kernels over buffers of length cols()/rows(); the building
   /// blocks for blockwise lifted-chain steps (core::TwoWorldModel /

@@ -5,7 +5,6 @@
 
 #include "priste/common/strings.h"
 #include "priste/linalg/kernels.h"
-#include "priste/linalg/ops.h"
 
 namespace priste::markov {
 
@@ -117,37 +116,6 @@ void TransitionMatrix::PropagateHadamardInto(const linalg::Vector& p,
   out.HadamardInPlace(h);
 }
 
-void TransitionMatrix::PropagateHadamardInto(const linalg::Vector& p,
-                                             const linalg::SparseVector& h,
-                                             linalg::Vector& out) const {
-  const size_t m = num_states();
-  PRISTE_CHECK(p.size() == m && h.size() == m && out.size() == m);
-  PRISTE_DCHECK(p.data() != out.data());
-  if (sparse_ != nullptr) {
-    sparse_->VecMatHadamardInto(p, h, out);
-    return;
-  }
-  // Dense: only h's support columns of p·M can survive the mask, so sweep
-  // those columns directly instead of the full m² product.
-  std::memset(out.data(), 0, m * sizeof(double));
-  const std::vector<size_t>& idx = h.indices();
-  const std::vector<double>& val = h.values();
-  const double* pp = p.data();
-  for (size_t k = 0; k < idx.size(); ++k) {
-    const size_t c = idx[k];
-    double acc = 0.0;
-    for (size_t r = 0; r < m; ++r) acc += pp[r] * matrix_.RowPtr(r)[c];
-    out[c] = val[k] * acc;
-  }
-}
-
-void TransitionMatrix::BackwardInto(const linalg::Vector& v,
-                                    linalg::Vector& out) const {
-  PRISTE_CHECK(v.size() == num_states() && out.size() == num_states());
-  PRISTE_DCHECK(v.data() != out.data());
-  BackwardSpan(v.data(), out.data());
-}
-
 void TransitionMatrix::BackwardHadamardInto(const linalg::Vector& h,
                                             const linalg::Vector& v,
                                             linalg::Vector& out) const {
@@ -167,31 +135,6 @@ void TransitionMatrix::BackwardHadamardInto(const linalg::Vector& h,
   }
 }
 
-void TransitionMatrix::BackwardHadamardInto(const linalg::SparseVector& h,
-                                            const linalg::Vector& v,
-                                            linalg::Vector& out) const {
-  const size_t m = num_states();
-  PRISTE_CHECK(v.size() == m && h.size() == m && out.size() == m);
-  PRISTE_DCHECK(v.data() != out.data());
-  if (sparse_ != nullptr) {
-    sparse_->MatVecHadamardInto(h, v, out);
-    return;
-  }
-  const std::vector<size_t>& idx = h.indices();
-  const std::vector<double>& val = h.values();
-  const size_t nnz = idx.size();
-  const double* vp = v.data();
-  double* o = out.data();
-  for (size_t r = 0; r < m; ++r) {
-    const double* row = matrix_.RowPtr(r);
-    double acc = 0.0;
-    for (size_t k = 0; k < nnz; ++k) {
-      acc += row[idx[k]] * val[k] * vp[idx[k]];
-    }
-    o[r] = acc;
-  }
-}
-
 linalg::Vector TransitionMatrix::Propagate(const linalg::Vector& p) const {
   linalg::Vector out(num_states());
   PropagateInto(p, out);
@@ -208,21 +151,6 @@ linalg::Vector TransitionMatrix::PropagateSteps(const linalg::Vector& p, int ste
     std::swap(cur, next);
   }
   return cur;
-}
-
-linalg::Vector TransitionMatrix::StationaryDistribution(int max_iters, double tol) const {
-  linalg::Vector p = linalg::Vector::UniformProbability(num_states());
-  linalg::Vector next(num_states());
-  for (int i = 0; i < max_iters; ++i) {
-    PropagateInto(p, next);
-    double diff = 0.0;
-    for (size_t j = 0; j < p.size(); ++j) {
-      diff = std::max(diff, std::fabs(next[j] - p[j]));
-    }
-    std::swap(p, next);
-    if (diff < tol) break;
-  }
-  return p;
 }
 
 }  // namespace priste::markov

@@ -65,25 +65,9 @@ class TransitionMatrix {
   void PropagateHadamardInto(const linalg::Vector& p, const linalg::Vector& h,
                              linalg::Vector& out) const;
 
-  /// Sparse-emission α step: `h` is a mostly-zero emission column (e.g. a
-  /// δ-location-set column). The dense path computes only h's support
-  /// columns of p·M — O(m·nnz(h)) instead of O(m²); the CSR path masks the
-  /// O(nnz(M)) scatter down to the support.
-  void PropagateHadamardInto(const linalg::Vector& p,
-                             const linalg::SparseVector& h,
-                             linalg::Vector& out) const;
-
-  /// Column product: out = M · v (the backward recursions).
-  void BackwardInto(const linalg::Vector& v, linalg::Vector& out) const;
-
   /// Fused backward step: out = M · (h ∘ v) — the HMM β recursion in one pass.
   void BackwardHadamardInto(const linalg::Vector& h, const linalg::Vector& v,
                             linalg::Vector& out) const;
-
-  /// Sparse-emission β step: out = M · (h ∘ v) touching only h's support —
-  /// O(m·nnz(h)) dense, O(nnz(M) + nnz(h)) on the CSR path.
-  void BackwardHadamardInto(const linalg::SparseVector& h,
-                            const linalg::Vector& v, linalg::Vector& out) const;
 
   /// Raw-span kernels over buffers of length m (blockwise lifted-chain steps
   /// operate on slices of lifted vectors). `out` must not alias `p`/`v`.
@@ -101,13 +85,6 @@ class TransitionMatrix {
 
   /// k Markov steps.
   linalg::Vector PropagateSteps(const linalg::Vector& p, int steps) const;
-
-  /// Stationary distribution by power iteration from the uniform vector.
-  /// Converges for aperiodic irreducible chains; returns the iterate after
-  /// `max_iters` regardless (callers needing certainty check the residual via
-  /// Propagate).
-  linalg::Vector StationaryDistribution(int max_iters = 10000,
-                                        double tol = 1e-12) const;
 
  private:
   explicit TransitionMatrix(linalg::Matrix m, bool allow_sparse = true);

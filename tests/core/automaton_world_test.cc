@@ -205,39 +205,5 @@ TEST(AutomatonWorldTest, TimeVaryingScheduleMatchesEnumeration) {
   EXPECT_NEAR(EventPrior(**model, pi), oracle, 1e-12) << expr->ToString();
 }
 
-TEST(AutomatonWorldTest, SparseEmissionChainMatchesDense) {
-  // The inherited blockwise sparse ApplyEmissionInPlace over the k automaton
-  // slices: the full quantifier chain with δ-location-set columns must match
-  // the dense-column chain at every prefix.
-  Rng rng(71);
-  const size_t m = 4;
-  const auto chain = testing::RandomTransition(m, rng);
-  const auto expr = testing::RandomBoolExpr(m, 3, 2, rng);
-  const auto model = MustCreate(chain, *expr);
-  const PrivacyQuantifier quantifier(model.get());
-
-  std::vector<linalg::Vector> dense_columns;
-  std::vector<linalg::SparseVector> sparse_columns;
-  for (int t = 1; t <= model->event_end() + 2; ++t) {
-    dense_columns.push_back(testing::RandomSparseEmissionColumn(m, 2, rng));
-    sparse_columns.push_back(
-        linalg::SparseVector::FromDense(dense_columns.back()));
-    const TheoremVectors vd = quantifier.ComputeVectors(dense_columns);
-    const TheoremVectors vs = quantifier.ComputeVectors(sparse_columns);
-    EXPECT_LT(vs.b_bar.Minus(vd.b_bar).MaxAbs(), 1e-12) << "t=" << t;
-    EXPECT_LT(vs.c_bar.Minus(vd.c_bar).MaxAbs(), 1e-12) << "t=" << t;
-  }
-
-  // Direct kernel check on a lifted vector as well.
-  linalg::Vector lifted_dense(model->lifted_size());
-  for (size_t i = 0; i < lifted_dense.size(); ++i) {
-    lifted_dense[i] = rng.NextDouble();
-  }
-  linalg::Vector lifted_sparse = lifted_dense;
-  model->ApplyEmissionInPlace(dense_columns[0], lifted_dense);
-  model->ApplyEmissionInPlace(sparse_columns[0], lifted_sparse);
-  EXPECT_LT(lifted_sparse.Minus(lifted_dense).MaxAbs(), 1e-300);
-}
-
 }  // namespace
 }  // namespace priste::core

@@ -266,75 +266,6 @@ TEST_P(SparseDenseEquivalenceTest, QuantifierOutputsMatch) {
 INSTANTIATE_TEST_SUITE_P(Trials, SparseDenseEquivalenceTest,
                          ::testing::Range(0, 6));
 
-// δ-location-set emissions: each column is zero outside a small support.
-// The sparse-column overload of ComputeVectors must match the dense chain at
-// every prefix — ā, b̄, c̄ and both Theorem conditions within 1e-9 — in both
-// the during-event and after-event regimes, on the CSR and the dense chain.
-class SparseEmissionEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
-
-TEST_P(SparseEmissionEquivalenceTest, QuantifierChainMatchesDenseColumns) {
-  const int trial = std::get<0>(GetParam());
-  const bool csr_chain = std::get<1>(GetParam());
-  const size_t m = 18;  // ≥ kSparseMinStates so the CSR view can kick in
-  Rng rng(8100 + trial);
-  const markov::TransitionMatrix chain = RingWalk(m, csr_chain, rng);
-  EXPECT_EQ(chain.has_sparse(), csr_chain);
-
-  const bool presence = trial % 2 == 0;
-  const int start = 2 + trial % 2;
-  std::vector<geo::Region> regions;
-  for (int i = 0; i < 2; ++i) regions.push_back(testing::RandomRegion(m, rng));
-  event::EventPtr ev;
-  if (presence) {
-    ev = std::make_shared<PresenceEvent>(regions, start);
-  } else {
-    ev = std::make_shared<PatternEvent>(regions, start);
-  }
-  const TwoWorldModel model(chain, ev);
-  const PrivacyQuantifier quantifier(&model);
-
-  std::vector<linalg::Vector> dense_columns;
-  std::vector<linalg::SparseVector> sparse_columns;
-  const int horizon = model.event_end() + 3;
-  for (int t = 1; t <= horizon; ++t) {
-    // 3-cell δ-location-set columns, a different support every step.
-    dense_columns.push_back(testing::RandomSparseEmissionColumn(m, 3, rng));
-    sparse_columns.push_back(
-        linalg::SparseVector::FromDense(dense_columns.back()));
-    EXPECT_EQ(sparse_columns.back().nnz(), 3u);
-
-    const TheoremVectors vd = quantifier.ComputeVectors(dense_columns);
-    const TheoremVectors vs = quantifier.ComputeVectors(sparse_columns);
-    EXPECT_LT(vs.a_bar.Minus(vd.a_bar).MaxAbs(), 1e-9) << "t=" << t;
-    EXPECT_LT(vs.b_bar.Minus(vd.b_bar).MaxAbs(), 1e-9) << "t=" << t;
-    EXPECT_LT(vs.c_bar.Minus(vd.c_bar).MaxAbs(), 1e-9) << "t=" << t;
-    const linalg::Vector pi = testing::RandomProbability(m, rng);
-    for (const double eps : {0.1, 0.5, 2.0}) {
-      EXPECT_NEAR(PrivacyQuantifier::Condition15(vs, pi, eps),
-                  PrivacyQuantifier::Condition15(vd, pi, eps), 1e-9);
-      EXPECT_NEAR(PrivacyQuantifier::Condition16(vs, pi, eps),
-                  PrivacyQuantifier::Condition16(vd, pi, eps), 1e-9);
-    }
-  }
-
-  // The end-to-end check consumes the sparse-built vectors identically.
-  const TheoremVectors vd = quantifier.ComputeVectors(dense_columns);
-  const TheoremVectors vs = quantifier.ComputeVectors(sparse_columns);
-  const QpSolver solver;
-  const PrivacyCheckResult cd =
-      quantifier.CheckArbitraryPrior(vd, 0.5, solver, Deadline::Infinite());
-  const PrivacyCheckResult cs =
-      quantifier.CheckArbitraryPrior(vs, 0.5, solver, Deadline::Infinite());
-  EXPECT_EQ(cd.satisfied, cs.satisfied);
-  EXPECT_NEAR(cd.max_condition15, cs.max_condition15, 1e-9);
-  EXPECT_NEAR(cd.max_condition16, cs.max_condition16, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Trials, SparseEmissionEquivalenceTest,
-                         ::testing::Combine(::testing::Range(0, 4),
-                                            ::testing::Bool()));
-
 TEST(QuantifierTest, WorstPiIsReportedForViolations) {
   Rng rng(49);
   const size_t m = 3;

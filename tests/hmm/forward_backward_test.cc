@@ -201,89 +201,18 @@ TEST(PosteriorUpdateTest, RejectsImpossibleEvidence) {
   EXPECT_FALSE(PosteriorUpdate(linalg::Vector{0.5, 0.5}, linalg::Vector{0.1}).ok());
 }
 
-// δ-location-set observations: columns are zero outside a small support.
-// The sparse-column overloads must reproduce the dense pass exactly, on both
-// the CSR and the dense chain kernels.
-class SparseEmissionForwardBackwardTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(SparseEmissionForwardBackwardTest, MatchesDenseColumns) {
-  const bool csr = GetParam();
-  Rng rng(31);
-  const size_t m = 20;  // ≥ kSparseMinStates
-  linalg::Matrix t(m, m);
-  for (size_t s = 0; s < m; ++s) {
-    // A 3-neighbour ring so the CSR view engages when allowed.
-    t(s, s) = 0.5;
-    t(s, (s + 1) % m) = 0.3;
-    t(s, (s + m - 1) % m) = 0.2;
-  }
-  linalg::Matrix t_copy = t;
-  const auto chain = markov::TransitionMatrix::Create(
-      csr ? std::move(t) : std::move(t_copy), 1e-6, csr);
-  ASSERT_TRUE(chain.ok());
-  ASSERT_EQ(chain->has_sparse(), csr);
-  const linalg::Vector initial = linalg::Vector::UniformProbability(m);
-
-  std::vector<linalg::Vector> dense_columns;
-  std::vector<linalg::SparseVector> sparse_columns;
-  for (int step = 0; step < 12; ++step) {
-    // Wide support so consecutive observations always overlap through the
-    // 3-neighbour transition kernel (a genuinely impossible sequence is the
-    // FailedPrecondition case, tested separately below).
-    dense_columns.push_back(testing::RandomSparseEmissionColumn(m, 12, rng));
-    sparse_columns.push_back(
-        linalg::SparseVector::FromDense(dense_columns.back()));
-  }
-
-  const auto dense_result = ForwardBackward(*chain, initial, dense_columns);
-  const auto sparse_result = ForwardBackward(*chain, initial, sparse_columns);
-  ASSERT_TRUE(dense_result.ok()) << dense_result.status();
-  ASSERT_TRUE(sparse_result.ok()) << sparse_result.status();
-  EXPECT_NEAR(sparse_result->log_likelihood, dense_result->log_likelihood,
-              1e-12);
-  for (size_t step = 0; step < dense_columns.size(); ++step) {
-    EXPECT_LT(sparse_result->alphas[step]
-                  .Minus(dense_result->alphas[step]).MaxAbs(), 1e-12);
-    EXPECT_LT(sparse_result->betas[step]
-                  .Minus(dense_result->betas[step]).MaxAbs(), 1e-12);
-    EXPECT_LT(sparse_result->posteriors[step]
-                  .Minus(dense_result->posteriors[step]).MaxAbs(), 1e-12);
-    EXPECT_NEAR(sparse_result->scales[step], dense_result->scales[step], 1e-12);
-  }
-
-  const auto fwd = ForwardOnly(*chain, initial, sparse_columns);
-  ASSERT_TRUE(fwd.ok());
-  for (size_t step = 0; step < dense_columns.size(); ++step) {
-    EXPECT_LT((*fwd)[step].Minus(dense_result->alphas[step]).MaxAbs(), 1e-12);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Chains, SparseEmissionForwardBackwardTest,
-                         ::testing::Bool());
-
-TEST(SparseEmissionForwardBackwardTest, ImpossibleSequenceFailsCleanly) {
-  Rng rng(33);
+TEST(ForwardBackwardTest, ImpossibleSequenceFailsCleanly) {
   const auto chain = markov::TransitionMatrix::Identity(6);
   const linalg::Vector initial = linalg::Vector::UniformProbability(6);
-  // Two disjoint single-cell observations under the identity chain: zero
+  // Two disjoint one-hot observations under the identity chain: zero
   // probability, reported as FailedPrecondition (not a crash or NaN).
-  const std::vector<linalg::SparseVector> impossible = {
-      linalg::SparseVector(6, {0}, {1.0}), linalg::SparseVector(6, {3}, {1.0})};
+  linalg::Vector first(6), second(6);
+  first[0] = 1.0;
+  second[3] = 1.0;
+  const std::vector<linalg::Vector> impossible = {first, second};
   const auto result = ForwardBackward(chain, initial, impossible);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(PosteriorUpdateTest, SparseColumnMatchesDense) {
-  Rng rng(35);
-  const linalg::Vector prior = testing::RandomProbability(10, rng);
-  const linalg::Vector column = testing::RandomSparseEmissionColumn(10, 3, rng);
-  const auto dense = PosteriorUpdate(prior, column);
-  const auto sparse =
-      PosteriorUpdate(prior, linalg::SparseVector::FromDense(column));
-  ASSERT_TRUE(dense.ok());
-  ASSERT_TRUE(sparse.ok());
-  EXPECT_LT(sparse->Minus(*dense).MaxAbs(), 1e-15);
 }
 
 }  // namespace

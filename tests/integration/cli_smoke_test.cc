@@ -108,19 +108,41 @@ TEST(CliSmokeTest, RejectsMissingInputFile) {
 TEST(CliSmokeTest, MalformedFlagValuesExitNonZero) {
   const char* cli_bin = std::getenv("PRISTE_CLI_BIN");
   ASSERT_NE(cli_bin, nullptr);
-  // atoi/atof used to read these as 8, 1.5, 0, … and run anyway. Each must
-  // now be a hard startup error, before any input file is touched.
+  // Every row names both required files, so only the flag value under test
+  // can fail the parse; the input file does not exist, so a row that parses
+  // exits 1 instead. A malformed or out-of-range value must be a usage error
+  // (exit status 2): never a run on a truncated value, never a CHECK abort.
+  const std::string files =
+      " --input cli_smoke_does_not_exist.csv --output cli_smoke_unused.csv";
+  const auto run = [&](const std::string& flags) {
+    const std::string command =
+        std::string(cli_bin) + " " + flags + files + " 2>/dev/null";
+    return std::system(command.c_str());
+  };
   const std::vector<std::string> bad_flags = {
-      "--grid 8xfoo",       "--grid x8",
-      "--alpha 1.5z",       "--epsilon abc",
-      "--epsilon inf",      "--seed -1",
+      "--grid 8xfoo",         "--grid x8",
+      "--alpha 1.5z",         "--epsilon abc",
+      "--epsilon inf",        "--seed -1",
       "--event-window 2:bad", "--event-cells 1,x,3",
+      "--grid 0x4",           "--grid 4x0",
+      "--cell-km 0",          "--cell-km -1",
+      "--sigma 0",            "--sigma -1",
+      "--event-window 5:3",   "--event-window 0:3",
+      "--alpha -2",           "--delta 1.5",
+      "--delta -0.3",         "--event-cells ''",
   };
   for (const std::string& flags : bad_flags) {
-    const std::string command = std::string(cli_bin) + " " + flags +
-                                " --input cli_smoke_unused.csv 2>/dev/null";
-    EXPECT_NE(std::system(command.c_str()), 0) << "accepted: " << flags;
+    const int rc = run(flags);
+    EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 2)
+        << "flags: " << flags << " rc=" << rc;
   }
+
+  // Control: valid flags at the edges of each range parse, and the run
+  // fails only on the missing input file.
+  const int rc = run(
+      "--grid 1x1 --cell-km 0.5 --sigma 2 --event-cells 0 "
+      "--event-window 1:1 --alpha 0 --delta 0");
+  EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 1) << "rc=" << rc;
 }
 
 TEST(CliSmokeTest, MalformedCsvExitsNonZeroNamingTheField) {

@@ -66,46 +66,5 @@ TEST(OpsTest, ScaleColumnsMatchesDiagonalMultiply) {
   EXPECT_LT(fast.MaxAbsDiff(slow), 1e-15);
 }
 
-TEST(OpsTest, ScaleRowsMatchesDiagonalMultiply) {
-  Rng rng(9);
-  const Matrix m = RandomMatrix(4, 4, rng);
-  const Vector d = RandomVector(4, rng);
-  const Matrix fast = ScaleRows(d, m);
-  const Matrix slow = MatMul(Matrix::Diagonal(d), m);
-  EXPECT_LT(fast.MaxAbsDiff(slow), 1e-15);
-}
-
-TEST(OpsTest, OuterProduct) {
-  const Matrix o = Outer(Vector{1.0, 2.0}, Vector{3.0, 4.0, 5.0});
-  EXPECT_EQ(o.rows(), 2u);
-  EXPECT_EQ(o.cols(), 3u);
-  EXPECT_DOUBLE_EQ(o(1, 2), 10.0);
-}
-
-TEST(OpsTest, SymmetrizeIsSymmetric) {
-  Rng rng(11);
-  const Matrix m = RandomMatrix(5, 5, rng);
-  const Matrix s = Symmetrize(m);
-  EXPECT_LT(s.MaxAbsDiff(s.Transposed()), 1e-15);
-}
-
-TEST(OpsTest, QuadraticFormMatchesExplicit) {
-  Rng rng(13);
-  const Matrix m = RandomMatrix(6, 6, rng);
-  const Vector pi = RandomVector(6, rng);
-  const double direct = QuadraticForm(pi, m);
-  const double via_products = pi.Dot(MatVec(m, pi));
-  EXPECT_NEAR(direct, via_products, 1e-12);
-}
-
-TEST(OpsTest, QuadraticFormOfOuterIsProductOfDots) {
-  Rng rng(15);
-  const Vector a = RandomVector(8, rng);
-  const Vector b = RandomVector(8, rng);
-  const Vector pi = RandomVector(8, rng);
-  // π (a bᵀ) πᵀ = (π·a)(π·b) — the rank-1 identity the QP solver exploits.
-  EXPECT_NEAR(QuadraticForm(pi, Outer(a, b)), pi.Dot(a) * pi.Dot(b), 1e-12);
-}
-
 }  // namespace
 }  // namespace priste::linalg

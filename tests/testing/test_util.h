@@ -60,8 +60,8 @@ inline linalg::Vector RandomEmissionColumn(size_t m, Rng& rng) {
 }
 
 /// A δ-location-set-style emission column: zero outside a random support of
-/// `support` cells, values in (0, 1] on it. Dense form; convert with
-/// SparseVector::FromDense to exercise the sparse kernels.
+/// `support` cells, values in (0, 1] on it. As the first observation's
+/// column it puts the release engine on its sparse prefix rows.
 inline linalg::Vector RandomSparseEmissionColumn(size_t m, size_t support,
                                                  Rng& rng) {
   PRISTE_CHECK(support >= 1 && support <= m);

@@ -1,6 +1,6 @@
 // Clean fixture for priste_concurrency --self-test. NOT compiled.
-// Ascending lock nesting, a justified condvar-wait waiver, and frame-local
-// arena use: expected finding count is ZERO.
+// Ascending lock nesting and a justified condvar-wait waiver: expected
+// finding count is ZERO.
 #define PRISTE_LOCK_LEVEL(n)
 #define PRISTE_BLOCKING
 
@@ -13,11 +13,6 @@ class CondVar {
  public:
   PRISTE_BLOCKING void Wait(Mutex* mu);
   void Signal();
-};
-class Arena {
- public:
-  double* AllocateDoubles(unsigned long n);
-  void Reset();
 };
 
 namespace fixture {
@@ -46,15 +41,6 @@ void WaitReady(Pool* p) {
   // priste-lint: allow(blocking-under-lock) condvar wait releases pool_mu
   // while sleeping; the producer only holds it to flip `ready` and signal.
   while (!p->ready) p->cv.Wait(&p->pool_mu);
-}
-
-// Arena storage consumed within the frame: no escape.
-double FrameLocal(Arena* arena, unsigned long n) {
-  double* scratch = arena->AllocateDoubles(n);
-  scratch[0] = 2.0;
-  const double out = scratch[0];
-  arena->Reset();
-  return out;
 }
 
 }  // namespace fixture

@@ -2,7 +2,7 @@
 """priste_concurrency: whole-program concurrency-contract lint for PriSTE.
 
 Shares priste_callgraph's lexical call-graph core (and its on-disk graph
-cache) and checks three TRANSITIVE concurrency rules that neither clang's
+cache) and checks two TRANSITIVE concurrency rules that neither clang's
 -Wthread-safety (function-local) nor TSan (dynamic, schedule-dependent) can
 enforce statically across the whole tree:
 
@@ -38,15 +38,6 @@ enforce statically across the whole tree:
       system). The sanctioned exception is a condvar wait, which releases
       the mutex while sleeping — waive it at the Wait call with
       allow(blocking-under-lock) and a justification.
-
-  arena-escape
-      A pointer returned by Arena::AllocateDoubles is bump-allocated storage
-      that dies at the next per-timestamp Reset(); storing it into anything
-      that outlives the frame is a use-after-reset. Lexical heuristic over
-      assignment targets: a store whose target reads member-like (trailing
-      `_`, `this->`, or a `.`/`->` path), or a member-container
-      push_back/insert of a local the arena pointer was tracked into, is
-      flagged. Plain locals consumed within the function pass clean.
 
   bare-waiver
       Any `// priste-lint: allow(<rule>)` with no justification text on the
@@ -105,24 +96,7 @@ BLOCKING_TOKENS = [
     (re.compile(r"(?<![\w:.>])system\s*\("), "system()"),
 ]
 
-ARENA_ALLOC_RE = re.compile(r"(?:\.|->)\s*AllocateDoubles\s*\(")
-
-# Assignment target: identifier, optionally a member path, directly before a
-# single '='. Used both for the arena-call statement and for later escapes
-# of a tracked local.
-ASSIGN_TARGET_RE = re.compile(
-    r"([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*(?:\[[^\]]*\])?)\s*=(?!=)")
-
 GRAPH_FORMAT_VERSION = 1
-
-
-def _memberish(target):
-    """True when an assignment target names storage that outlives the local
-    frame under PriSTE conventions: a member path or a trailing-underscore
-    member name."""
-    base = target.split("[", 1)[0]
-    return ("." in base or "->" in base or base.startswith("this")
-            or base.endswith("_"))
 
 
 # --- Per-file facts ----------------------------------------------------------
@@ -510,58 +484,6 @@ def rule_lock_order(graph, facts, decls, edges):
     return findings
 
 
-def rule_arena_escape(graph):
-    findings = []
-    for fn in graph.functions:
-        body = fn.body
-        locals_tracked = []  # (name, statement_end_offset)
-        for m in ARENA_ALLOC_RE.finditer(body):
-            stmt_start = max(body.rfind(ch, 0, m.start())
-                             for ch in ";{}") + 1
-            stmt_end = body.find(";", m.end())
-            if stmt_end == -1:
-                stmt_end = len(body)
-            stmt = body[stmt_start:m.start()]
-            line = fn.body_start_line + body.count("\n", 0, m.start())
-            if graph.edge_waived(fn, line, "arena-escape"):
-                continue
-            targets = list(ASSIGN_TARGET_RE.finditer(stmt))
-            if not targets:
-                continue  # no store: value consumed in place
-            target = targets[-1].group(1)
-            if _memberish(target):
-                findings.append(Finding(
-                    fn.rel_path, line, "arena-escape",
-                    f"{fn.qualified} stores Arena::AllocateDoubles result "
-                    f"into '{target}', which outlives the per-timestamp "
-                    "Reset() — copy into owned storage instead"))
-            else:
-                locals_tracked.append((target, stmt_end))
-        for name, after in locals_tracked:
-            tail = body[after:]
-            assign = re.compile(
-                r"([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*(?:\[[^\]]*\])?)"
-                r"\s*=(?!=)\s*" + re.escape(name) + r"\b")
-            container = re.compile(
-                r"([A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*)\s*(?:\.|->)\s*"
-                r"(?:push_back|emplace_back|insert|emplace|assign)\s*"
-                r"\([^;]*\b" + re.escape(name) + r"\b")
-            for esc in list(assign.finditer(tail)) + \
-                    list(container.finditer(tail)):
-                if not _memberish(esc.group(1)):
-                    continue
-                line = fn.body_start_line + \
-                    body.count("\n", 0, after + esc.start())
-                if graph.edge_waived(fn, line, "arena-escape"):
-                    continue
-                findings.append(Finding(
-                    fn.rel_path, line, "arena-escape",
-                    f"{fn.qualified} lets arena-backed local '{name}' "
-                    f"escape into '{esc.group(1)}', which outlives the "
-                    "per-timestamp Reset()"))
-    return findings
-
-
 def rule_bare_waiver(rel, raw_text):
     findings = []
     for idx, line in enumerate(raw_text.split("\n"), start=1):
@@ -609,7 +531,6 @@ def analyze_graph(graph, raw_by_rel):
     findings = []
     findings.extend(rule_lock_order(graph, facts, decls, edges))
     findings.extend(blocking)
-    findings.extend(rule_arena_escape(graph))
     for rel in sorted(raw_by_rel):
         findings.extend(rule_bare_waiver(rel, raw_by_rel[rel]))
     return findings, decls, edges, bnames
@@ -652,7 +573,6 @@ def run_self_test():
     cases = {
         "bad_lock_order.cc": {"lock-order": 3, "bare-waiver": 1},
         "bad_blocking_under_lock.cc": {"blocking-under-lock": 3},
-        "bad_arena_escape.cc": {"arena-escape": 3},
         "good_concurrency.cc": {},
     }
     failures = []
@@ -690,7 +610,7 @@ def run_self_test():
                   file=sys.stderr)
         return 1
     print(f"priste_concurrency self-test OK ({len(cases)} fixtures; "
-          "lock-order, blocking-under-lock and arena-escape all fire)",
+          "lock-order and blocking-under-lock both fire)",
           file=sys.stderr)
     return 0
 

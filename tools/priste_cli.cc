@@ -19,6 +19,9 @@
 // Flag values are parsed STRICTLY (common/strings.h): "8xfoo", "1.5z",
 // "inf", or "0x10" exit non-zero naming the offending flag instead of the
 // old atoi/atof behaviour of silently truncating to a prefix or zero.
+// Parsed values are range-checked too: "--grid 0x4", "--sigma 0" or
+// "--delta 1.5" exits through the usage path instead of tripping a
+// constructor's CHECK.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -49,7 +52,7 @@ struct CliArgs {
   int window_end = 5;
   double epsilon = 0.5;
   double alpha = 0.5;
-  double delta = -1.0;  // < 0: Algorithm 2
+  double delta = -1.0;  // < 0 (not given): Algorithm 2
   uint64_t seed = 7;
   bool metrics = false;
 };
@@ -115,6 +118,13 @@ bool ParseIntList(const std::string& flag, const std::string& value,
 }
 
 PRISTE_NO_ABORT
+bool OutOfRange(const std::string& flag, const char* requirement) {
+  std::fprintf(stderr, "%s: value out of range; %s\n", flag.c_str(),
+               requirement);
+  return false;
+}
+
+PRISTE_NO_ABORT
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -130,23 +140,38 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!ParseIntPair(flag, value, 'x', &args->grid_w, &args->grid_h)) {
         return false;
       }
+      if (args->grid_w < 1 || args->grid_h < 1) {
+        return OutOfRange(flag, "both grid sides must be >= 1");
+      }
     } else if (flag == "--cell-km" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->cell_km)) return false;
+      if (args->cell_km <= 0.0) return OutOfRange(flag, "must be > 0");
     } else if (flag == "--sigma" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->sigma)) return false;
+      if (args->sigma <= 0.0) return OutOfRange(flag, "must be > 0");
     } else if (flag == "--event-cells" && (value = next())) {
       if (!ParseIntList(flag, value, &args->event_cells)) return false;
+      if (args->event_cells.empty()) {
+        return OutOfRange(flag, "must name at least one cell");
+      }
     } else if (flag == "--event-window" && (value = next())) {
       if (!ParseIntPair(flag, value, ':', &args->window_start,
                         &args->window_end)) {
         return false;
       }
+      if (args->window_start < 1 || args->window_start > args->window_end) {
+        return OutOfRange(flag, "need 1 <= start <= end");
+      }
     } else if (flag == "--epsilon" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->epsilon)) return false;
     } else if (flag == "--alpha" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->alpha)) return false;
+      if (args->alpha < 0.0) return OutOfRange(flag, "must be >= 0");
     } else if (flag == "--delta" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->delta)) return false;
+      if (args->delta < 0.0 || args->delta >= 1.0) {
+        return OutOfRange(flag, "must be in [0, 1)");
+      }
     } else if (flag == "--seed" && (value = next())) {
       if (!ParseUint64(value, &args->seed)) {
         std::fprintf(stderr, "--seed: cannot parse '%s' as an unsigned integer\n",
