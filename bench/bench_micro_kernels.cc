@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the library's hot kernels:
 // two-world construction, prior evaluation, joint pushes, Theorem-vector
-// computation, the QP check, PLM emission construction — plus the
+// computation, the QP check, PLM and δ-restricted PLM construction — plus the
 // dense-vs-CSR kernel pairs and the serial-vs-parallel driver variants that
 // seed the BENCH_micro.json perf trajectory (scripts/bench.sh).
 #include <benchmark/benchmark.h>
@@ -21,6 +21,7 @@
 #include "priste/hmm/forward_backward.h"
 #include "priste/linalg/kernels.h"
 #include "priste/linalg/row_block.h"
+#include "priste/lppm/delta_location_set.h"
 #include "priste/lppm/planar_laplace.h"
 
 namespace {
@@ -126,6 +127,33 @@ void BM_PlmEmissionBuild(benchmark::State& state) {
   lppm::EmissionCache::Shared().SetEnabled(true);
 }
 BENCHMARK(BM_PlmEmissionBuild)->Arg(8)->Arg(16)->Arg(20);
+
+// Algorithm 3's per-candidate mechanism work, as PristeDeltaLoc::Run does
+// it: build the δ-restricted PLM over ΔX, draw one release and read its
+// emission column (α = 0.2, δ = 0.2). ΔX comes from one Markov prediction of
+// a centre point mass under the deltaloc workload's mobility (σ = 10 cells);
+// the "members" counter reports |ΔX|.
+void BM_DeltaRestrictedBuild(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  const geo::Grid grid(side, side, 1.0);
+  const geo::GaussianGridModel mobility(grid, /*sigma=*/10.0);
+  linalg::Vector point(grid.num_cells());
+  point[static_cast<size_t>(grid.CellOf(side / 2, side / 2))] = 1.0;
+  const auto set =
+      lppm::DeltaLocationSet(mobility.transition().Propagate(point), 0.2);
+  PRISTE_CHECK(set.ok());
+  const int m = static_cast<int>(grid.num_cells());
+  Rng rng(7);
+  int truth = 0;
+  for (auto _ : state) {
+    const lppm::DeltaRestrictedPlanarLaplace mech(grid, 0.2, *set);
+    const int o = mech.Perturb(truth, rng);
+    benchmark::DoNotOptimize(mech.EmissionColumn(o).data());
+    truth = (truth + 1) % m;
+  }
+  state.counters["members"] = static_cast<double>(set->Count());
+}
+BENCHMARK(BM_DeltaRestrictedBuild)->Arg(12)->Arg(20)->ArgName("side");
 
 // The PR-6 tentpole acceptance pair: 8 "users" each instantiating the same
 // (grid, α) mechanism — the repeated-runs workload of eval::Experiment. With

@@ -39,8 +39,8 @@ int main() {
       if (!set.ok()) return 1;
       const lppm::DeltaRestrictedPlanarLaplace mech(grid, 0.5, *set);
       const int o = mech.Perturb(truth.At(t), demo_rng);
-      const auto updated = hmm::PosteriorUpdate(
-          predicted, mech.emission().EmissionColumn(o));
+      const auto updated =
+          hmm::PosteriorUpdate(predicted, mech.EmissionColumn(o));
       if (!updated.ok()) return 1;
       posterior = *updated;
       std::printf("  t=%d  |dX|=%3zu  released cell %d (true %d)\n", t,

@@ -44,11 +44,12 @@ PRISTE_THREADS="${PRISTE_THREADS:-4}" \
   --benchmark_context=priste_threads="${PRISTE_THREADS:-4}" \
   --benchmark_counters_tabular=true $EXTRA
 
-# The cold-chain / QP-check / release-step-engine families are part of the
-# recorded perf trajectory — fail loudly if a refactor drops them from the
-# binary.
+# The cold-chain / QP-check / δ-restricted-mechanism / release-step-engine
+# families are part of the recorded perf trajectory — fail loudly if a
+# refactor drops them from the binary.
 for family in BM_TheoremVectors \
-              BM_QpCheck BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
+              BM_QpCheck BM_DeltaRestrictedBuild \
+              BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
               BM_SharedEmissionCache BM_RowBlockReplicateDot; do
   if ! grep -q "$family" "$OUT"; then
     echo "$OUT is missing benchmark family $family" >&2

@@ -29,6 +29,7 @@ GUARDED_PREFIXES = [
     "BM_ForwardBackward/side:32/csr:1",
     "BM_TheoremVectors",
     "BM_QpCheck",
+    "BM_DeltaRestrictedBuild",
     "BM_ReleaseStepCached/cached:1",
     "BM_ReleaseStepDensePrefix/dense_rows:1",
     "BM_SharedEmissionCache/cached:1",

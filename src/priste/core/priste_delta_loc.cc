@@ -20,6 +20,8 @@ PristeDeltaLoc::PristeDeltaLoc(geo::Grid grid, markov::TransitionMatrix chain,
       options_(options) {
   PRISTE_CHECK_MSG(!events_.empty(), "PristeDeltaLoc needs at least one event");
   PRISTE_CHECK(delta_ >= 0.0 && delta_ < 1.0);
+  PRISTE_CHECK(options_.decay > 0.0 && options_.decay < 1.0);
+  PRISTE_CHECK(options_.initial_alpha >= 0.0);
   PRISTE_CHECK(chain_.num_states() == grid_.num_cells());
   PRISTE_CHECK(initial_.size() == grid_.num_cells());
   models_.reserve(events_.size());
@@ -77,7 +79,7 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
       const lppm::DeltaRestrictedPlanarLaplace mech(grid_, effective_alpha,
                                                     location_set);
       const int o = mech.Perturb(true_cell, rng);
-      released_column = mech.emission().EmissionColumn(o);
+      released_column = mech.EmissionColumn(o);
 
       if (effective_alpha == 0.0) {
         // Uniform-over-ΔX release; accept (the α → 0 anchor). Unlike the

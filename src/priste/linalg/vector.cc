@@ -116,7 +116,7 @@ double Vector::NormalizeToProbability() {
 
 bool Vector::AllInRange(double lo, double hi, double tol) const {
   for (double x : data_) {
-    if (x < lo - tol || x > hi + tol) return false;
+    if (!(x >= lo - tol && x <= hi + tol)) return false;  // NaN fails
   }
   return true;
 }

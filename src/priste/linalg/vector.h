@@ -105,7 +105,8 @@ class Vector {
   /// original sum (useful as a likelihood accumulator).
   double NormalizeToProbability();
 
-  /// True when all entries are within [lo, hi] (with `tol` slack).
+  /// True when all entries are within [lo, hi] (with `tol` slack); a NaN
+  /// entry is not.
   bool AllInRange(double lo, double hi, double tol = 1e-12) const;
 
   /// "[v0, v1, ...]" with 6 significant digits.

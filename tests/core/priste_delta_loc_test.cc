@@ -141,5 +141,24 @@ TEST(PristeDeltaLocTest, RejectsShortTrajectory) {
   EXPECT_FALSE(priste.Run(geo::Trajectory({0, 1}), rng).ok());
 }
 
+TEST(PristeDeltaLocDeathTest, RejectsOptionsPristeGeoIndRejects) {
+  // decay = 1 would halve forever on a failing check; a negative initial
+  // budget would release uniformly at every step.
+  const Scenario s;
+  PristeOptions options = FastOptions(0.5, 0.3);
+  options.decay = 1.0;
+  EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
+                              options),
+               "decay");
+  options.decay = 0.0;
+  EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
+                              options),
+               "decay");
+  options = FastOptions(0.5, -1.0);
+  EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
+                              options),
+               "initial_alpha");
+}
+
 }  // namespace
 }  // namespace priste::core

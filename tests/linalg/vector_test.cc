@@ -1,5 +1,7 @@
 #include "priste/linalg/vector.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace priste::linalg {
@@ -77,6 +79,8 @@ TEST(VectorTest, AllInRange) {
   EXPECT_FALSE(Vector({-0.1, 0.5}).AllInRange(0.0, 1.0));
   // Tolerance admits tiny numerical noise.
   EXPECT_TRUE(Vector({-1e-14, 0.5}).AllInRange(0.0, 1.0));
+  EXPECT_FALSE(
+      Vector({std::numeric_limits<double>::quiet_NaN(), 0.5}).AllInRange(0.0, 1.0));
 }
 
 TEST(VectorTest, ToStringIsReadable) {
