@@ -32,10 +32,14 @@ namespace priste::core {
 /// without changing f, so only those two are enumerated. The cost is
 /// O(n²) in n ≤ |supp(d) ∪ supp(l)| + 2.
 ///
-/// A Deadline bounds the work: it is checked once per outer index of the
-/// edge enumeration, and when it expires first the result is flagged
-/// timed_out. PriSTE's conservative-release rule (Section IV-C) treats that
-/// check as failed — privacy is never certified on a partial search.
+/// The edge rows run through linalg::kernels::ScanEdges (four j per step on
+/// the AVX2 path, which picks the scalar loop's edge bit for bit).
+///
+/// A Deadline bounds the work: it is read after the vertices, before the
+/// first edge row, and then once per 4096 or more scanned edges; when it
+/// expires first the result is flagged timed_out. PriSTE's
+/// conservative-release rule (Section IV-C) treats that check as failed —
+/// privacy is never certified on a partial search.
 class QpSolver {
  public:
   /// Knobs of the former slice-LP / projected-gradient search. The exact

@@ -1,6 +1,5 @@
 #include "priste/geo/grid.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace priste::geo {
@@ -31,12 +30,22 @@ RectKm Grid::CellBoundsKm(int cell) const {
                 row * cell_size_km_, (row + 1.0) * cell_size_km_};
 }
 
+namespace {
+
+// floor(coordinate / cell) clamped to [0, count − 1] while still a double:
+// casting a far-off coordinate's index to int first would overflow (UB).
+int ClampedIndex(double coordinate, double cell_size_km, int count) {
+  const double index = std::floor(coordinate / cell_size_km);
+  if (!(index > 0.0)) return 0;  // NaN lands on the first cell too
+  if (index >= count - 1) return count - 1;
+  return static_cast<int>(index);
+}
+
+}  // namespace
+
 int Grid::CellContaining(const PointKm& p) const {
-  int col = static_cast<int>(std::floor(p.x / cell_size_km_));
-  int row = static_cast<int>(std::floor(p.y / cell_size_km_));
-  col = std::clamp(col, 0, width_ - 1);
-  row = std::clamp(row, 0, height_ - 1);
-  return CellOf(col, row);
+  return CellOf(ClampedIndex(p.x, cell_size_km_, width_),
+                ClampedIndex(p.y, cell_size_km_, height_));
 }
 
 double Grid::CellDistanceKm(int cell_a, int cell_b) const {

@@ -80,6 +80,7 @@ constexpr KernelTable kScalarTable = {
     &detail::ScalarDotRows,
     &ScalarReplicateDot,
     &ScalarReplicateDotPair,
+    &detail::ScalarScanEdges,
 };
 
 // ---------------------------------------------------------------------------
@@ -176,6 +177,11 @@ void DispatchDotRows(const double* rows, size_t stride, size_t nrows,
                      const double* const* vs, size_t count, size_t n,
                      double* const* outs) {
   g_table->dot_rows(rows, stride, nrows, vs, count, n, outs);
+}
+
+void DispatchScanEdges(const double* a, const double* d, const double* l,
+                       size_t i, size_t n, EdgePoint* best) {
+  g_table->scan_edges(a, d, l, i, n, best);
 }
 
 }  // namespace detail

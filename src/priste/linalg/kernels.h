@@ -2,6 +2,7 @@
 #define PRISTE_LINALG_KERNELS_H_
 
 #include <cstddef>
+#include <limits>
 
 #include "priste/common/check.h"
 #include "priste/common/thread_annotations.h"
@@ -34,6 +35,16 @@ namespace priste::linalg::kernels {
 ///
 /// Aliasing contract: output spans must not overlap any input span (checked
 /// with PRISTE_DCHECK in debug builds at the call sites that take both).
+
+/// The point t·e_i + (1 − t)·e_j of the probability simplex and the value
+/// of f(π) = (π·a)(π·d) + π·l there; i == j with t = 1 is the vertex e_i.
+/// ScanEdges raises one of these.
+struct EdgePoint {
+  size_t i = 0;
+  size_t j = 0;
+  double t = 1.0;
+  double value = -std::numeric_limits<double>::infinity();
+};
 
 namespace detail {
 
@@ -135,6 +146,31 @@ PRISTE_HOT_PATH inline void ScalarDotRows(const double* rows, size_t stride,
   }
 }
 
+// Raises *best to the highest interior edge peak among the edges (i, j),
+// j > i. Convex and linear edges peak at a vertex, which the caller has
+// already scanned.
+PRISTE_HOT_PATH inline void ScalarScanEdges(const double* a, const double* d,
+                                            const double* l, size_t i, size_t n,
+                                            EdgePoint* best) {
+  const double ai = a[i];
+  const double di = d[i];
+  const double li = l[i];
+  for (size_t j = i + 1; j < n; ++j) {
+    const double da = ai - a[j];
+    const double dd = di - d[j];
+    const double dl = li - l[j];
+    // q(t) = A·t² + B·t + C along the edge, with weight t on e_i. A concave
+    // edge (A < 0) peaks inside (0, 1) iff t* = −B/(2A) does, i.e.
+    // 0 < B < −2A.
+    const double curvature = da * dd;
+    const double slope = a[j] * dd + d[j] * da + dl;
+    if (!(curvature < 0.0 && slope > 0.0 && slope < -2.0 * curvature)) continue;
+    const double t = slope / (-2.0 * curvature);
+    const double value = (a[j] + t * da) * (d[j] + t * dd) + (l[j] + t * dl);
+    if (value > best->value) *best = {i, j, t, value};
+  }
+}
+
 // Out-of-line entry points that read the dispatch table (kernels.cc).
 double DispatchSum(const double* x, size_t n);
 double DispatchDot(const double* a, const double* b, size_t n);
@@ -150,6 +186,8 @@ double DispatchGatherDot(const double* values, const size_t* cols, size_t nnz,
 void DispatchDotRows(const double* rows, size_t stride, size_t nrows,
                      const double* const* vs, size_t count, size_t n,
                      double* const* outs);
+void DispatchScanEdges(const double* a, const double* d, const double* l,
+                       size_t i, size_t n, EdgePoint* best);
 
 }  // namespace detail
 
@@ -185,6 +223,28 @@ PRISTE_HOT_PATH inline void DotRows(const double* rows, size_t stride,
     return detail::ScalarDotRows(rows, stride, nrows, vs, count, n, outs);
   }
   detail::DispatchDotRows(rows, stride, nrows, vs, count, n, outs);
+}
+
+/// Row i of the exact QP's edge enumeration (core::QpSolver::Maximize):
+/// for every j with i < j < n, the peak of f(π) = (π·a)(π·d) + π·l along
+/// the simplex edge from e_j to e_i, when that edge is concave and peaks
+/// strictly inside it, replaces *best if its value is strictly greater.
+/// i < n, and a, d, l each hold n entries. The AVX2 path evaluates four j
+/// per step with the scalar body's operations in the same order: no FMA,
+/// ordered compares (a NaN fails the peak test, as `!(…)` makes it fail in
+/// the scalar body), a division only in groups where some lane passes, and
+/// the passing lanes offered to *best in ascending j with the same strict
+/// `>` — so a group yields its largest value, ties to the smallest j, and
+/// both paths pick the same edge, t and value bit for bit. Rows shorter than
+/// kInlineThreshold run the scalar body inline.
+PRISTE_HOT_PATH inline void ScanEdges(const double* a, const double* d,
+                                      const double* l, size_t i, size_t n,
+                                      EdgePoint* best) {
+  PRISTE_DCHECK(i < n);
+  if (n - i - 1 < detail::kInlineThreshold) {
+    return detail::ScalarScanEdges(a, d, l, i, n, best);
+  }
+  detail::DispatchScanEdges(a, d, l, i, n, best);
 }
 
 /// Σ (a[i]·b[i])·c[i] — the fused triple-product reduction behind the

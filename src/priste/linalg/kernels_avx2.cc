@@ -10,6 +10,10 @@
 
 #include "priste/linalg/kernels_dispatch.h"
 #include "priste/common/thread_annotations.h"
+// For EdgePoint only. This TU never calls kernels.h's inline scalar bodies:
+// an out-of-line copy compiled here with -mavx2 could be the one the linker
+// keeps for every caller, so the scalar tails below are spelled out instead.
+#include "priste/linalg/kernels.h"
 
 #if defined(PRISTE_KERNELS_HAVE_AVX2)
 
@@ -223,6 +227,69 @@ PRISTE_HOT_PATH void Avx2ReplicateDotPair(const double* row, size_t blocks, size
   *plain = pt;
 }
 
+// ScanEdges four j per step. Each lane runs the scalar body's operations in
+// its order (no FMA; ordered compares, so a NaN fails the peak test just as
+// it fails `!(…)` there). A group divides only when some lane passes the
+// test, and offers its passing lanes to *best in ascending j with the
+// scalar body's strict `>`: the group's largest value wins, ties to the
+// smallest j, exactly where the sequential scan ends up. The scalar tail
+// follows.
+PRISTE_HOT_PATH void Avx2ScanEdges(const double* a, const double* d,
+                                   const double* l, size_t i, size_t n,
+                                   EdgePoint* best) {
+  const double ai = a[i];
+  const double di = d[i];
+  const double li = l[i];
+  const __m256d vai = _mm256_set1_pd(ai);
+  const __m256d vdi = _mm256_set1_pd(di);
+  const __m256d vli = _mm256_set1_pd(li);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d minus_two = _mm256_set1_pd(-2.0);
+  size_t j = i + 1;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d aj = _mm256_loadu_pd(a + j);
+    const __m256d dj = _mm256_loadu_pd(d + j);
+    const __m256d lj = _mm256_loadu_pd(l + j);
+    const __m256d da = _mm256_sub_pd(vai, aj);
+    const __m256d dd = _mm256_sub_pd(vdi, dj);
+    const __m256d dl = _mm256_sub_pd(vli, lj);
+    const __m256d curvature = _mm256_mul_pd(da, dd);
+    const __m256d slope = _mm256_add_pd(
+        _mm256_add_pd(_mm256_mul_pd(aj, dd), _mm256_mul_pd(dj, da)), dl);
+    const __m256d minus_two_curvature = _mm256_mul_pd(minus_two, curvature);
+    const int peaks = _mm256_movemask_pd(_mm256_and_pd(
+        _mm256_and_pd(_mm256_cmp_pd(curvature, zero, _CMP_LT_OQ),
+                      _mm256_cmp_pd(slope, zero, _CMP_GT_OQ)),
+        _mm256_cmp_pd(slope, minus_two_curvature, _CMP_LT_OQ)));
+    if (peaks == 0) continue;
+    const __m256d t = _mm256_div_pd(slope, minus_two_curvature);
+    const __m256d value = _mm256_add_pd(
+        _mm256_mul_pd(_mm256_add_pd(aj, _mm256_mul_pd(t, da)),
+                      _mm256_add_pd(dj, _mm256_mul_pd(t, dd))),
+        _mm256_add_pd(lj, _mm256_mul_pd(t, dl)));
+    alignas(32) double ts[4];
+    alignas(32) double values[4];
+    _mm256_store_pd(ts, t);
+    _mm256_store_pd(values, value);
+    for (size_t k = 0; k < 4; ++k) {
+      if (((peaks >> k) & 1) != 0 && values[k] > best->value) {
+        *best = {i, j + k, ts[k], values[k]};
+      }
+    }
+  }
+  for (; j < n; ++j) {
+    const double da = ai - a[j];
+    const double dd = di - d[j];
+    const double dl = li - l[j];
+    const double curvature = da * dd;
+    const double slope = a[j] * dd + d[j] * da + dl;
+    if (!(curvature < 0.0 && slope > 0.0 && slope < -2.0 * curvature)) continue;
+    const double t = slope / (-2.0 * curvature);
+    const double value = (a[j] + t * da) * (d[j] + t * dd) + (l[j] + t * dl);
+    if (value > best->value) *best = {i, j, t, value};
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     &Avx2Sum,
     &Avx2Dot,
@@ -235,6 +302,7 @@ constexpr KernelTable kAvx2Table = {
     &Avx2DotRows,
     &Avx2ReplicateDot,
     &Avx2ReplicateDotPair,
+    &Avx2ScanEdges,
 };
 
 }  // namespace

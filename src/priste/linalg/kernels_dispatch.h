@@ -9,6 +9,8 @@
 
 namespace priste::linalg::kernels {
 
+struct EdgePoint;  // kernels.h
+
 struct KernelTable {
   double (*sum)(const double*, size_t);
   double (*dot)(const double*, const double*, size_t);
@@ -23,6 +25,8 @@ struct KernelTable {
   double (*replicate_dot)(const double*, size_t, size_t, const double*);
   void (*replicate_dot_pair)(const double*, size_t, size_t, const double*,
                              const double*, double*, double*);
+  void (*scan_edges)(const double*, const double*, const double*, size_t,
+                     size_t, EdgePoint*);
 };
 
 #if defined(PRISTE_KERNELS_HAVE_AVX2)

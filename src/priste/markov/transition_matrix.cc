@@ -90,6 +90,8 @@ void TransitionMatrix::BackwardSpan(const double* v, double* out) const {
 
 void TransitionMatrix::BackwardSpans(const double* const* in,
                                      double* const* out, size_t count) const {
+  // DotRows only DCHECKs the count, and its paths disagree outside it.
+  PRISTE_CHECK(count >= 1 && count <= linalg::kernels::kDotRowsMaxVectors);
   if (sparse_ != nullptr) {
     for (size_t j = 0; j < count; ++j) sparse_->MatVecSpan(in[j], out[j]);
     return;

@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "priste/common/random.h"
+#include "priste/core/quantifier.h"
+#include "priste/core/two_world.h"
+#include "priste/event/presence.h"
+#include "priste/geo/gaussian_grid_model.h"
+#include "priste/linalg/kernels.h"
+#include "priste/lppm/planar_laplace.h"
 
 namespace priste::core {
 namespace {
@@ -149,6 +157,112 @@ TEST(QpSolverTest, MidScanDeadlineStillReturnsFeasibleBestSoFar) {
     // The vertices are scanned before the first deadline check.
     EXPECT_GE(result.max_value, best_vertex - 1e-12);
   }
+}
+
+// Maximize with the kernel dispatch forced to the scalar table (simd =
+// false) or to the widest table the host supports.
+QpSolver::Result MaximizeOnPath(bool simd, const QpSolver::Objective& obj,
+                                const Deadline& deadline) {
+  const bool previous = linalg::kernels::SetSimdEnabledForTest(simd);
+  QpSolver::Result result = QpSolver().Maximize(obj, deadline);
+  linalg::kernels::SetSimdEnabledForTest(previous);
+  return result;
+}
+
+TEST(QpSolverTest, ShortDeadlineTimesOutALargeScanOnBothPaths) {
+  // n = 2000 is about two million edges, at least 1 ms of scanning on either
+  // path, so a 0.1 ms budget expires inside the scan even though the
+  // deadline is read only once per few thousand edges.
+  Rng rng(57);
+  const size_t n = 2000;
+  QpSolver::Objective obj;
+  obj.a = RandomVec(n, rng, 0.0, 1.0);
+  obj.d = RandomVec(n, rng);
+  obj.l = RandomVec(n, rng);
+  for (const bool simd : {false, true}) {
+    const auto result = MaximizeOnPath(simd, obj, Deadline::After(1e-4));
+    EXPECT_TRUE(result.timed_out) << "simd=" << simd;
+    ExpectFeasibleResult(obj, result);
+  }
+}
+
+// The two objectives CheckArbitraryPrior maximizes for `raw` at `epsilon`.
+std::vector<QpSolver::Objective> TheoremObjectives(const TheoremVectors& raw,
+                                                   double epsilon) {
+  TheoremVectors v = raw;
+  const double scale = v.c_bar.MaxAbs();
+  if (scale > 0.0) {
+    v.b_bar.ScaleInPlace(1.0 / scale);
+    v.c_bar.ScaleInPlace(1.0 / scale);
+  }
+  const double e_eps = std::exp(epsilon);
+  const size_t m = v.a_bar.size();
+  QpSolver::Objective f15{v.a_bar, linalg::Vector(m), v.b_bar};
+  QpSolver::Objective f16{v.a_bar, linalg::Vector(m), v.b_bar.Scaled(-e_eps)};
+  for (size_t i = 0; i < m; ++i) {
+    f15.d[i] = (e_eps - 1.0) * v.b_bar[i] - e_eps * v.c_bar[i];
+    f16.d[i] = (e_eps - 1.0) * v.b_bar[i] + v.c_bar[i];
+  }
+  return {f15, f16};
+}
+
+// Paper-scale Theorem objectives: a 20×20 grid of 1 km cells, σ = 10
+// mobility, a PRESENCE event over cells 1–10 at t = 4..8, and every prefix
+// of 10-step planar-Laplace histories (α = 0.5 and 0.2, three true cells),
+// checked at ε = 0.1 and 0.5. That is n = 400 dense coordinates, so every
+// row but the last few runs the dispatched scan. Both paths must return the
+// same argmax and max_value bit for bit.
+TEST(QpSolverTest, TheoremObjectivesMaximizeBitIdenticallyOnBothPaths) {
+  const geo::Grid grid(20, 20, 1.0);
+  const geo::GaussianGridModel mobility(grid, /*sigma=*/10.0);
+  const TwoWorldModel model(
+      mobility.transition(),
+      event::PresenceEvent::Make(grid.num_cells(), /*first_state=*/1,
+                                 /*last_state=*/10, /*start=*/4, /*end=*/8));
+  const PrivacyQuantifier quantifier(&model);
+  Rng rng(1009);
+  int edge_maxima = 0;
+  for (const double alpha : {0.5, 0.2}) {
+    const lppm::PlanarLaplaceMechanism plm(grid, alpha);
+    for (const int true_cell : {5, 47, 210}) {
+      std::vector<linalg::Vector> history;
+      for (int t = 1; t <= 10; ++t) {
+        history.push_back(
+            plm.emission().EmissionColumn(plm.Perturb(true_cell, rng)));
+        const TheoremVectors vectors = quantifier.ComputeVectors(history);
+        for (const double epsilon : {0.1, 0.5}) {
+          for (const QpSolver::Objective& obj :
+               TheoremObjectives(vectors, epsilon)) {
+            ASSERT_EQ(obj.a.size(), 400u);
+            const auto scalar =
+                MaximizeOnPath(false, obj, Deadline::Infinite());
+            const auto simd = MaximizeOnPath(true, obj, Deadline::Infinite());
+            ASSERT_FALSE(scalar.timed_out);
+            ASSERT_FALSE(simd.timed_out);
+            const std::string where = "alpha=" + std::to_string(alpha) +
+                                      " cell=" + std::to_string(true_cell) +
+                                      " t=" + std::to_string(t) +
+                                      " eps=" + std::to_string(epsilon);
+            EXPECT_EQ(std::memcmp(&scalar.max_value, &simd.max_value,
+                                  sizeof(double)),
+                      0)
+                << where;
+            ASSERT_EQ(simd.argmax.size(), scalar.argmax.size());
+            EXPECT_EQ(std::memcmp(scalar.argmax.data(), simd.argmax.data(),
+                                  scalar.argmax.size() * sizeof(double)),
+                      0)
+                << where;
+            edge_maxima +=
+                std::count_if(scalar.argmax.begin(), scalar.argmax.end(),
+                              [](double p) { return p != 0.0; }) == 2;
+          }
+        }
+      }
+    }
+  }
+  // Some maxima sit inside an edge (7 of the 240 here), so the edge choice
+  // itself is compared, not only the vertex scan.
+  EXPECT_GT(edge_maxima, 0);
 }
 
 // --- Coordinates with d_i = l_i = 0. ---

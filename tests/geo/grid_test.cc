@@ -50,6 +50,10 @@ TEST(GridTest, CellContainingClampsOutOfBounds) {
   EXPECT_EQ(grid.CellContaining(PointKm{-5.0, -5.0}), grid.CellOf(0, 0));
   EXPECT_EQ(grid.CellContaining(PointKm{100.0, 100.0}), grid.CellOf(2, 2));
   EXPECT_EQ(grid.CellContaining(PointKm{-1.0, 1.5}), grid.CellOf(0, 1));
+  // Far past the int range: the nearest edge cell, not a wrapped cast.
+  EXPECT_EQ(grid.CellContaining(PointKm{1e10, 1.5}), grid.CellOf(2, 1));
+  EXPECT_EQ(grid.CellContaining(PointKm{-1e300, 1e300}), grid.CellOf(0, 2));
+  EXPECT_EQ(grid.CellContaining(PointKm{1.5, 3e9}), grid.CellOf(1, 2));
 }
 
 TEST(GridTest, Square20Factory) {

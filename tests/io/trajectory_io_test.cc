@@ -25,6 +25,16 @@ TEST(TrajectoryIoTest, ParsesContinuousCsv) {
   EXPECT_EQ(traj->At(2), 15);
 }
 
+TEST(TrajectoryIoTest, FarOffContinuousPointsLandOnTheNearestEdgeCell) {
+  // Coordinates past the int range clamp like any other off-map point.
+  const auto traj = ParseTrajectoryCsv(
+      "t,x_km,y_km\n1,1e10,0.5\n2,0.5,3e9\n3,-1e10,2.5\n", kGrid);
+  ASSERT_TRUE(traj.ok()) << traj.status();
+  EXPECT_EQ(traj->At(1), kGrid.CellOf(3, 0));
+  EXPECT_EQ(traj->At(2), kGrid.CellOf(0, 3));
+  EXPECT_EQ(traj->At(3), kGrid.CellOf(0, 2));
+}
+
 TEST(TrajectoryIoTest, HandlesWindowsLineEndingsAndSpaces) {
   const auto traj = ParseTrajectoryCsv("t,cell\r\n1, 3\r\n2,\t4\r\n", kGrid);
   ASSERT_TRUE(traj.ok()) << traj.status();

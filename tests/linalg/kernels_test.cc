@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "priste/common/random.h"
@@ -216,6 +219,165 @@ TEST(KernelsTest, DotRowsMatchesPerRowDotOnBothPaths) {
         EXPECT_EQ(simd, scalar)
             << "count=" << count << " nrows=" << nrows << " n=" << n;
       }
+    }
+  }
+}
+
+// ScanEdges' chosen edge as bits: a path that picked another j, or the
+// same j with a different rounding of t or the value, differs here.
+bool SameEdge(const EdgePoint& x, const EdgePoint& y) {
+  return x.i == y.i && x.j == y.j &&
+         std::memcmp(&x.t, &y.t, sizeof(double)) == 0 &&
+         std::memcmp(&x.value, &y.value, sizeof(double)) == 0;
+}
+
+// Every row of an n-coordinate objective through ScanEdges on the forced
+// scalar table and on the dispatched one, each row starting from the same
+// incoming best; returns false (with a failure naming the row) on the first
+// row where the two paths disagree.
+bool ScanEdgesAgreeOnBothPaths(const std::vector<double>& a,
+                               const std::vector<double>& d,
+                               const std::vector<double>& l,
+                               const EdgePoint& incoming) {
+  const size_t n = a.size();
+  for (size_t i = 0; i < n; ++i) {
+    EdgePoint scalar = incoming;
+    {
+      ScopedSimd off(false);
+      ScanEdges(a.data(), d.data(), l.data(), i, n, &scalar);
+    }
+    EdgePoint simd = incoming;
+    {
+      ScopedSimd on(true);
+      ScanEdges(a.data(), d.data(), l.data(), i, n, &simd);
+    }
+    if (!SameEdge(scalar, simd)) {
+      ADD_FAILURE() << "n=" << n << " i=" << i << " scalar (j=" << scalar.j
+                    << " t=" << scalar.t << " value=" << scalar.value
+                    << ") simd (j=" << simd.j << " t=" << simd.t
+                    << " value=" << simd.value << ")";
+      return false;
+    }
+  }
+  return true;
+}
+
+// Row lengths 0–37 cover the lane tails on both sides of the inline
+// threshold, over Theorem-shaped coordinates (a a probability, d and l
+// signed).
+TEST(KernelsTest, ScanEdgesPicksTheSameEdgeOnBothPaths) {
+  Rng rng(2024);
+  for (size_t n = 1; n <= 38; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> a(n), d(n), l(n);
+      for (size_t k = 0; k < n; ++k) {
+        a[k] = rng.Uniform(0.0, 1.0);
+        d[k] = rng.Uniform(-1.0, 1.0);
+        l[k] = rng.Uniform(-1.0, 1.0);
+      }
+      ASSERT_TRUE(ScanEdgesAgreeOnBothPaths(a, d, l, EdgePoint{}));
+    }
+  }
+}
+
+// Copies of one coordinate give edges with the same t and value, so the
+// maximum is tied across j — inside one group of four, across groups and
+// in the tail. Both paths must keep the smallest such j.
+TEST(KernelsTest, ScanEdgesBreaksTiesTowardTheSmallestJ) {
+  Rng rng(77);
+  for (size_t n = 2; n <= 38; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const size_t distinct = 1 + rng.NextBelow(4);
+      std::vector<double> pa(distinct), pd(distinct), pl(distinct);
+      for (size_t k = 0; k < distinct; ++k) {
+        pa[k] = rng.Uniform(0.0, 1.0);
+        pd[k] = rng.Uniform(-1.0, 1.0);
+        pl[k] = rng.Uniform(-1.0, 1.0);
+      }
+      std::vector<double> a(n), d(n), l(n);
+      for (size_t k = 0; k < n; ++k) {
+        const size_t p = rng.NextBelow(distinct);
+        a[k] = pa[p];
+        d[k] = pd[p];
+        l[k] = pl[p];
+      }
+      ASSERT_TRUE(ScanEdgesAgreeOnBothPaths(a, d, l, EdgePoint{}));
+    }
+  }
+  // A fixed case: row 0 against 36 copies of one coordinate, so every edge
+  // is the same concave edge, peaking at t = 0.5 with value 0.25.
+  const size_t n = 37;
+  std::vector<double> a(n, 0.0), d(n, 1.0), l(n, 0.0);
+  a[0] = 1.0;
+  d[0] = 0.0;
+  for (const bool simd : {false, true}) {
+    ScopedSimd path(simd);
+    EdgePoint best;
+    ScanEdges(a.data(), d.data(), l.data(), 0, n, &best);
+    EXPECT_EQ(best.j, 1u) << "simd=" << simd;
+    EXPECT_EQ(best.t, 0.5);
+    EXPECT_EQ(best.value, 0.25);
+  }
+}
+
+// An incoming best equal to a lane's maximum is kept (strict `>`); one a
+// hair below it is replaced.
+TEST(KernelsTest, ScanEdgesKeepsAnIncomingBestEqualToTheMaximum) {
+  Rng rng(5150);
+  int dispatched_rows = 0;
+  for (size_t n = 17; n <= 37; ++n) {
+    std::vector<double> a(n), d(n), l(n);
+    for (size_t k = 0; k < n; ++k) {
+      a[k] = rng.Uniform(0.0, 1.0);
+      d[k] = rng.Uniform(-1.0, 1.0);
+      l[k] = rng.Uniform(-1.0, 1.0);
+    }
+    for (size_t i = 0; i + 1 < n; ++i) {
+      EdgePoint peak;
+      {
+        ScopedSimd off(false);
+        ScanEdges(a.data(), d.data(), l.data(), i, n, &peak);
+      }
+      if (peak.value == -std::numeric_limits<double>::infinity()) {
+        continue;  // no interior peak on this row
+      }
+      dispatched_rows += n - i - 1 >= detail::kInlineThreshold;
+      const EdgePoint equal{n, n, 0.125, peak.value};
+      const EdgePoint below{n, n, 0.125, std::nextafter(peak.value, -1.0)};
+      for (const bool simd : {false, true}) {
+        ScopedSimd path(simd);
+        EdgePoint kept = equal;
+        ScanEdges(a.data(), d.data(), l.data(), i, n, &kept);
+        EXPECT_TRUE(SameEdge(kept, equal)) << "n=" << n << " i=" << i;
+        EdgePoint raised = below;
+        ScanEdges(a.data(), d.data(), l.data(), i, n, &raised);
+        EXPECT_TRUE(SameEdge(raised, peak)) << "n=" << n << " i=" << i;
+      }
+      ASSERT_TRUE(ScanEdgesAgreeOnBothPaths(a, d, l, equal));
+    }
+  }
+  EXPECT_GT(dispatched_rows, 0);
+}
+
+// Signed zeros, NaN and infinities in every coordinate: a NaN must fail the
+// peak test on both paths, and ±0 and ±∞ must round and compare alike.
+TEST(KernelsTest, ScanEdgesTreatsSpecialValuesAlikeOnBothPaths) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0, -0.0, nan, inf, -inf, 0.5, -0.5, 1e-300};
+  Rng rng(31337);
+  for (size_t n = 1; n <= 37; ++n) {
+    for (int trial = 0; trial < 30; ++trial) {
+      std::vector<double> a(n), d(n), l(n);
+      for (std::vector<double>* v : {&a, &d, &l}) {
+        for (double& x : *v) {
+          x = rng.NextDouble() < 0.3 ? specials[rng.NextBelow(8)]
+                                     : rng.Uniform(-1.0, 1.0);
+        }
+      }
+      ASSERT_TRUE(ScanEdgesAgreeOnBothPaths(a, d, l, EdgePoint{}));
+      ASSERT_TRUE(
+          ScanEdgesAgreeOnBothPaths(a, d, l, EdgePoint{0, 0, 1.0, -0.0}));
     }
   }
 }

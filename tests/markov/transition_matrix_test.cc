@@ -178,6 +178,26 @@ TEST(TransitionMatrixTest, BackwardSpansMatchSeparateBackwardSpans) {
   }
 }
 
+// The count contract holds in Release builds too: past it the dense
+// kernel's scalar and AVX2 paths fill different outputs.
+TEST(TransitionMatrixDeathTest, BackwardSpansRejectsCountsOutsideOneToFour) {
+  for (const bool allow_sparse : {false, true}) {
+    const TransitionMatrix chain = GridRandomWalk(7, 5, allow_sparse);
+    ASSERT_EQ(chain.has_sparse(), allow_sparse);
+    const size_t m = chain.num_states();
+    std::vector<linalg::Vector> in(5, linalg::Vector(m));
+    std::vector<linalg::Vector> out(5, linalg::Vector(m));
+    std::vector<const double*> ip;
+    std::vector<double*> op;
+    for (size_t j = 0; j < 5; ++j) {
+      ip.push_back(in[j].data());
+      op.push_back(out[j].data());
+    }
+    EXPECT_DEATH(chain.BackwardSpans(ip.data(), op.data(), 0), "count");
+    EXPECT_DEATH(chain.BackwardSpans(ip.data(), op.data(), 5), "count");
+  }
+}
+
 TEST(TransitionMatrixTest, RowDistributionIsProbability) {
   Rng rng(11);
   const TransitionMatrix m = testing::RandomTransition(4, rng);
