@@ -26,16 +26,6 @@
     }                                                                         \
   } while (false)
 
-#define PRISTE_CHECK_OK(status_expr)                                        \
-  do {                                                                      \
-    const ::priste::Status priste_check_status_ = (status_expr);            \
-    if (!priste_check_status_.ok()) {                                       \
-      std::fprintf(stderr, "PRISTE_CHECK_OK failed at %s:%d: %s\n",         \
-                   __FILE__, __LINE__, priste_check_status_.ToString().c_str()); \
-      std::abort();                                                         \
-    }                                                                       \
-  } while (false)
-
 #ifdef NDEBUG
 #define PRISTE_DCHECK(cond) \
   do {                      \

@@ -1,8 +1,5 @@
 #include "priste/common/status.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace priste {
 
 const char* StatusCodeToString(StatusCode code) {
@@ -17,37 +14,12 @@ const char* StatusCodeToString(StatusCode code) {
       return "out_of_range";
     case StatusCode::kNotFound:
       return "not_found";
-    case StatusCode::kDeadlineExceeded:
-      return "deadline_exceeded";
     case StatusCode::kResourceExhausted:
       return "resource_exhausted";
     case StatusCode::kInternal:
       return "internal";
-    case StatusCode::kUnimplemented:
-      return "unimplemented";
   }
   return "unknown";
 }
 
-std::string Status::ToString() const {
-  if (ok()) return "OK";
-  std::string out = StatusCodeToString(code_);
-  out += ": ";
-  out += message_;
-  return out;
-}
-
-std::ostream& operator<<(std::ostream& os, const Status& status) {
-  return os << status.ToString();
-}
-
-namespace internal_status {
-
-void DieBadStatusAccess(const Status& status) {
-  std::fprintf(stderr, "PriSTE: accessing value of failed StatusOr: %s\n",
-               status.ToString().c_str());
-  std::abort();
-}
-
-}  // namespace internal_status
 }  // namespace priste

@@ -1,9 +1,7 @@
 #ifndef PRISTE_COMMON_STATUS_H_
 #define PRISTE_COMMON_STATUS_H_
 
-#include <cstdint>
 #include <expected>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -12,139 +10,30 @@ namespace priste {
 
 /// Canonical error codes, modelled after the subset of absl::StatusCode that a
 /// numerical privacy library needs. Every fallible public API in PriSTE
-/// returns a Status or StatusOr<T>; exceptions are not used.
+/// returns a Result<T> (Result<void> when there is no value); exceptions are
+/// not used.
 enum class StatusCode : int {
   kOk = 0,
   kInvalidArgument = 1,
   kFailedPrecondition = 2,
   kOutOfRange = 3,
   kNotFound = 4,
-  kDeadlineExceeded = 5,
-  kResourceExhausted = 6,
-  kInternal = 7,
-  kUnimplemented = 8,
+  kResourceExhausted = 5,
+  kInternal = 6,
 };
 
 /// Returns the canonical lowercase name of a code ("ok", "invalid_argument"…).
 const char* StatusCodeToString(StatusCode code);
 
-/// A lightweight success/error result carrying a code and a human-readable
-/// message. Copyable and cheap to move; the OK status carries no allocation.
-class Status {
- public:
-  /// Constructs an OK status.
-  Status() : code_(StatusCode::kOk) {}
-
-  /// Constructs a status with the given code and message. A code of kOk with
-  /// a non-empty message is normalized to a plain OK status.
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(code == StatusCode::kOk ? std::string() : std::move(message)) {}
-
-  static Status Ok() { return Status(); }
-  static Status InvalidArgument(std::string msg) {
-    return Status(StatusCode::kInvalidArgument, std::move(msg));
-  }
-  static Status FailedPrecondition(std::string msg) {
-    return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status NotFound(std::string msg) {
-    return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status Internal(std::string msg) {
-    return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
-
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
-
-  /// Renders "OK" or "<code>: <message>".
-  std::string ToString() const;
-
-  friend bool operator==(const Status& a, const Status& b) {
-    return a.code_ == b.code_ && a.message_ == b.message_;
-  }
-
- private:
-  StatusCode code_;
-  std::string message_;
-};
-
-std::ostream& operator<<(std::ostream& os, const Status& status);
-
-/// Either a value of type T or an error Status. Accessing the value of a
-/// non-OK StatusOr aborts the process (see PRISTE_CHECK in check.h), matching
-/// the contract of absl::StatusOr.
-template <typename T>
-class StatusOr {
- public:
-  /// Constructs from an error status. Must not be OK.
-  StatusOr(Status status) : status_(std::move(status)) {}  // NOLINT(google-explicit-constructor)
-
-  /// Constructs from a value; the status is OK.
-  StatusOr(T value) : value_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-
-  bool ok() const { return value_.has_value(); }
-  const Status& status() const { return status_; }
-
-  const T& value() const& {
-    AbortIfError();
-    return *value_;
-  }
-  T& value() & {
-    AbortIfError();
-    return *value_;
-  }
-  T&& value() && {
-    AbortIfError();
-    return *std::move(value_);
-  }
-
-  const T& operator*() const& { return value(); }
-  T& operator*() & { return value(); }
-  const T* operator->() const { return &value(); }
-  T* operator->() { return &value(); }
-
-  /// Returns the value, or `fallback` when holding an error.
-  T value_or(T fallback) const { return ok() ? *value_ : std::move(fallback); }
-
- private:
-  void AbortIfError() const;
-
-  Status status_;
-  std::optional<T> value_;
-};
-
-namespace internal_status {
-[[noreturn]] void DieBadStatusAccess(const Status& status);
-}  // namespace internal_status
-
-template <typename T>
-void StatusOr<T>::AbortIfError() const {
-  if (!ok()) internal_status::DieBadStatusAccess(status_);
-}
-
-/// The error payload of Result<T>: a code plus a human-readable message.
-/// Unlike Status there is no OK state — an Error always denotes failure, so
-/// Result<T> never stores a "success error" the way StatusOr stores an OK
-/// Status alongside its value.
+/// The error payload of Result<T>: a code plus a human-readable message. An
+/// Error stored in a Result always denotes failure; kOk appears only in the
+/// view Result::status() returns for a result holding a value.
 struct Error {
   StatusCode code = StatusCode::kInternal;
   std::string message;
 
-  /// Renders "<code>: <message>" ("invalid_argument: bad lat field").
+  /// Renders "<code>: <message>" ("invalid_argument: bad lat field"), or
+  /// just "<code>" when the message is empty.
   std::string ToString() const {
     std::string out = StatusCodeToString(code);
     if (!message.empty()) {
@@ -161,19 +50,8 @@ inline std::ostream& operator<<(std::ostream& os, const Error& error) {
   return os << error.ToString();
 }
 
-/// Converts between the two error layers. Converting an OK Status is a
-/// programming error; it is normalized to kInternal so the bug is visible in
-/// the rendered message instead of silently fabricating success.
-inline Error ToError(const Status& status) {
-  if (status.ok()) return Error{StatusCode::kInternal, "ToError(OK status)"};
-  return Error{status.code(), status.message()};
-}
-inline Status ToStatus(const Error& error) {
-  return Status(error.code, error.message);
-}
-
 /// Helpers producing an `std::unexpected<Error>` that implicitly converts to
-/// any Result<T>; the serving-boundary analogue of the Status factories:
+/// any Result<T>:
 ///
 ///   Result<int> ParseInt(...) {
 ///     if (bad) return err::InvalidArgument("int field: " + token);
@@ -205,19 +83,17 @@ inline std::unexpected<Error> ResourceExhausted(std::string msg) {
 inline std::unexpected<Error> Internal(std::string msg) {
   return MakeUnexpected(StatusCode::kInternal, std::move(msg));
 }
-inline std::unexpected<Error> Unimplemented(std::string msg) {
-  return MakeUnexpected(StatusCode::kUnimplemented, std::move(msg));
-}
 }  // namespace err
 
 /// Either a value of type T or an Error, built on C++23 std::expected.
-/// Accessing the value of an error Result via value() throws
-/// std::bad_expected_access (std::expected's contract); serving-boundary code
-/// annotated PRISTE_NO_ABORT must use PRISTE_TRY / has_value() instead.
+/// Result<void> is the value-less form: `return {};` on success. Accessing
+/// the value of an error Result via value() throws
+/// std::bad_expected_access<Error> (std::expected's contract), which nothing
+/// on the serving boundary catches; code annotated PRISTE_NO_ABORT must use
+/// PRISTE_TRY / has_value() instead.
 ///
-/// The ok()/status() shims keep Result drop-in compatible with call sites
-/// written against StatusOr, so the serving boundary migrates without
-/// rewriting every caller.
+/// ok() and status() are shorthand for has_value() and a never-throwing view
+/// of the error.
 template <typename T>
 class [[nodiscard]] Result : public std::expected<T, Error> {
   using base = std::expected<T, Error>;
@@ -227,32 +103,14 @@ class [[nodiscard]] Result : public std::expected<T, Error> {
 
   bool ok() const { return this->has_value(); }
 
-  /// Status view of the error state, for StatusOr-compatible call sites.
-  Status status() const {
-    return this->has_value() ? Status() : ToStatus(this->error());
+  /// The error, or Error{StatusCode::kOk, ""} (rendering "ok") when the
+  /// result holds a value.
+  Error status() const {
+    return this->has_value() ? Error{StatusCode::kOk, ""} : this->error();
   }
 };
 
 }  // namespace priste
-
-/// Evaluates `expr` (a Status expression); returns it from the enclosing
-/// function if not OK.
-#define PRISTE_RETURN_IF_ERROR(expr)                    \
-  do {                                                  \
-    ::priste::Status priste_status_tmp_ = (expr);       \
-    if (!priste_status_tmp_.ok()) return priste_status_tmp_; \
-  } while (false)
-
-/// Evaluates `rexpr` (a StatusOr<T> expression); on success moves the value
-/// into `lhs`, otherwise returns the error from the enclosing function.
-#define PRISTE_ASSIGN_OR_RETURN(lhs, rexpr)                             \
-  PRISTE_ASSIGN_OR_RETURN_IMPL_(                                        \
-      PRISTE_STATUS_CONCAT_(priste_statusor_, __LINE__), lhs, rexpr)
-
-#define PRISTE_ASSIGN_OR_RETURN_IMPL_(statusor, lhs, rexpr) \
-  auto statusor = (rexpr);                                  \
-  if (!statusor.ok()) return statusor.status();             \
-  lhs = std::move(statusor).value()
 
 #define PRISTE_STATUS_CONCAT_(a, b) PRISTE_STATUS_CONCAT_IMPL_(a, b)
 #define PRISTE_STATUS_CONCAT_IMPL_(a, b) a##b
@@ -271,27 +129,14 @@ class [[nodiscard]] Result : public std::expected<T, Error> {
     return ::std::unexpected(::std::move(result).error());          \
   lhs = *::std::move(result)
 
-/// Evaluates `expr` (a Result<T> expression whose value is not needed);
-/// propagates the Error from the enclosing function on failure.
+/// Evaluates `expr` (a Result<T> expression whose value is not needed, such
+/// as a Result<void> validator); propagates the Error from the enclosing
+/// function on failure.
 #define PRISTE_TRY_VOID(expr)                                       \
   do {                                                              \
     auto priste_result_tmp_ = (expr);                               \
     if (!priste_result_tmp_.has_value())                            \
       return ::std::unexpected(::std::move(priste_result_tmp_).error()); \
   } while (false)
-
-/// Bridge for Result-returning functions calling StatusOr-returning
-/// internals: on success moves the value into `lhs`, otherwise propagates the
-/// Status as an Error. The ok() check precedes value(), so the StatusOr abort
-/// path is provably dead here.
-#define PRISTE_TRY_FROM_STATUS(lhs, rexpr)                          \
-  PRISTE_TRY_FROM_STATUS_IMPL_(                                     \
-      PRISTE_STATUS_CONCAT_(priste_statusor_, __LINE__), lhs, rexpr)
-
-#define PRISTE_TRY_FROM_STATUS_IMPL_(statusor, lhs, rexpr)          \
-  auto statusor = (rexpr);                                          \
-  if (!statusor.ok())                                               \
-    return ::std::unexpected(::priste::ToError(statusor.status())); \
-  lhs = ::std::move(statusor).value()
 
 #endif  // PRISTE_COMMON_STATUS_H_

@@ -107,10 +107,10 @@
 #endif
 
 /// Marks a serving-boundary entry point that must return a typed error
-/// (priste::Result / priste::Status) instead of terminating the process on
-/// bad input: no path from the annotated body may reach PRISTE_CHECK,
-/// abort/exit, std::terminate, or a throw. PRISTE_DCHECK is permitted — it
-/// compiles away in NDEBUG serving builds. Enforced transitively by
+/// (priste::Result) instead of terminating the process on bad input: no path
+/// from the annotated body may reach PRISTE_CHECK, abort/exit,
+/// std::terminate, a throw, or a value() call (it throws when empty).
+/// PRISTE_DCHECK is permitted — it compiles away in NDEBUG serving builds. Enforced transitively by
 /// tools/lint/priste_callgraph.py (rule `no-abort-reachable`).
 #if defined(__clang__)
 #define PRISTE_NO_ABORT __attribute__((annotate("priste_no_abort")))

@@ -8,10 +8,10 @@
 
 namespace priste::core {
 
-StatusOr<std::shared_ptr<AutomatonWorldModel>> AutomatonWorldModel::Create(
+Result<std::shared_ptr<AutomatonWorldModel>> AutomatonWorldModel::Create(
     markov::TransitionSchedule schedule, const event::BoolExpr& expr,
     int max_automaton_states) {
-  PRISTE_ASSIGN_OR_RETURN(
+  PRISTE_TRY(
       event::EventAutomaton automaton,
       event::EventAutomaton::Compile(expr, schedule.num_states(),
                                      max_automaton_states));

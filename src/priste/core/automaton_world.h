@@ -30,7 +30,7 @@ class AutomatonWorldModel : public LiftedEventModel {
  public:
   /// Compiles `expr` over the chain's state space. Fails when the expression
   /// has no predicates or the automaton exceeds `max_automaton_states`.
-  static StatusOr<std::shared_ptr<AutomatonWorldModel>> Create(
+  static Result<std::shared_ptr<AutomatonWorldModel>> Create(
       markov::TransitionSchedule schedule, const event::BoolExpr& expr,
       int max_automaton_states = 512);
 

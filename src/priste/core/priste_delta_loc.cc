@@ -1,5 +1,7 @@
 #include "priste/core/priste_delta_loc.h"
 
+#include <cmath>
+
 #include "priste/common/metrics.h"
 #include "priste/common/strings.h"
 #include "priste/common/timer.h"
@@ -20,6 +22,7 @@ PristeDeltaLoc::PristeDeltaLoc(geo::Grid grid, markov::TransitionMatrix chain,
       options_(options) {
   PRISTE_CHECK_MSG(!events_.empty(), "PristeDeltaLoc needs at least one event");
   PRISTE_CHECK(delta_ >= 0.0 && delta_ < 1.0);
+  PRISTE_CHECK(std::isfinite(options_.epsilon) && options_.epsilon >= 0.0);
   PRISTE_CHECK(options_.decay > 0.0 && options_.decay < 1.0);
   PRISTE_CHECK(options_.initial_alpha >= 0.0);
   PRISTE_CHECK(chain_.num_states() == grid_.num_cells());
@@ -66,8 +69,8 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
 
     // Line 2: Markov prediction; line 3: δ-location set.
     const linalg::Vector predicted = chain_.Propagate(posterior);
-    PRISTE_TRY_FROM_STATUS(geo::Region location_set,
-                           lppm::DeltaLocationSet(predicted, delta_));
+    PRISTE_TRY(geo::Region location_set,
+               lppm::DeltaLocationSet(predicted, delta_));
 
     StepRecord step;
     double alpha = options_.initial_alpha;
@@ -82,10 +85,9 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
       released_column = mech.EmissionColumn(o);
 
       if (effective_alpha == 0.0) {
-        // Uniform-over-ΔX release; accept (the α → 0 anchor). Unlike the
-        // unrestricted mechanism this is only uniform within ΔX_t, so we
-        // still run the check when a finite threshold allows it, but never
-        // loop further.
+        // The α → 0 anchor, committed unchecked: at α = 0 every row of the
+        // ΔX-restricted mechanism is the same uniform distribution over ΔX,
+        // so the emission column is constant and reveals nothing.
         context.Commit(released_column);
         released.push_back(o);
         step.released_alpha = 0.0;
@@ -112,8 +114,7 @@ Result<RunResult> PristeDeltaLoc::Run(const geo::Trajectory& true_trajectory,
     }
 
     // Line 8 / Eq. (21): posterior update from the released observation.
-    PRISTE_TRY_FROM_STATUS(posterior,
-                           hmm::PosteriorUpdate(predicted, released_column));
+    PRISTE_TRY(posterior, hmm::PosteriorUpdate(predicted, released_column));
 
     halvings_counter.Increment(step.halvings);
     step_seconds.Record(step_timer.ElapsedSeconds());

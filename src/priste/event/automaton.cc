@@ -138,12 +138,12 @@ CanonPtr Substitute(const CanonPtr& node, int t, int s) {
 
 }  // namespace
 
-StatusOr<EventAutomaton> EventAutomaton::Compile(const BoolExpr& expr,
-                                                 size_t num_states,
-                                                 int max_states) {
-  if (num_states == 0) return Status::InvalidArgument("num_states must be positive");
+Result<EventAutomaton> EventAutomaton::Compile(const BoolExpr& expr,
+                                               size_t num_states,
+                                               int max_states) {
+  if (num_states == 0) return err::InvalidArgument("num_states must be positive");
   if (expr.NumPredicates() == 0) {
-    return Status::InvalidArgument("event must contain at least one predicate");
+    return err::InvalidArgument("event must contain at least one predicate");
   }
   EventAutomaton out;
   out.start_ = expr.MinTimestamp();
@@ -178,7 +178,7 @@ StatusOr<EventAutomaton> EventAutomaton::Compile(const BoolExpr& expr,
                                          static_cast<int>(s));
         const int next_id = intern(next);
         if (static_cast<int>(states.size()) > max_states) {
-          return Status::ResourceExhausted(
+          return err::ResourceExhausted(
               StrFormat("event automaton exceeds %d states", max_states));
         }
         successors[s] = next_id;

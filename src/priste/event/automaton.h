@@ -32,8 +32,8 @@ class EventAutomaton {
   /// `num_states` is the map size m (predicates must reference states
   /// < num_states and timestamps >= 1). The expression must contain at
   /// least one predicate.
-  static StatusOr<EventAutomaton> Compile(const BoolExpr& expr, size_t num_states,
-                                          int max_states = 512);
+  static Result<EventAutomaton> Compile(const BoolExpr& expr, size_t num_states,
+                                        int max_states = 512);
 
   /// First / last timestamp the expression references.
   int start() const { return start_; }

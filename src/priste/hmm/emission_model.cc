@@ -6,21 +6,26 @@
 
 namespace priste::hmm {
 
-StatusOr<EmissionMatrix> EmissionMatrix::Create(linalg::Matrix e, double tol) {
+Result<EmissionMatrix> EmissionMatrix::Create(linalg::Matrix e, double tol) {
   if (e.rows() == 0 || e.cols() == 0) {
-    return Status::InvalidArgument("EmissionMatrix must be non-empty");
+    return err::InvalidArgument("EmissionMatrix must be non-empty");
   }
   for (size_t r = 0; r < e.rows(); ++r) {
     double sum = 0.0;
     for (size_t c = 0; c < e.cols(); ++c) {
+      if (!std::isfinite(e(r, c))) {
+        return err::InvalidArgument(
+            StrFormat("EmissionMatrix entry (%zu,%zu)=%g is not finite", r, c,
+                      e(r, c)));
+      }
       if (e(r, c) < -tol) {
-        return Status::InvalidArgument(
+        return err::InvalidArgument(
             StrFormat("EmissionMatrix entry (%zu,%zu)=%g is negative", r, c, e(r, c)));
       }
       sum += e(r, c);
     }
     if (std::fabs(sum - 1.0) > tol) {
-      return Status::InvalidArgument(
+      return err::InvalidArgument(
           StrFormat("EmissionMatrix row %zu sums to %g, expected 1", r, sum));
     }
     for (size_t c = 0; c < e.cols(); ++c) {

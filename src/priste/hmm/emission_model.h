@@ -14,9 +14,9 @@ namespace priste::hmm {
 /// observation across all true states.
 class EmissionMatrix {
  public:
-  /// Validates that `e` is row-stochastic (each true state emits a
-  /// distribution over outputs).
-  static StatusOr<EmissionMatrix> Create(linalg::Matrix e, double tol = 1e-6);
+  /// Validates that `e` is row-stochastic with finite entries (each true
+  /// state emits a distribution over outputs).
+  static Result<EmissionMatrix> Create(linalg::Matrix e, double tol = 1e-6);
 
   /// The m×m identity emission — the mechanism that reports the truth.
   static EmissionMatrix Identity(size_t num_states);

@@ -10,21 +10,21 @@ namespace {
 // with the per-step normalizers c_t. Allocation-free per step: every vector
 // is written in place via the chain's fused kernels. Fails only on a genuine
 // zero.
-Status ScaledForward(const markov::TransitionMatrix& transition,
-                     const linalg::Vector& initial,
-                     const std::vector<linalg::Vector>& emissions,
-                     std::vector<linalg::Vector>& alphas,
-                     std::vector<double>& scales) {
+Result<void> ScaledForward(const markov::TransitionMatrix& transition,
+                           const linalg::Vector& initial,
+                           const std::vector<linalg::Vector>& emissions,
+                           std::vector<linalg::Vector>& alphas,
+                           std::vector<double>& scales) {
   const size_t m = transition.num_states();
   if (initial.size() != m) {
-    return Status::InvalidArgument("initial distribution size != num_states");
+    return err::InvalidArgument("initial distribution size != num_states");
   }
   if (emissions.empty()) {
-    return Status::InvalidArgument("need at least one observation");
+    return err::InvalidArgument("need at least one observation");
   }
   for (const auto& e : emissions) {
     if (e.size() != m) {
-      return Status::InvalidArgument("emission column size != num_states");
+      return err::InvalidArgument("emission column size != num_states");
     }
   }
   const size_t T = emissions.size();
@@ -42,22 +42,22 @@ Status ScaledForward(const markov::TransitionMatrix& transition,
     }
     const double c = alphas[t].Sum();
     if (c <= 0.0) {
-      return Status::FailedPrecondition(
+      return err::FailedPrecondition(
           "observations have zero probability under the model");
     }
     scales[t] = c;
     alphas[t].ScaleInPlace(1.0 / c);
   }
-  return Status::Ok();
+  return {};
 }
 
 }  // namespace
 
-StatusOr<ForwardBackwardResult> ForwardBackward(
+Result<ForwardBackwardResult> ForwardBackward(
     const markov::TransitionMatrix& transition, const linalg::Vector& initial,
     const std::vector<linalg::Vector>& emissions) {
   ForwardBackwardResult out;
-  PRISTE_RETURN_IF_ERROR(
+  PRISTE_TRY_VOID(
       ScaledForward(transition, initial, emissions, out.alphas, out.scales));
   const size_t m = transition.num_states();
   const size_t T = emissions.size();
@@ -83,7 +83,7 @@ StatusOr<ForwardBackwardResult> ForwardBackward(
     linalg::Vector post = out.alphas[t].Hadamard(out.betas[t]);
     const double norm = post.Sum();
     if (norm <= 0.0) {
-      return Status::FailedPrecondition(
+      return err::FailedPrecondition(
           "observations have zero probability under the model");
     }
     post.ScaleInPlace(1.0 / norm);
@@ -92,25 +92,25 @@ StatusOr<ForwardBackwardResult> ForwardBackward(
   return out;
 }
 
-StatusOr<std::vector<linalg::Vector>> ForwardOnly(
+Result<std::vector<linalg::Vector>> ForwardOnly(
     const markov::TransitionMatrix& transition, const linalg::Vector& initial,
     const std::vector<linalg::Vector>& emissions) {
   std::vector<linalg::Vector> alphas;
   std::vector<double> scales;
-  PRISTE_RETURN_IF_ERROR(
+  PRISTE_TRY_VOID(
       ScaledForward(transition, initial, emissions, alphas, scales));
   return alphas;
 }
 
-StatusOr<linalg::Vector> PosteriorUpdate(const linalg::Vector& prior,
-                                         const linalg::Vector& emission_column) {
+Result<linalg::Vector> PosteriorUpdate(const linalg::Vector& prior,
+                                       const linalg::Vector& emission_column) {
   if (prior.size() != emission_column.size()) {
-    return Status::InvalidArgument("prior/emission size mismatch");
+    return err::InvalidArgument("prior/emission size mismatch");
   }
   linalg::Vector post = prior.Hadamard(emission_column);
   const double norm = post.Sum();
   if (norm <= 0.0) {
-    return Status::FailedPrecondition("observation impossible under prior");
+    return err::FailedPrecondition("observation impossible under prior");
   }
   post.ScaleInPlace(1.0 / norm);
   return post;

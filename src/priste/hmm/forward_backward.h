@@ -41,14 +41,14 @@ struct ForwardBackwardResult {
 /// mismatches or an empty observation sequence, FailedPrecondition only when
 /// the observations have genuinely zero probability (some c_t = 0), never
 /// from underflow.
-StatusOr<ForwardBackwardResult> ForwardBackward(
+Result<ForwardBackwardResult> ForwardBackward(
     const markov::TransitionMatrix& transition, const linalg::Vector& initial,
     const std::vector<linalg::Vector>& emissions);
 
 /// Forward filtering only: returns the sequence of scaled α̂_t (identical to
 /// ForwardBackward().alphas). Cheaper than the full pass when betas are not
 /// needed.
-StatusOr<std::vector<linalg::Vector>> ForwardOnly(
+Result<std::vector<linalg::Vector>> ForwardOnly(
     const markov::TransitionMatrix& transition, const linalg::Vector& initial,
     const std::vector<linalg::Vector>& emissions);
 
@@ -56,8 +56,8 @@ StatusOr<std::vector<linalg::Vector>> ForwardOnly(
 /// p⁺[i] ∝ Pr(o | u = s_i) · p⁻[i]. Returns InvalidArgument on a size
 /// mismatch, FailedPrecondition when the evidence has zero probability under
 /// the prior.
-StatusOr<linalg::Vector> PosteriorUpdate(const linalg::Vector& prior,
-                                         const linalg::Vector& emission_column);
+Result<linalg::Vector> PosteriorUpdate(const linalg::Vector& prior,
+                                       const linalg::Vector& emission_column);
 
 }  // namespace priste::hmm
 

@@ -10,14 +10,14 @@
 
 namespace priste::lppm {
 
-StatusOr<geo::Region> DeltaLocationSet(const linalg::Vector& prior, double delta) {
+Result<geo::Region> DeltaLocationSet(const linalg::Vector& prior, double delta) {
   if (delta < 0.0 || delta >= 1.0) {
-    return Status::InvalidArgument("delta must be in [0, 1)");
+    return err::InvalidArgument("delta must be in [0, 1)");
   }
-  if (prior.empty()) return Status::InvalidArgument("empty prior");
+  if (prior.empty()) return err::InvalidArgument("empty prior");
   // Negated so that a NaN entry or sum fails (the sort below needs no NaN).
   if (!prior.AllInRange(0.0, 1.0) || !(std::fabs(prior.Sum() - 1.0) <= 1e-6)) {
-    return Status::InvalidArgument("prior is not a probability vector");
+    return err::InvalidArgument("prior is not a probability vector");
   }
 
   std::vector<size_t> order(prior.size());

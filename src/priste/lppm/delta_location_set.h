@@ -17,7 +17,7 @@ namespace priste::lppm {
 /// number of cells, taken in decreasing prior-probability order, whose prior
 /// mass is at least 1 − δ. Requires `prior` to be a probability vector and
 /// δ ∈ [0, 1).
-StatusOr<geo::Region> DeltaLocationSet(const linalg::Vector& prior, double delta);
+Result<geo::Region> DeltaLocationSet(const linalg::Vector& prior, double delta);
 
 /// The paper's Case Study 2 mechanism: an α-Planar-Laplace mechanism whose
 /// output domain is restricted to a δ-location set ΔX_t (Algorithm 3, line 4,

@@ -5,27 +5,27 @@
 namespace priste::markov {
 namespace {
 
-Status ValidateStates(const std::vector<std::vector<int>>& trajectories,
-                      size_t num_states) {
-  if (num_states == 0) return Status::InvalidArgument("num_states must be positive");
+Result<void> ValidateStates(const std::vector<std::vector<int>>& trajectories,
+                            size_t num_states) {
+  if (num_states == 0) return err::InvalidArgument("num_states must be positive");
   for (const auto& traj : trajectories) {
     for (int s : traj) {
       if (s < 0 || static_cast<size_t>(s) >= num_states) {
-        return Status::OutOfRange(
+        return err::OutOfRange(
             StrFormat("state %d outside [0, %zu)", s, num_states));
       }
     }
   }
-  return Status::Ok();
+  return {};
 }
 
 }  // namespace
 
-StatusOr<TransitionMatrix> EstimateTransitionMatrix(
+Result<TransitionMatrix> EstimateTransitionMatrix(
     const std::vector<std::vector<int>>& trajectories, size_t num_states,
     double smoothing) {
-  PRISTE_RETURN_IF_ERROR(ValidateStates(trajectories, num_states));
-  if (smoothing < 0.0) return Status::InvalidArgument("smoothing must be >= 0");
+  PRISTE_TRY_VOID(ValidateStates(trajectories, num_states));
+  if (smoothing < 0.0) return err::InvalidArgument("smoothing must be >= 0");
 
   linalg::Matrix counts(num_states, num_states, smoothing);
   for (const auto& traj : trajectories) {
@@ -48,11 +48,11 @@ StatusOr<TransitionMatrix> EstimateTransitionMatrix(
   return TransitionMatrix::Create(std::move(counts));
 }
 
-StatusOr<linalg::Vector> EstimateInitialDistribution(
+Result<linalg::Vector> EstimateInitialDistribution(
     const std::vector<std::vector<int>>& trajectories, size_t num_states,
     double smoothing) {
-  PRISTE_RETURN_IF_ERROR(ValidateStates(trajectories, num_states));
-  if (smoothing < 0.0) return Status::InvalidArgument("smoothing must be >= 0");
+  PRISTE_TRY_VOID(ValidateStates(trajectories, num_states));
+  if (smoothing < 0.0) return err::InvalidArgument("smoothing must be >= 0");
 
   linalg::Vector counts(num_states, smoothing);
   for (const auto& traj : trajectories) {

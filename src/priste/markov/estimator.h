@@ -13,13 +13,13 @@ namespace priste::markov {
 /// runs on Geolife (Section V-A). `smoothing` is an additive (Laplace)
 /// pseudo-count per cell; with smoothing = 0, rows with no outgoing
 /// observations fall back to uniform so the result is always a valid chain.
-StatusOr<TransitionMatrix> EstimateTransitionMatrix(
+Result<TransitionMatrix> EstimateTransitionMatrix(
     const std::vector<std::vector<int>>& trajectories, size_t num_states,
     double smoothing = 0.0);
 
 /// Empirical distribution of the first state across trajectories, with the
 /// same additive smoothing.
-StatusOr<linalg::Vector> EstimateInitialDistribution(
+Result<linalg::Vector> EstimateInitialDistribution(
     const std::vector<std::vector<int>>& trajectories, size_t num_states,
     double smoothing = 0.0);
 

@@ -5,17 +5,17 @@
 namespace priste::markov {
 namespace {
 
-Status ValidateMatrices(const std::vector<TransitionMatrix>& matrices) {
+Result<void> ValidateMatrices(const std::vector<TransitionMatrix>& matrices) {
   if (matrices.empty()) {
-    return Status::InvalidArgument("schedule needs at least one matrix");
+    return err::InvalidArgument("schedule needs at least one matrix");
   }
   const size_t m = matrices.front().num_states();
   for (const auto& matrix : matrices) {
     if (matrix.num_states() != m) {
-      return Status::InvalidArgument("schedule matrices disagree on state count");
+      return err::InvalidArgument("schedule matrices disagree on state count");
     }
   }
-  return Status::Ok();
+  return {};
 }
 
 }  // namespace
@@ -24,15 +24,15 @@ TransitionSchedule TransitionSchedule::Homogeneous(TransitionMatrix m) {
   return TransitionSchedule(Mode::kCyclic, {std::move(m)});
 }
 
-StatusOr<TransitionSchedule> TransitionSchedule::Cyclic(
+Result<TransitionSchedule> TransitionSchedule::Cyclic(
     std::vector<TransitionMatrix> matrices) {
-  PRISTE_RETURN_IF_ERROR(ValidateMatrices(matrices));
+  PRISTE_TRY_VOID(ValidateMatrices(matrices));
   return TransitionSchedule(Mode::kCyclic, std::move(matrices));
 }
 
-StatusOr<TransitionSchedule> TransitionSchedule::PerStep(
+Result<TransitionSchedule> TransitionSchedule::PerStep(
     std::vector<TransitionMatrix> matrices) {
-  PRISTE_RETURN_IF_ERROR(ValidateMatrices(matrices));
+  PRISTE_TRY_VOID(ValidateMatrices(matrices));
   return TransitionSchedule(Mode::kPerStepThenRepeat, std::move(matrices));
 }
 

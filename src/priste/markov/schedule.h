@@ -26,10 +26,10 @@ class TransitionSchedule {
   /// Cycles through `matrices` with period matrices.size(): step t uses
   /// matrices[(t−1) mod period]. Requires a non-empty list with matching
   /// state counts.
-  static StatusOr<TransitionSchedule> Cyclic(std::vector<TransitionMatrix> matrices);
+  static Result<TransitionSchedule> Cyclic(std::vector<TransitionMatrix> matrices);
 
   /// Uses matrices[t−1] for steps 1..n, then repeats the last matrix.
-  static StatusOr<TransitionSchedule> PerStep(std::vector<TransitionMatrix> matrices);
+  static Result<TransitionSchedule> PerStep(std::vector<TransitionMatrix> matrices);
 
   size_t num_states() const { return matrices_.front().num_states(); }
 

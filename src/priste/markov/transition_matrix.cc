@@ -26,10 +26,10 @@ TransitionMatrix::TransitionMatrix(linalg::Matrix m, bool allow_sparse)
   }
 }
 
-StatusOr<TransitionMatrix> TransitionMatrix::Create(linalg::Matrix m, double tol,
-                                                    bool allow_sparse) {
+Result<TransitionMatrix> TransitionMatrix::Create(linalg::Matrix m, double tol,
+                                                  bool allow_sparse) {
   if (m.rows() == 0 || m.rows() != m.cols()) {
-    return Status::InvalidArgument("TransitionMatrix must be square and non-empty");
+    return err::InvalidArgument("TransitionMatrix must be square and non-empty");
   }
   for (size_t r = 0; r < m.rows(); ++r) {
     // Clamp within-tolerance negatives to zero BEFORE computing the
@@ -38,19 +38,19 @@ StatusOr<TransitionMatrix> TransitionMatrix::Create(linalg::Matrix m, double tol
     double sum = 0.0;
     for (size_t c = 0; c < m.cols(); ++c) {
       if (!std::isfinite(m(r, c))) {
-        return Status::InvalidArgument(
+        return err::InvalidArgument(
             StrFormat("TransitionMatrix entry (%zu,%zu)=%g is not finite", r, c,
                       m(r, c)));
       }
       if (m(r, c) < -tol) {
-        return Status::InvalidArgument(
+        return err::InvalidArgument(
             StrFormat("TransitionMatrix entry (%zu,%zu)=%g is negative", r, c, m(r, c)));
       }
       if (m(r, c) < 0.0) m(r, c) = 0.0;
       sum += m(r, c);
     }
     if (std::fabs(sum - 1.0) > tol) {
-      return Status::InvalidArgument(
+      return err::InvalidArgument(
           StrFormat("TransitionMatrix row %zu sums to %g, expected 1", r, sum));
     }
     // Exact renormalization keeps long products stochastic.

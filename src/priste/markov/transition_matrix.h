@@ -33,8 +33,8 @@ class TransitionMatrix {
   /// Within-tolerance negative entries are clamped to zero first and rows are
   /// then renormalized exactly to sum to 1, so long products stay stochastic.
   /// `allow_sparse=false` forces the dense kernels (tests / benchmarks).
-  static StatusOr<TransitionMatrix> Create(linalg::Matrix m, double tol = 1e-6,
-                                           bool allow_sparse = true);
+  static Result<TransitionMatrix> Create(linalg::Matrix m, double tol = 1e-6,
+                                         bool allow_sparse = true);
 
   /// The m×m uniform chain (every row 1/m) — the zero-information prior.
   static TransitionMatrix Uniform(size_t num_states);

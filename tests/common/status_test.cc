@@ -1,5 +1,6 @@
 #include "priste/common/status.h"
 
+#include <expected>
 #include <sstream>
 #include <string>
 
@@ -8,33 +9,6 @@
 namespace priste {
 namespace {
 
-TEST(StatusTest, DefaultIsOk) {
-  Status s;
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kOk);
-  EXPECT_EQ(s.ToString(), "OK");
-}
-
-TEST(StatusTest, ErrorCarriesCodeAndMessage) {
-  Status s = Status::InvalidArgument("bad input");
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(s.message(), "bad input");
-  EXPECT_EQ(s.ToString(), "invalid_argument: bad input");
-}
-
-TEST(StatusTest, OkWithMessageNormalizes) {
-  Status s(StatusCode::kOk, "ignored");
-  EXPECT_TRUE(s.ok());
-  EXPECT_TRUE(s.message().empty());
-}
-
-TEST(StatusTest, EqualityComparesCodeAndMessage) {
-  EXPECT_EQ(Status::NotFound("x"), Status::NotFound("x"));
-  EXPECT_FALSE(Status::NotFound("x") == Status::NotFound("y"));
-  EXPECT_FALSE(Status::NotFound("x") == Status::Internal("x"));
-}
-
 TEST(StatusTest, AllCodesHaveNames) {
   EXPECT_STREQ(StatusCodeToString(StatusCode::kOk), "ok");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kInvalidArgument), "invalid_argument");
@@ -42,66 +16,9 @@ TEST(StatusTest, AllCodesHaveNames) {
                "failed_precondition");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kOutOfRange), "out_of_range");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kNotFound), "not_found");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kDeadlineExceeded),
-               "deadline_exceeded");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kResourceExhausted),
                "resource_exhausted");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kInternal), "internal");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kUnimplemented), "unimplemented");
-}
-
-TEST(StatusOrTest, HoldsValue) {
-  StatusOr<int> v = 42;
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value(), 42);
-  EXPECT_EQ(*v, 42);
-  EXPECT_TRUE(v.status().ok());
-}
-
-TEST(StatusOrTest, HoldsError) {
-  StatusOr<int> v = Status::NotFound("missing");
-  EXPECT_FALSE(v.ok());
-  EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(v.value_or(-1), -1);
-}
-
-TEST(StatusOrTest, ValueOrReturnsValueWhenOk) {
-  StatusOr<int> v = 7;
-  EXPECT_EQ(v.value_or(-1), 7);
-}
-
-TEST(StatusOrTest, MoveOutValue) {
-  StatusOr<std::string> v = std::string("hello");
-  std::string s = std::move(v).value();
-  EXPECT_EQ(s, "hello");
-}
-
-StatusOr<int> ParsePositive(int x) {
-  if (x <= 0) return Status::InvalidArgument("not positive");
-  return x;
-}
-
-Status UseAssignOrReturn(int x, int* out) {
-  PRISTE_ASSIGN_OR_RETURN(*out, ParsePositive(x));
-  return Status::Ok();
-}
-
-TEST(StatusMacrosTest, AssignOrReturnPropagatesError) {
-  int out = 0;
-  EXPECT_TRUE(UseAssignOrReturn(3, &out).ok());
-  EXPECT_EQ(out, 3);
-  Status s = UseAssignOrReturn(-1, &out);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-Status UseReturnIfError(bool fail) {
-  PRISTE_RETURN_IF_ERROR(fail ? Status::Internal("boom") : Status::Ok());
-  return Status::Ok();
-}
-
-TEST(StatusMacrosTest, ReturnIfError) {
-  EXPECT_TRUE(UseReturnIfError(false).ok());
-  EXPECT_EQ(UseReturnIfError(true).code(), StatusCode::kInternal);
 }
 
 TEST(ErrorTest, FormatsCodeAndMessage) {
@@ -117,23 +34,11 @@ TEST(ErrorTest, EmptyMessageRendersCodeOnly) {
   EXPECT_EQ(e.ToString(), "not_found");
 }
 
-TEST(ErrorTest, ConvertsToAndFromStatus) {
-  const Error e{StatusCode::kOutOfRange, "cell 99"};
-  const Status s = ToStatus(e);
-  EXPECT_EQ(s.code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(s.message(), "cell 99");
-  EXPECT_EQ(ToError(s), e);
-  // Converting an OK status is a bug; it must surface as an error, not as
-  // fabricated success.
-  EXPECT_EQ(ToError(Status::Ok()).code, StatusCode::kInternal);
-}
-
 TEST(ResultTest, HoldsValue) {
   const Result<int> r = 42;
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, 42);
-  EXPECT_TRUE(r.status().ok());
 }
 
 TEST(ResultTest, HoldsError) {
@@ -141,8 +46,25 @@ TEST(ResultTest, HoldsError) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, StatusCode::kNotFound);
   EXPECT_EQ(r.error().message, "missing");
-  // The StatusOr-compatible shim renders the same diagnostic.
+  // status() is a never-throwing view of the same error.
+  EXPECT_EQ(r.status(), r.error());
   EXPECT_EQ(r.status().ToString(), "not_found: missing");
+}
+
+TEST(ResultTest, StatusOfValueIsOk) {
+  const Result<int> r = 7;
+  EXPECT_EQ(r.status().code, StatusCode::kOk);
+  EXPECT_TRUE(r.status().message.empty());
+  EXPECT_EQ(r.status().ToString(), "ok");
+}
+
+// value() on an error is std::expected's contract: it throws, which is why
+// the no-abort lint rule treats every value() call as a process abort.
+TEST(ResultTest, ValueOnErrorThrows) {
+  const Result<int> r = err::OutOfRange("cell 99");
+  EXPECT_THROW((void)r.value(), std::bad_expected_access<Error>);
+  const Result<int> good = 3;
+  EXPECT_EQ(good.value(), 3);
 }
 
 TEST(ResultTest, VoidSpecializationWorks) {
@@ -197,19 +119,25 @@ TEST(ResultMacrosTest, TryVoidPropagatesError) {
   EXPECT_EQ(UseTryVoid(-2).error().message, "not positive");
 }
 
-Result<int> UseTryFromStatus(int x) {
-  PRISTE_TRY_FROM_STATUS(const int value, ParsePositive(x));
-  return value + 1;
+// The validator shape: a Result<void> helper checked by PRISTE_TRY_VOID
+// inside a function returning a value.
+Result<void> ValidateEven(int x) {
+  if (x % 2 != 0) return err::InvalidArgument("odd");
+  return {};
 }
 
-TEST(ResultMacrosTest, TryFromStatusBridgesStatusOr) {
-  const Result<int> good = UseTryFromStatus(4);
+Result<int> HalveEven(int x) {
+  PRISTE_TRY_VOID(ValidateEven(x));
+  return x / 2;
+}
+
+TEST(ResultMacrosTest, TryVoidPropagatesVoidHelperError) {
+  const Result<int> good = HalveEven(8);
   ASSERT_TRUE(good.ok());
-  EXPECT_EQ(*good, 5);
-  const Result<int> bad = UseTryFromStatus(-1);
+  EXPECT_EQ(*good, 4);
+  const Result<int> bad = HalveEven(3);
   ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error().code, StatusCode::kInvalidArgument);
-  EXPECT_EQ(bad.error().message, "not positive");
+  EXPECT_EQ(bad.error(), (Error{StatusCode::kInvalidArgument, "odd"}));
 }
 
 }  // namespace

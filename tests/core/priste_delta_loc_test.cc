@@ -143,7 +143,8 @@ TEST(PristeDeltaLocTest, RejectsShortTrajectory) {
 
 TEST(PristeDeltaLocDeathTest, RejectsOptionsPristeGeoIndRejects) {
   // decay = 1 would halve forever on a failing check; a negative initial
-  // budget would release uniformly at every step.
+  // budget would release uniformly at every step; no release satisfies
+  // |ln LR| <= epsilon for a negative or NaN epsilon.
   const Scenario s;
   PristeOptions options = FastOptions(0.5, 0.3);
   options.decay = 1.0;
@@ -158,6 +159,11 @@ TEST(PristeDeltaLocDeathTest, RejectsOptionsPristeGeoIndRejects) {
   EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
                               options),
                "initial_alpha");
+  for (const double epsilon : {-1.0, std::nan("")}) {
+    EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2,
+                                s.pi, FastOptions(epsilon, 0.3)),
+                 "epsilon");
+  }
 }
 
 }  // namespace

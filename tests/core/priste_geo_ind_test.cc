@@ -164,8 +164,8 @@ TEST(PristeGeoIndTest, RejectsTooShortTrajectory) {
                             FastOptions(0.5, 0.3));
   Rng rng(15);
   const auto result = priste.Run(geo::Trajectory({0, 1}), rng);  // event ends at 4
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, StatusCode::kInvalidArgument);
   EXPECT_FALSE(priste.Run(geo::Trajectory(), rng).ok());
 }
 
@@ -186,6 +186,17 @@ TEST(PristeGeoIndTest, ConservativeThresholdCountsTimeouts) {
   // Everything falls to the uniform release.
   for (const auto& step : result->steps) {
     EXPECT_DOUBLE_EQ(step.released_alpha, 0.0);
+  }
+}
+
+TEST(PristeGeoIndDeathTest, RejectsNegativeOrNanEpsilon) {
+  // No release satisfies |ln LR| <= epsilon < 0, and NaN compares false
+  // with every bound.
+  const Scenario setup = SmallScenario();
+  for (const double epsilon : {-1.0, std::nan("")}) {
+    EXPECT_DEATH(PristeGeoInd(setup.grid, setup.chain, setup.events,
+                              FastOptions(epsilon, 0.3)),
+                 "epsilon");
   }
 }
 

@@ -32,7 +32,7 @@ TEST(EventAutomatonTest, StateCapIsEnforced) {
                                                BoolExpr::Pred(3, 2)));
   const auto automaton = EventAutomaton::Compile(*expr, 3, /*max_states=*/2);
   ASSERT_FALSE(automaton.ok());
-  EXPECT_EQ(automaton.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(automaton.error().code, StatusCode::kResourceExhausted);
 }
 
 TEST(EventAutomatonTest, PresenceAutomatonIsSmall) {

@@ -1,5 +1,8 @@
 #include "priste/hmm/emission_model.h"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace priste::hmm {
@@ -9,6 +12,15 @@ TEST(EmissionMatrixTest, CreateValidates) {
   EXPECT_FALSE(EmissionMatrix::Create(linalg::Matrix(0, 0)).ok());
   EXPECT_FALSE(EmissionMatrix::Create(linalg::Matrix{{0.5, 0.6}}).ok());
   EXPECT_FALSE(EmissionMatrix::Create(linalg::Matrix{{-0.1, 1.1}}).ok());
+  // Non-finite entries fail before the sign and sum tests, which NaN passes.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto with_nan = EmissionMatrix::Create(linalg::Matrix{{nan, 1.0}});
+  ASSERT_FALSE(with_nan.ok());
+  EXPECT_EQ(with_nan.error().code, StatusCode::kInvalidArgument);
+  EXPECT_NE(with_nan.error().message.find("(0,0)"), std::string::npos)
+      << with_nan.error();
+  EXPECT_FALSE(EmissionMatrix::Create(linalg::Matrix{{0.5, inf}}).ok());
   EXPECT_TRUE(EmissionMatrix::Create(linalg::Matrix{{0.2, 0.8}, {1.0, 0.0}}).ok());
 }
 

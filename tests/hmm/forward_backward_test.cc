@@ -211,8 +211,8 @@ TEST(ForwardBackwardTest, ImpossibleSequenceFailsCleanly) {
   second[3] = 1.0;
   const std::vector<linalg::Vector> impossible = {first, second};
   const auto result = ForwardBackward(chain, initial, impossible);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

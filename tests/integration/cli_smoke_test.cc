@@ -130,6 +130,7 @@ TEST(CliSmokeTest, MalformedFlagValuesExitNonZero) {
       "--event-window 5:3",   "--event-window 0:3",
       "--alpha -2",           "--delta 1.5",
       "--delta -0.3",         "--event-cells ''",
+      "--epsilon -1",
   };
   for (const std::string& flags : bad_flags) {
     const int rc = run(flags);
@@ -141,7 +142,7 @@ TEST(CliSmokeTest, MalformedFlagValuesExitNonZero) {
   // fails only on the missing input file.
   const int rc = run(
       "--grid 1x1 --cell-km 0.5 --sigma 2 --event-cells 0 "
-      "--event-window 1:1 --alpha 0 --delta 0");
+      "--event-window 1:1 --epsilon 0 --alpha 0 --delta 0");
   EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 1) << "rc=" << rc;
 }
 

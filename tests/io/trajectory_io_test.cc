@@ -56,8 +56,8 @@ TEST(TrajectoryIoTest, RejectsBadInput) {
 TEST(TrajectoryIoTest, RejectsFractionalTimestamps) {
   // t=1.9 used to be silently truncated to t=1 and accepted.
   const auto fractional = ParseTrajectoryCsv("t,cell\n1.9,0\n", kGrid);
-  EXPECT_FALSE(fractional.ok());
-  EXPECT_NE(fractional.status().message().find("timestamp"), std::string::npos)
+  ASSERT_FALSE(fractional.ok());
+  EXPECT_NE(fractional.error().message.find("timestamp"), std::string::npos)
       << fractional.status();
   EXPECT_FALSE(ParseTrajectoryCsv("t,cell\n1,0\n2.5,1\n", kGrid).ok());
   // Integral-valued forms such as "2.0" remain accepted.
@@ -68,8 +68,8 @@ TEST(TrajectoryIoTest, RejectsFractionalTimestamps) {
 
 TEST(TrajectoryIoTest, RejectsFractionalCells) {
   const auto fractional = ParseTrajectoryCsv("t,cell\n1,3.7\n", kGrid);
-  EXPECT_FALSE(fractional.ok());
-  EXPECT_NE(fractional.status().message().find("cell"), std::string::npos)
+  ASSERT_FALSE(fractional.ok());
+  EXPECT_NE(fractional.error().message.find("cell"), std::string::npos)
       << fractional.status();
 }
 
@@ -82,8 +82,8 @@ TEST(TrajectoryIoTest, RejectsNonFiniteAndHexCoordinates) {
   EXPECT_FALSE(ParseTrajectoryCsv("t,x_km,y_km\n1,0x1p3,0.5\n", kGrid).ok());
   EXPECT_FALSE(ParseTrajectoryCsv("t,x_km,y_km\n1,0x10,0.5\n", kGrid).ok());
   const auto bad = ParseTrajectoryCsv("t,x_km,y_km\n1,infinity,0.5\n", kGrid);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("infinity"), std::string::npos)
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.error().message.find("infinity"), std::string::npos)
       << bad.status();
   // Ordinary scientific notation stays accepted.
   const auto sci = ParseTrajectoryCsv("t,x_km,y_km\n1,5e-1,5E-1\n", kGrid);
@@ -95,8 +95,8 @@ TEST(TrajectoryIoTest, RejectsOutOfRangeTimestamps) {
   // Integral but beyond the int range (e.g. an epoch timestamp): reported as
   // out of range, not "not an integer".
   const auto epoch = ParseTrajectoryCsv("t,cell\n1753516800,0\n", kGrid);
-  EXPECT_FALSE(epoch.ok());
-  EXPECT_NE(epoch.status().message().find("out of range"), std::string::npos)
+  ASSERT_FALSE(epoch.ok());
+  EXPECT_NE(epoch.error().message.find("out of range"), std::string::npos)
       << epoch.status();
 }
 
@@ -104,8 +104,8 @@ TEST(TrajectoryIoTest, ErrorsReportPhysicalLineNumbers) {
   // Blank lines used to be dropped before numbering, shifting every reported
   // row. The bad cell below sits on physical line 5 of the file.
   const auto bad = ParseTrajectoryCsv("t,cell\n1,0\n\n\n2,99\n", kGrid);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("line 5"), std::string::npos)
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.error().message.find("line 5"), std::string::npos)
       << bad.status();
   // Blank lines themselves stay harmless.
   const auto blank_ok = ParseTrajectoryCsv("t,cell\n\n1,0\n\n2,1\n", kGrid);
@@ -114,16 +114,16 @@ TEST(TrajectoryIoTest, ErrorsReportPhysicalLineNumbers) {
   // Continuous-format coordinate errors carry line numbers too.
   const auto bad_xy =
       ParseTrajectoryCsv("t,x_km,y_km\n1,0.5,0.5\n\n2,abc,0.5\n", kGrid);
-  EXPECT_FALSE(bad_xy.ok());
-  EXPECT_NE(bad_xy.status().message().find("line 4"), std::string::npos)
+  ASSERT_FALSE(bad_xy.ok());
+  EXPECT_NE(bad_xy.error().message.find("line 4"), std::string::npos)
       << bad_xy.status();
 }
 
 TEST(TrajectoryIoTest, WhitespaceInsideFieldIsMalformed) {
   // "1 2" used to collapse to cell 12; interior whitespace must now fail.
   const auto bad = ParseTrajectoryCsv("t,cell\n1,1 2\n", kGrid);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("1 2"), std::string::npos)
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.error().message.find("1 2"), std::string::npos)
       << bad.status();
   EXPECT_FALSE(ParseTrajectoryCsv("t,cell\n1 1,2\n", kGrid).ok());
   // Leading/trailing whitespace is still trimmed.
@@ -166,8 +166,8 @@ TEST(TrajectoryIoTest, FileRoundTrip) {
 
 TEST(TrajectoryIoTest, MissingFileIsNotFound) {
   const auto missing = ReadTrajectoryFile("/nonexistent/priste.csv", kGrid);
-  EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code, StatusCode::kNotFound);
 }
 
 TEST(TrajectoryIoTest, MalformedInputYieldsTypedErrorNotAbort) {

@@ -1,13 +1,14 @@
 // Seeded-bad fixture for priste_callgraph --self-test.
 //
 // PRISTE_NO_ABORT entry points must not reach a process abort on any path.
-// Three violations:
+// Four violations:
 //   ParseField   -> CheckedAt          reaches PRISTE_CHECK   (depth 1)
 //   LoadRecord   -> ParseOrDie -> Die  reaches std::abort()   (depth 2)
 //   HandleFlag                          throws directly        (depth 0)
+//   ReadCount                           calls value()          (depth 0)
 // PRISTE_DCHECK is permitted (NDEBUG serving builds compile it away): the
 // DebugAt helper must NOT produce a finding.
-// Expected: 3 no-abort-reachable findings.
+// Expected: 4 no-abort-reachable findings.
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -22,6 +23,15 @@
   } while (false)
 
 namespace fixture {
+
+// Stands in for priste::Result<T> (std::expected): value() throws when the
+// result holds an error.
+template <typename T>
+struct Result {
+  bool has_value() const { return true; }
+  const T& value() const { return v; }
+  T v{};
+};
 
 int CheckedAt(const int* data, int i, int n) {
   PRISTE_CHECK(i >= 0 && i < n);
@@ -61,5 +71,9 @@ PRISTE_NO_ABORT int HandleFlag(int v) {
   if (v < 0) throw std::invalid_argument("negative flag");
   return v;
 }
+
+// Violation 4: value() on a Result throws std::bad_expected_access when it
+// holds an error, and nothing on the serving boundary catches it.
+PRISTE_NO_ABORT int ReadCount(const Result<int>& r) { return r.value(); }
 
 }  // namespace fixture

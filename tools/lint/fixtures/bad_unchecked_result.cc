@@ -1,6 +1,6 @@
 // Seeded-bad fixture for priste_callgraph --self-test.
 //
-// Calls whose Status / StatusOr<T> / Result<T> return value is discarded.
+// Calls whose Result<T> return value is discarded.
 // Four violations — including the two [[nodiscard]] cannot stop:
 //   1. bare statement discard            WriteThing(1);
 //   2. cast-laundered discard            (void)WriteThing(2);
@@ -11,20 +11,18 @@
 
 namespace fixture {
 
-struct Status {
-  bool ok() const { return true; }
-};
 template <typename T>
 struct Result {
+  bool ok() const { return true; }
   bool has_value() const { return true; }
 };
 
-Status WriteThing(int v);
+Result<void> WriteThing(int v);
 Result<int> ReadThing(int v);
 void Touch();
-void Consume(Status s);
+void Consume(Result<void> s);
 
-Status WriteThing(int v) { return Status{}; }
+Result<void> WriteThing(int v) { return Result<void>{}; }
 Result<int> ReadThing(int v) { return Result<int>{}; }
 
 void Violations(bool cond) {
@@ -34,8 +32,8 @@ void Violations(bool cond) {
   if (cond) WriteThing(4);       // 4: if-body discard
 }
 
-Status ConsumedForms(bool cond) {
-  Status s = WriteThing(5);              // assigned
+Result<void> ConsumedForms(bool cond) {
+  Result<void> s = WriteThing(5);        // assigned
   if (!WriteThing(6).ok()) return s;     // chained access
   Consume(WriteThing(7));                // argument
   const auto r = ReadThing(8);           // assigned (Result<T>)

@@ -8,8 +8,11 @@
 
 namespace fixture {
 
-struct Status {
+template <typename T>
+struct Result {
   bool ok() const { return true; }
+  bool has_value() const { return true; }
+  T operator*() const { return T(); }
 };
 
 std::vector<double>& Scratch();
@@ -46,16 +49,21 @@ PRISTE_HOT_PATH double EdgeWaivedKernel(const double* a, int n) {
 }
 
 // No-abort entry whose callees return typed errors instead of CHECKing.
-Status ParseCell(const char* s, int* out) {
-  if (s == nullptr) return Status{};
+Result<void> ParseCell(const char* s, int* out) {
+  if (s == nullptr) return Result<void>{};
   *out = *s - '0';
-  return Status{};
+  return Result<void>{};
 }
 
-PRISTE_NO_ABORT Status LoadRecord(const char* s, int* out) {
-  Status st = ParseCell(s, out);
+PRISTE_NO_ABORT Result<void> LoadRecord(const char* s, int* out) {
+  Result<void> st = ParseCell(s, out);
   if (!st.ok()) return st;
-  return Status{};
+  return Result<void>{};
+}
+
+// A Result read after checking has_value(), never through value().
+PRISTE_NO_ABORT int ReadCount(const Result<int>& r) {
+  return r.has_value() ? *r : 0;
 }
 
 }  // namespace fixture

@@ -25,8 +25,10 @@ REACHABILITY rules that single-function analysis cannot express:
       Functions annotated PRISTE_NO_ABORT (common/thread_annotations.h; the
       serving-facing entry points: CSV/file parsing, CLI flag handling, the
       driver Run input-validation preludes) must not reach a process abort on
-      ANY path: PRISTE_CHECK / PRISTE_CHECK_MSG / PRISTE_CHECK_OK, abort(),
-      exit(), _Exit(), quick_exit(), terminate, or a `throw` expression.
+      ANY path: PRISTE_CHECK / PRISTE_CHECK_MSG, abort(), exit(), _Exit(),
+      quick_exit(), terminate, a `throw` expression, or a `.value()` call
+      (std::expected and std::optional throw from value() when empty, and
+      nothing on the serving boundary catches it).
       PRISTE_DCHECK is permitted — it compiles away in NDEBUG serving builds
       and guards internal invariants, not input data. A malformed observation
       from one user must produce a typed Error, never kill the process
@@ -35,12 +37,11 @@ REACHABILITY rules that single-function analysis cannot express:
       (e.g. a bounds CHECK dominated by an earlier validation).
 
   unchecked-result
-      Any call whose Status / StatusOr<T> / Result<T> return value is
-      discarded — including discards laundered through (void) / static_cast
-      casts or the comma operator, which [[nodiscard]] does not survive
-      (GCC happily suppresses the warning). An error that is computed and
-      dropped is worse than no error path at all. Waive with
-      allow(unchecked-result) on the call line.
+      Any call whose Result<T> return value is discarded — including
+      discards laundered through (void) / static_cast casts or the comma
+      operator, which [[nodiscard]] does not survive (GCC happily suppresses
+      the warning). An error that is computed and dropped is worse than no
+      error path at all. Waive with allow(unchecked-result) on the call line.
 
 The analysis is deliberately LEXICAL, like priste_lint: function definitions
 are recovered by brace matching over comment/string-stripped text, calls by
@@ -85,18 +86,18 @@ NO_ABORT_MARKER = "PRISTE_NO_ABORT"
 # absent: NDEBUG serving builds compile it away, and it guards internal
 # invariants rather than user input.
 ABORT_TOKENS = [
-    (re.compile(r"\bPRISTE_CHECK(?:_MSG|_OK)?\s*\("), "PRISTE_CHECK aborts"),
+    (re.compile(r"\bPRISTE_CHECK(?:_MSG)?\s*\("), "PRISTE_CHECK aborts"),
     (re.compile(r"(?<![\w:.>])(?:std::)?abort\s*\("), "abort()"),
     (re.compile(r"(?<![\w:.>])(?:std::)?(?:exit|_Exit|quick_exit)\s*\("),
      "exit()"),
     (re.compile(r"(?<![\w:.>])(?:std::)?terminate\s*\("), "std::terminate()"),
     (re.compile(r"(?<![\w>])throw\s+[^;]"), "throw expression"),
+    (re.compile(r"\.\s*value\s*\(\s*\)"), "value() throws when empty"),
 ]
 
-# Return types whose value must be consumed. QpSolver::Result (a plain value
-# struct) is excluded by requiring template arguments on Result.
-MUST_CHECK_RETURN_RE = re.compile(
-    r"(?:^|[\s,<(])(?:[\w:]+::)?(?:Status\b|StatusOr\s*<|Result\s*<)")
+# The return type whose value must be consumed. QpSolver::Result (a plain
+# value struct) is excluded by requiring template arguments on Result.
+MUST_CHECK_RETURN_RE = re.compile(r"(?:^|[\s,<(])(?:[\w:]+::)?Result\s*<")
 
 # Keywords that can precede '(' without being a call.
 NON_CALL_KEYWORDS = {
@@ -129,7 +130,7 @@ LAMBDA_HEAD_RE = re.compile(
 
 LINT_EXTENSIONS = (".h", ".cc")
 
-GRAPH_CACHE_VERSION = 1  # bump on any extraction/analysis change
+GRAPH_CACHE_VERSION = 2  # bump on any extraction/analysis change
 
 
 class Finding:
@@ -501,9 +502,9 @@ def rule_no_abort_reachable(graph):
 
 def _returns_must_check(fn):
     # Return type = signature head minus the name/params. Lexical: look for
-    # Status / StatusOr< / Result< before the function name's position,
-    # after stripping a trailing `Class<...>::` scope qualifier so
-    # `void StatusOr<T>::AbortIfError()` does not read as returning StatusOr.
+    # Result< before the function name's position, after stripping a
+    # trailing `Class<...>::` scope qualifier so `bool Result<T>::ok()` does
+    # not read as returning Result.
     name_pos = fn.head.rfind(fn.simple)
     prefix = fn.head if name_pos < 0 else fn.head[:name_pos]
     prefix = re.sub(r"[\w:]+\s*(?:<[^<>]*(?:<[^<>]*>[^<>]*)*>)?\s*::\s*$", "",
@@ -514,13 +515,11 @@ def _returns_must_check(fn):
 
 
 def rule_unchecked_result(graph):
-    """Statement-position calls to Status/StatusOr/Result-returning functions
-    whose value is discarded, including (void)/static_cast<void> casts and
+    """Statement-position calls to Result-returning functions whose value is
+    discarded, including (void)/static_cast<void> casts and
     comma-operator discards."""
-    must_check = {}
-    for fn in graph.functions:
-        if _returns_must_check(fn):
-            must_check.setdefault(fn.simple, []).append(fn)
+    must_check = {fn.simple for fn in graph.functions
+                  if _returns_must_check(fn)}
 
     findings = []
     for fn in graph.functions:
@@ -533,23 +532,12 @@ def rule_unchecked_result(graph):
             if graph.edge_waived(fn, lineno, "unchecked-result"):
                 continue
             if _call_is_discarded(body, m):
-                callee = must_check[name][0]
                 findings.append(Finding(
                     fn.rel_path, lineno, "unchecked-result",
-                    f"{fn.qualified} discards the "
-                    f"{_return_kind(callee)} returned by {name}() — handle "
-                    "it, propagate it (PRISTE_TRY), or waive with "
-                    "allow(unchecked-result)"))
+                    f"{fn.qualified} discards the Result<T> returned by "
+                    f"{name}() — handle it, propagate it (PRISTE_TRY), or "
+                    "waive with allow(unchecked-result)"))
     return findings
-
-
-def _return_kind(fn):
-    m = MUST_CHECK_RETURN_RE.search(" " + fn.head)
-    if not m:
-        return "Status"
-    kind = m.group(0).strip().strip(",<(")
-    kind = re.sub(r"\s*<$", "<", kind.strip())
-    return kind.rstrip("<") + ("<T>" if kind.endswith("<") else "")
 
 
 def _call_is_discarded(body, match):
@@ -872,7 +860,7 @@ def run_self_test(src_root):
     cases = {
         "bad_transitive_alloc.cc": {"hot-path-alloc-transitive": 2},
         "bad_lambda_hoist.cc": {"hot-path-alloc-transitive": 2},
-        "bad_no_abort.cc": {"no-abort-reachable": 3},
+        "bad_no_abort.cc": {"no-abort-reachable": 4},
         "bad_unchecked_result.cc": {"unchecked-result": 4},
         "good_callgraph.cc": {},
     }

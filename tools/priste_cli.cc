@@ -19,9 +19,9 @@
 // Flag values are parsed STRICTLY (common/strings.h): "8xfoo", "1.5z",
 // "inf", or "0x10" exit non-zero naming the offending flag instead of the
 // old atoi/atof behaviour of silently truncating to a prefix or zero.
-// Parsed values are range-checked too: "--grid 0x4", "--sigma 0" or
-// "--delta 1.5" exits through the usage path instead of tripping a
-// constructor's CHECK.
+// Parsed values are range-checked too: "--grid 0x4", "--sigma 0",
+// "--epsilon -1" or "--delta 1.5" exits through the usage path instead of
+// tripping a constructor's CHECK.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -164,6 +164,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
     } else if (flag == "--epsilon" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->epsilon)) return false;
+      if (args->epsilon < 0.0) return OutOfRange(flag, "must be >= 0");
     } else if (flag == "--alpha" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->alpha)) return false;
       if (args->alpha < 0.0) return OutOfRange(flag, "must be >= 0");
