@@ -4,15 +4,10 @@
 #   --cold-cache  run the WHOLE suite with the release-step prefix cache
 #                 forced off (PRISTE_MAX_CACHE_SUPPORT=0), on top of the
 #                 always-on <suite>.coldcache ctest entries
-#   --lint        after the suite, run the project-invariant linter
-#                 (tools/lint/priste_lint.py), the whole-program call-graph
-#                 pass (tools/lint/priste_callgraph.py) and the concurrency
-#                 contract pass (tools/lint/priste_concurrency.py, which
-#                 also writes <build-dir>/lock_order.json) over the build's
-#                 compile_commands.json — same passes as the CI lint job.
-#                 The two call-graph passes share a content-hash graph
-#                 cache (<build-dir>/lint_graph_cache.json) so the tree is
-#                 parsed once, and each pass prints its wall time.
+#   --lint        after the suite, run the static analyzer
+#                 (tools/lint/priste_lint.py) self-test and its scan of the
+#                 build's compile_commands.json, which also writes
+#                 <build-dir>/lint_report.json — same steps as the CI lint job
 #   build-dir     defaults to build
 set -eu
 
@@ -42,9 +37,5 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc 2>/dev/null || ech
 if [ "$RUN_LINT" = "1" ]; then
   ROOT="$(dirname "$0")/.."
   python3 "$ROOT/tools/lint/priste_lint.py" --self-test
-  python3 "$ROOT/tools/lint/priste_lint.py"     --compile-commands "$BUILD_DIR/compile_commands.json" --src-root "$ROOT"
-  python3 "$ROOT/tools/lint/priste_callgraph.py" --self-test
-  python3 "$ROOT/tools/lint/priste_callgraph.py" --compile-commands "$BUILD_DIR/compile_commands.json" --src-root "$ROOT"
-  python3 "$ROOT/tools/lint/priste_concurrency.py" --self-test
-  python3 "$ROOT/tools/lint/priste_concurrency.py" --compile-commands "$BUILD_DIR/compile_commands.json" --src-root "$ROOT" --emit-graph "$BUILD_DIR/lock_order.json"
+  python3 "$ROOT/tools/lint/priste_lint.py" --compile-commands "$BUILD_DIR/compile_commands.json" --src-root "$ROOT" --report "$BUILD_DIR/lint_report.json"
 fi

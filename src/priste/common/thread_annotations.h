@@ -17,11 +17,11 @@
 /// for any change that touches a mutex.
 ///
 /// PRISTE_HOT_PATH is not a thread-safety annotation: it marks a function
-/// body as allocation-free by contract (see tools/lint/priste_lint.py, rule
-/// `hot-path-alloc`). The linter rejects direct `new`/`malloc` and
-/// std-container growth inside marked bodies; under Clang the marker also
-/// leaves an `annotate("priste_hot_path")` attribute in the AST for
-/// libclang-based tooling.
+/// body as allocation-free by contract (see tools/lint/priste_lint.py, rules
+/// `hot-path-alloc` and `hot-path-alloc-transitive`). The analyzer rejects
+/// direct `new`/`malloc` and std-container growth inside marked bodies and
+/// in every function they reach; under Clang the marker also leaves an
+/// `annotate("priste_hot_path")` attribute in the AST.
 
 #if defined(__clang__) && !defined(SWIG)
 #define PRISTE_THREAD_ANNOTATION_ATTRIBUTE(x) __attribute__((x))
@@ -92,14 +92,13 @@
 
 /// Marks a function whose body must stay free of direct heap allocation: no
 /// `new`/`malloc`-family calls and no std-container growth
-/// (push_back/resize/reserve/...). Enforced at two depths: the lexical body
-/// rule `hot-path-alloc` (tools/lint/priste_lint.py) and the whole-program
-/// transitive rule `hot-path-alloc-transitive`
-/// (tools/lint/priste_callgraph.py), which follows every call path out of the
-/// marked body and flags allocations in unmarked helpers too. Writes into
-/// preallocated buffers (RowBlock rows, ping-pong work vectors) are the
-/// sanctioned alternative; amortized scratch growth carries a
-/// `// priste-lint: allow(...)` waiver at the allocation or call edge.
+/// (push_back/resize/reserve/...). Enforced at two depths by
+/// tools/lint/priste_lint.py: the body rule `hot-path-alloc` and the
+/// whole-program rule `hot-path-alloc-transitive`, which follows every call
+/// path out of the marked body and flags allocations in unmarked helpers
+/// too. Writes into preallocated buffers (RowBlock rows, ping-pong work
+/// vectors) are the sanctioned alternative; amortized scratch growth carries
+/// a `// priste-lint: allow(...)` waiver at the allocation or call edge.
 #if defined(__clang__)
 #define PRISTE_HOT_PATH __attribute__((annotate("priste_hot_path")))
 #else
@@ -111,7 +110,7 @@
 /// from the annotated body may reach PRISTE_CHECK, abort/exit,
 /// std::terminate, a throw, or a value() call (it throws when empty).
 /// PRISTE_DCHECK is permitted — it compiles away in NDEBUG serving builds. Enforced transitively by
-/// tools/lint/priste_callgraph.py (rule `no-abort-reachable`).
+/// tools/lint/priste_lint.py (rule `no-abort-reachable`).
 #if defined(__clang__)
 #define PRISTE_NO_ABORT __attribute__((annotate("priste_no_abort")))
 #else
@@ -122,7 +121,7 @@
 /// hierarchy. Levels are acquired in ASCENDING order only: while a level-N
 /// mutex is held, acquiring another level-N mutex (self-deadlock across
 /// instances) or completing a cycle through lower levels is a lint error.
-/// Enforced transitively by tools/lint/priste_concurrency.py (rule
+/// Enforced transitively by tools/lint/priste_lint.py (rule
 /// `lock-order`), which also requires EVERY Mutex member to carry a level —
 /// an unclassified mutex is itself a finding. Current hierarchy:
 ///
@@ -146,7 +145,7 @@
 /// No function transitively reachable while a priste::MutexLock is held may
 /// be PRISTE_BLOCKING — blocking under a lock stalls every thread contending
 /// for it and inverts the pool's forward-progress guarantee. Enforced
-/// transitively by tools/lint/priste_concurrency.py (rule
+/// transitively by tools/lint/priste_lint.py (rule
 /// `blocking-under-lock`); the annotation seeds the blocking set alongside
 /// the linter's built-in token list (sleep/fopen/ifstream/join/...).
 #if defined(__clang__)

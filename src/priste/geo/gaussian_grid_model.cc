@@ -7,6 +7,14 @@
 namespace priste::geo {
 namespace {
 
+double ValidateSigma(double sigma) {
+  // Runs from the member-init list, so an invalid scale fails before the
+  // O(m²) kernel build (transition_ is initialized after sigma_). `>` also
+  // rejects NaN.
+  PRISTE_CHECK_MSG(sigma > 0.0, "Gaussian kernel sigma must be > 0");
+  return sigma;
+}
+
 markov::TransitionMatrix BuildTransition(const Grid& grid, double sigma) {
   const size_t m = grid.num_cells();
   linalg::Matrix t(m, m);
@@ -18,7 +26,10 @@ markov::TransitionMatrix BuildTransition(const Grid& grid, double sigma) {
     for (size_t b = 0; b < m; ++b) {
       const double dx = ax - grid.ColOf(static_cast<int>(b));
       const double dy = ay - grid.RowOf(static_cast<int>(b));
-      const double w = std::exp(-(dx * dx + dy * dy) * inv_two_sigma_sq);
+      const double d2 = dx * dx + dy * dy;
+      // The diagonal weight is exp(-0) = 1, spelled out: for a tiny σ, 2σ²
+      // underflows to 0, the scale is +inf, and 0 * inf would be NaN.
+      const double w = d2 == 0.0 ? 1.0 : std::exp(-d2 * inv_two_sigma_sq);
       t(a, b) = w;
       sum += w;
     }
@@ -32,9 +43,9 @@ markov::TransitionMatrix BuildTransition(const Grid& grid, double sigma) {
 }  // namespace
 
 GaussianGridModel::GaussianGridModel(Grid grid, double sigma)
-    : grid_(grid), sigma_(sigma), transition_(BuildTransition(grid, sigma)) {
-  PRISTE_CHECK(sigma > 0.0);
-}
+    : grid_(grid),
+      sigma_(ValidateSigma(sigma)),
+      transition_(BuildTransition(grid, sigma_)) {}
 
 markov::MarkovChain GaussianGridModel::ChainUniformStart() const {
   return markov::MarkovChain(transition_,

@@ -26,7 +26,7 @@ namespace priste::io {
 /// error messages cite 1-based physical line numbers.
 
 /// All fallible entry points below sit on the serving boundary: they are
-/// annotated PRISTE_NO_ABORT (enforced by tools/lint/priste_callgraph.py) and
+/// annotated PRISTE_NO_ABORT (enforced by tools/lint/priste_lint.py) and
 /// return a typed priste::Result instead of terminating on malformed input.
 
 /// Parses a trajectory from CSV text (either format, detected from the

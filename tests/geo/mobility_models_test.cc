@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "priste/geo/commuter_model.h"
 #include "priste/geo/gaussian_grid_model.h"
 #include "priste/markov/estimator.h"
@@ -49,6 +51,26 @@ TEST(GaussianGridModelTest, SampleTrajectoryLengthAndRange) {
   for (int s : t.states()) {
     EXPECT_GE(s, 0);
     EXPECT_LT(s, 25);
+  }
+}
+
+TEST(GaussianGridModelTest, TinySigmaYieldsTheIdentityChain) {
+  // 2σ² underflows to 0, so the kernel scale is +inf: every off-diagonal
+  // weight is exp(-inf) = 0, and the diagonal weight must stay 1, not NaN.
+  const GaussianGridModel model(Grid(4, 4, 1.0), 1e-200);
+  for (size_t a = 0; a < 16; ++a) {
+    for (size_t b = 0; b < 16; ++b) {
+      EXPECT_EQ(model.transition()(a, b), a == b ? 1.0 : 0.0);
+    }
+  }
+}
+
+TEST(GaussianGridModelDeathTest, NonPositiveOrNanSigmaDiesOnTheSigmaCheck) {
+  const Grid grid(4, 4, 1.0);
+  for (const double sigma :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_DEATH(GaussianGridModel(grid, sigma),
+                 "Gaussian kernel sigma must be > 0");
   }
 }
 

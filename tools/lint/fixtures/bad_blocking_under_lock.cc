@@ -1,4 +1,4 @@
-// Seeded-bad fixture for priste_concurrency --self-test. NOT compiled.
+// Seeded-bad fixture for tools/lint/priste_lint.py --self-test. NOT compiled.
 //
 // Expected findings: blocking-under-lock x3:
 //   1. direct sleep token under a held MutexLock

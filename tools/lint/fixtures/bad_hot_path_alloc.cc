@@ -1,5 +1,5 @@
 // Seeded-violation fixture for priste_lint --self-test. NOT compiled.
-// Expected findings: 4x hot-path-alloc.
+// Expected findings: 6x hot-path-alloc.
 #include <cstdlib>
 #include <vector>
 
@@ -42,4 +42,21 @@ PRISTE_HOT_PATH double WaiverScopeEnds(std::vector<double>* scratch) {
   scratch->push_back(*block);  // hot-path-alloc #4: past the waived statement
   free(block);
   return scratch->back();
+}
+
+// A waiver after code covers only the statement it follows: the push_back on
+// the next line is a statement of its own and must still fire.
+PRISTE_HOT_PATH double TrailingWaiver(std::vector<double>* a,
+                                      std::vector<double>* b) {
+  a->push_back(1.0);  // priste-lint: allow(hot-path-alloc) amortized warm-up
+  b->push_back(2.0);  // hot-path-alloc #5: not covered by the waiver above
+  return a->back() + b->back();
+}
+
+// An edge waiver is not a body waiver: allow(hot-path-alloc-transitive) cuts
+// call edges out of a marked body, so the body's own push_back must fire.
+PRISTE_HOT_PATH double EdgeWaiverIsNotABodyWaiver(std::vector<double>* v) {
+  // priste-lint: allow(hot-path-alloc-transitive) names the transitive rule
+  v->push_back(3.0);  // hot-path-alloc #6
+  return v->back();
 }

@@ -1,4 +1,4 @@
-// Seeded-bad fixture for priste_callgraph --self-test.
+// Seeded-bad fixture for tools/lint/priste_lint.py --self-test.
 //
 // The lambda-hoisting dodge: a lambda defined INLINE inside a marked body is
 // swallowed with that body, so its allocations were always attributed to the

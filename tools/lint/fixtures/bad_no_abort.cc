@@ -1,4 +1,4 @@
-// Seeded-bad fixture for priste_callgraph --self-test.
+// Seeded-bad fixture for tools/lint/priste_lint.py --self-test.
 //
 // PRISTE_NO_ABORT entry points must not reach a process abort on any path.
 // Four violations:

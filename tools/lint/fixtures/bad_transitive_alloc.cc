@@ -1,9 +1,9 @@
-// Seeded-bad fixture for priste_callgraph --self-test.
+// Seeded-bad fixture for tools/lint/priste_lint.py --self-test.
 //
-// THE documented lexical gap: the PRISTE_HOT_PATH bodies below contain no
-// allocation tokens themselves, so priste_lint's body-only hot-path-alloc
-// rule passes them clean — but they call helpers that DO allocate. The
-// transitive rule must flag both chains:
+// The gap a body-only check leaves: the PRISTE_HOT_PATH bodies below contain
+// no allocation tokens themselves, so the hot-path-alloc rule passes them
+// clean — but they call helpers that DO allocate. The transitive rule must
+// flag both chains:
 //   GatherDot -> Grow                       (depth 1)
 //   ReplicateDot -> Staging -> Grow         (depth 2, shared sink)
 // Expected: 2 hot-path-alloc-transitive findings (one per hot root; the two

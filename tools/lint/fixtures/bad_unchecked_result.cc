@@ -1,4 +1,4 @@
-// Seeded-bad fixture for priste_callgraph --self-test.
+// Seeded-bad fixture for tools/lint/priste_lint.py --self-test.
 //
 // Calls whose Result<T> return value is discarded.
 // Four violations — including the two [[nodiscard]] cannot stop:

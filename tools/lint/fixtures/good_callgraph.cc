@@ -1,6 +1,6 @@
-// Seeded-good fixture for priste_callgraph --self-test: every pattern below
-// is the sanctioned form of something the bad_* fixtures flag. Expected:
-// ZERO findings.
+// Seeded-good fixture for tools/lint/priste_lint.py --self-test: every
+// pattern below is the sanctioned form of something the bad_* fixtures flag.
+// Expected: ZERO findings.
 #include <vector>
 
 #define PRISTE_HOT_PATH __attribute__((annotate("priste_hot_path")))

@@ -1,4 +1,4 @@
-// Clean fixture for priste_concurrency --self-test. NOT compiled.
+// Clean fixture for tools/lint/priste_lint.py --self-test. NOT compiled.
 // Ascending lock nesting and a justified condvar-wait waiver: expected
 // finding count is ZERO.
 #define PRISTE_LOCK_LEVEL(n)

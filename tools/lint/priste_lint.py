@@ -1,67 +1,122 @@
 #!/usr/bin/env python3
-"""priste_lint: project-invariant linter for the PriSTE tree.
+"""priste_lint: the PriSTE static analyzer.
 
-Enforces three families of invariants that ordinary compiler warnings cannot
-express:
+Reads each first-party file once, builds one call graph over src/ and tools/,
+and checks nine rules that ordinary compiler warnings cannot express:
 
-  banned-call      Locale-dependent / non-deterministic calls are forbidden in
-                   src/: atoi, atof, raw strtod, rand, time(), and
-                   std::random_device. Determinism is a paper-level contract
-                   (the experiment harness replays byte-identical runs), and
-                   locale-dependent parsing corrupts release tables on
-                   non-C locales. The strict parser itself
-                   (src/priste/common/strings.cc) is the sanctioned home of
-                   strtod and is exempt.
+  banned-call
+      In src/: atoi, atof, raw strtod, rand(), time() and std::random_device.
+      Runs must replay byte-identically, and locale-dependent parsing corrupts
+      release tables on non-C locales. The strict parser
+      (src/priste/common/strings.cc) is the sanctioned home of strtod.
 
-  hot-path-alloc   Functions marked PRISTE_HOT_PATH must not allocate: no
-                   new / malloc-family calls and no allocating container
-                   growth (push_back, emplace_back, resize, reserve, insert,
-                   emplace) lexically inside the marked function body. The
-                   check is LEXICAL and body-only — it does not chase callees
-                   — which keeps it honest in both libclang and regex modes;
-                   the contract note lives in README.md. Amortized
-                   thread-local scratch growth may be waived line-by-line
-                   with `// priste-lint: allow(hot-path-alloc)`.
+  fma-pattern
+      In the kernel TUs (src/priste/linalg/kernels*): std::fma, C fma() and
+      the FMA intrinsics. The scalar and SIMD kernels are bit-identical only
+      while every multiply and add rounds separately (FP contraction is pinned
+      off separately with -ffp-contract=off).
 
-  fma-pattern      The kernel TUs (src/priste/linalg/kernels*) carry a
-                   scalar/AVX2 bit-identity contract: every multiply and add
-                   must round separately, so fused multiply-add — std::fma,
-                   C fma(), or the _mm256_f{n}madd/f{n}msub intrinsics — is
-                   forbidden there. (FP contraction is separately pinned off
-                   via -ffp-contract=off in the CMakeLists.)
+  hot-path-alloc
+      A PRISTE_HOT_PATH body allocates: operator new, the malloc family,
+      make_unique/make_shared, or container growth (push_back, emplace_back,
+      resize, reserve, insert, emplace). Amortized thread_local scratch growth
+      is waived line by line with allow(hot-path-alloc).
 
-Usage:
-  priste_lint.py --compile-commands build/compile_commands.json [--src-root .]
-  priste_lint.py --self-test        # run against the seeded fixtures
+  hot-path-alloc-transitive
+      A function reachable from a PRISTE_HOT_PATH body allocates. The finding
+      names the shortest call chain edge by edge:
 
-The linter prefers libclang (python3-clang + compile_commands.json) for exact
-function-extent resolution of PRISTE_HOT_PATH bodies; when libclang is not
-importable it falls back to a brace-matching regex scanner over the same file
-set. Both modes honor the same suppression comment:
+        kernels.cc:GatherDot (:31) -> helper.cc:Grow [... at line 21]
+
+      An allocation waived with allow(hot-path-alloc) is sanctioned in callees
+      too. allow(hot-path-alloc-transitive) on a call line cuts that edge when
+      the callee provably cannot allocate on that path; it never waives an
+      allocation in the marked body itself.
+
+  no-abort-reachable
+      A PRISTE_NO_ABORT function (the serving boundary: CSV and file parsing,
+      CLI flag handling, the drivers' input validation) reaches a process
+      abort on some path: PRISTE_CHECK / PRISTE_CHECK_MSG, abort(), exit(),
+      _Exit(), quick_exit(), terminate(), a throw expression, or .value()
+      (std::expected throws from it when it holds an error). PRISTE_DCHECK is
+      permitted: it compiles away in NDEBUG builds and guards internal
+      invariants, not input. Waive a call edge, or an abort that an earlier
+      validation dominates, with allow(no-abort-reachable).
+
+  unchecked-result
+      A call whose Result<T> is discarded, including discards through (void),
+      the comma operator or an if-statement body, which [[nodiscard]] does
+      not survive.
+
+  lock-order
+      Every priste::Mutex member carries PRISTE_LOCK_LEVEL(n). A
+      `MutexLock lock(&m)` holds m to the end of its block, and every
+      acquisition nested in that region, directly or through calls, is an
+      edge between levels. The rule fails on a same-level edge (priste::Mutex
+      is not reentrant), a cycle between levels, a Mutex member without a
+      level, and a MutexLock whose target matches no Mutex declaration. A
+      lone descending edge only goes into the report.
+
+  blocking-under-lock
+      A function reachable while a MutexLock is held blocks the thread: a
+      PRISTE_BLOCKING function (declarations count, so a header annotation
+      suffices), sleeps, C stdio, fstream, getline, thread join, system().
+      A condvar wait releases the mutex while it sleeps; waive it at the Wait
+      call.
+
+  bare-waiver
+      A waiver with no justification text after it on the waiver's line.
+
+The analysis is lexical: function bodies come from brace matching over
+comment- and string-stripped text, calls from identifier-before-'(' scanning,
+and a call links to every definition that shares its simple name. That
+over-approximates, which is the safe direction for reachability rules: a
+false edge can only add a finding, which a human then waives with its root
+cause, while a missing edge would silently disable the gate.
+
+Waivers take the form
 
   // priste-lint: allow(<rule>) <justification>
 
-which waives <rule> on that line and the following line.
+On a line of its own, a waiver covers the comment lines that follow it and
+the next statement, through that statement's continuation lines. After code,
+it covers only the statement it follows, through that statement's
+continuation lines.
+
+Usage:
+  priste_lint.py --compile-commands build/compile_commands.json [--src-root .]
+                 [--report build/lint_report.json]
+  priste_lint.py --self-test    # the seeded fixtures must give exact counts
 """
 
 import argparse
+import collections
 import json
 import os
 import re
 import sys
 import time
 
-# --- Rule tables -----------------------------------------------------------
+HOT_PATH_MARKER = "PRISTE_HOT_PATH"
+NO_ABORT_MARKER = "PRISTE_NO_ABORT"
+BLOCKING_MARKER = "PRISTE_BLOCKING"
 
-# Files where `strtod` is sanctioned: the strict parser wraps it once, under
-# an explicit errno/endptr protocol, and everything else goes through that
-# wrapper.
-SANCTIONED_FILES = {
-    "src/priste/common/strings.cc",
-}
+SUPPRESS_RE = re.compile(r"//\s*priste-lint:\s*allow\(([a-z-]+)\)")
 
-# banned-call: token -> reason. Matched as a whole identifier followed by an
-# open paren (or, for random_device, as a type use).
+# Continuation coverage is bounded so a run of unterminated lines (macro
+# soup, broken code) cannot silently waive a whole file.
+MAX_WAIVED_STATEMENT_LINES = 12
+
+LINT_EXTENSIONS = (".h", ".cc")
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures")
+
+# --- Rule tables -------------------------------------------------------------
+
+# The strict parser wraps strtod once, under an explicit errno/endptr
+# protocol; everything else goes through that wrapper.
+SANCTIONED_FILES = {"src/priste/common/strings.cc"}
+
 BANNED_CALLS = [
     (re.compile(r"(?<![\w:.>])atoi\s*\("),
      "atoi: no error reporting and locale-dependent; use priste::ParseInt"),
@@ -81,7 +136,14 @@ BANNED_CALLS = [
      "seeds must come from config so runs replay"),
 ]
 
-# hot-path-alloc: allocation tokens forbidden inside PRISTE_HOT_PATH bodies.
+KERNEL_FILE_RE = re.compile(r"src/priste/linalg/kernels[^/]*\.(?:h|cc)$")
+
+FMA_PATTERNS = [
+    (re.compile(r"std::fma[f]?\s*\("), "std::fma"),
+    (re.compile(r"(?<![\w:.>])fma[f]?\s*\("), "C fma()"),
+    (re.compile(r"_mm(?:256|512)?_fn?m(?:add|sub)"), "FMA intrinsic"),
+]
+
 HOT_PATH_ALLOC = [
     (re.compile(r"(?<![\w:])new\s+[A-Za-z_:<]"), "operator new"),
     (re.compile(r"(?<![\w:.>])(?:malloc|calloc|realloc|aligned_alloc)\s*\("),
@@ -92,51 +154,93 @@ HOT_PATH_ALLOC = [
     (re.compile(r"std::make_(?:unique|shared)\s*<"), "heap-allocating factory"),
 ]
 
-# fma-pattern: fused multiply-add spellings forbidden in kernel TUs.
-FMA_PATTERNS = [
-    (re.compile(r"std::fma[f]?\s*\("), "std::fma"),
-    (re.compile(r"(?<![\w:.>])fma[f]?\s*\("), "C fma()"),
-    (re.compile(r"_mm(?:256|512)?_fn?m(?:add|sub)"), "FMA intrinsic"),
+# PRISTE_DCHECK is deliberately absent: NDEBUG serving builds compile it away.
+ABORT_TOKENS = [
+    (re.compile(r"\bPRISTE_CHECK(?:_MSG)?\s*\("), "PRISTE_CHECK aborts"),
+    (re.compile(r"(?<![\w:.>])(?:std::)?abort\s*\("), "abort()"),
+    (re.compile(r"(?<![\w:.>])(?:std::)?(?:exit|_Exit|quick_exit)\s*\("),
+     "exit()"),
+    (re.compile(r"(?<![\w:.>])(?:std::)?terminate\s*\("), "std::terminate()"),
+    (re.compile(r"(?<![\w>])throw\s+[^;]"), "throw expression"),
+    (re.compile(r"\.\s*value\s*\(\s*\)"), "value() throws when empty"),
 ]
 
-KERNEL_FILE_RE = re.compile(r"src/priste/linalg/kernels[^/]*\.(?:h|cc)$")
+# Each blocks the calling thread for an unbounded or scheduler-chosen time.
+BLOCKING_TOKENS = [
+    (re.compile(r"\bsleep_(?:for|until)\s*\("), "thread sleep"),
+    (re.compile(r"(?<![\w:.>])(?:usleep|nanosleep|sleep)\s*\("), "sleep()"),
+    (re.compile(r"(?<![\w:.>])(?:fopen|fread|fwrite|fflush|fgets|fputs|"
+                r"fclose)\s*\("), "C stdio IO"),
+    (re.compile(r"\b(?:std::)?[iof]fstream\b"), "fstream IO"),
+    (re.compile(r"\bstd::getline\s*\("), "getline"),
+    (re.compile(r"(?:\.|->)\s*join\s*\(\s*\)"), "thread join"),
+    (re.compile(r"(?<![\w:.>])system\s*\("), "system()"),
+]
 
-SUPPRESS_RE = re.compile(r"//\s*priste-lint:\s*allow\(([a-z-]+)\)")
+# The return type whose value must be consumed. QpSolver::Result (a plain
+# value struct) is excluded by requiring template arguments on Result.
+MUST_CHECK_RETURN_RE = re.compile(r"(?:^|[\s,<(])(?:[\w:]+::)?Result\s*<")
 
-HOT_PATH_MARKER = "PRISTE_HOT_PATH"
+# `Mutex name [PRISTE_LOCK_LEVEL(n)];` -- value members only: a pointer or
+# reference (MutexLock's `Mutex* const mu_`) aliases a mutex declared
+# elsewhere.
+MUTEX_DECL_RE = re.compile(
+    r"(?<![\w:])Mutex\s+([A-Za-z_]\w*)\s*"
+    r"(?:PRISTE_LOCK_LEVEL\s*\(\s*(\d+)\s*\))?\s*;")
 
-# Only first-party code is linted; third-party/test trees are out of scope.
-LINT_EXTENSIONS = (".h", ".cc")
+# RAII acquisition, the only sanctioned way to hold a priste::Mutex outside
+# mutex.h itself.
+ACQUIRE_RE = re.compile(
+    r"\bMutexLock\s+\w+\s*\(\s*&\s*((?:[\w\[\]]|->|\.)+?)\s*\)")
+
+# Keywords that can precede '(' without being a call.
+NON_CALL_KEYWORDS = {
+    "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
+    "decltype", "noexcept", "static_assert", "alignas", "new", "delete",
+    "co_return", "co_await", "co_yield", "throw", "typeid", "assert",
+    "defined", "case", "do", "else", "operator", "requires", "template",
+    "static_cast", "const_cast", "reinterpret_cast", "dynamic_cast", "until",
+}
+
+# Macros are matched by the token tables, never as call-graph names.
+MACRO_RE = re.compile(r"[A-Z][A-Z0-9_]*")
+
+# Heads containing these cannot be function definitions.
+NON_FUNCTION_HEAD_RE = re.compile(
+    r"\b(?:class|struct|union|enum|namespace)\s+[\w:]*\s*$")
+
+CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:<[\w\s:,<>*&]*>)?\s*\(")
+
+# A named lambda head: `auto f = [...](...)`, also `std::function<...> f =`
+# and `static const auto f =`. Its body braces follow the head like a
+# function definition's, and call sites use the variable name, so a lambda
+# hoisted out of a marked body to namespace or class scope stays in the graph.
+LAMBDA_HEAD_RE = re.compile(
+    r"([A-Za-z_]\w*)\s*=\s*\[[^\[\]]*\]\s*"   # name = [captures]
+    r"(?:\([^()]*\)\s*)?"                     # optional parameter list
+    r"(?:mutable\b\s*)?(?:noexcept\b\s*)?(?:constexpr\b\s*)?"
+    r"(?:->\s*[\w:<>,\s*&]+?)?\s*$")          # optional trailing return type
 
 
-class Finding:
-    def __init__(self, path, line, rule, message):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-
+class Finding(collections.namedtuple("Finding", "path line rule message")):
     def __str__(self):
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-# --- Shared lexical helpers ------------------------------------------------
+# --- Lexical helpers ---------------------------------------------------------
 
 
 def strip_comments_and_strings(text):
-    """Blanks out comments and string/char literals, preserving offsets and
-    newlines, EXCEPT that line comments are preserved (suppressions and the
-    hot-path marker never appear in strings, but suppressions DO live in
-    line comments — we keep those readable and blank everything else)."""
+    """Blanks comments and the contents of string and char literals, keeping
+    every offset and newline so line numbers survive."""
     out = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c == "/" and i + 1 < n and text[i + 1] == "/":
             j = text.find("\n", i)
-            if j == -1:
-                j = n
-            out.append(text[i:j])  # keep line comments (suppressions)
+            j = n if j == -1 else j
+            out.append(" " * (j - i))
             i = j
         elif c == "/" and i + 1 < n and text[i + 1] == "*":
             j = text.find("*/", i + 2)
@@ -153,7 +257,7 @@ def strip_comments_and_strings(text):
                 if text[j] == quote:
                     j += 1
                     break
-                if text[j] == "\n":  # unterminated (raw string etc.) — bail
+                if text[j] == "\n":  # unterminated (raw string etc.): bail
                     break
                 j += 1
             out.append(quote + " " * max(0, j - i - 2) +
@@ -165,329 +269,857 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
-# Continuation coverage is bounded so a run of unterminated lines (macro
-# soup, broken code) cannot silently waive a whole file.
-MAX_WAIVED_STATEMENT_LINES = 12
+def strip_preprocessor(text):
+    """Blanks preprocessor directives, backslash continuations included, and
+    keeps the line structure. Macro bodies must not become graph nodes:
+    check.h's `#define PRISTE_CHECK ... abort()` is what the abort tokens
+    match at use sites, not a function that aborts."""
+    out = []
+    in_directive = False
+    for line in text.split("\n"):
+        if in_directive or line.lstrip().startswith("#"):
+            in_directive = line.rstrip().endswith("\\")
+            out.append("")
+        else:
+            out.append(line)
+    return "\n".join(out)
 
 
 def _ends_statement(line):
-    """Lexical end-of-statement test for waiver scoping: the line's code
-    portion (before any // comment) closes with ';', '{', or '}' — or is
-    empty, which means the waived statement never started."""
+    """The code part of `line` (before any // comment) closes a statement
+    with ';', '{' or '}', or is empty: the waived statement never started."""
     code = line.split("//", 1)[0].rstrip()
     return code == "" or code.endswith((";", "{", "}"))
 
 
 def suppressed_lines(lines):
-    """Map rule -> set of 1-based line numbers waived by allow() comments.
-    A suppression covers its own line, any directly following pure-comment
-    lines (the root-cause justification block), and the whole NEXT statement:
-    when the statement beginning on the following physical line continues
-    across lines (a call whose arguments wrap, a condition split for
-    clang-format), coverage extends to the line that closes it — a waiver
-    must never stop applying because a reformat moved the token to the
-    continuation line."""
+    """Maps rule -> set of 1-based line numbers that allow() waivers cover.
+
+    A waiver on a line of its own covers itself, the comment lines right
+    after it (the justification block) and the next statement. A waiver
+    after code covers only the statement on its own line. Either way the
+    coverage runs on to the line that closes the statement, so a clang-format
+    wrap that moves the token to a continuation line keeps it waived."""
     waived = {}
     for idx, line in enumerate(lines, start=1):
         for m in SUPPRESS_RE.finditer(line):
-            rule = m.group(1)
             covered = {idx}
-            j = idx + 1  # 1-based: first line after the waiver comment
-            while (j <= len(lines)
-                   and len(covered) < MAX_WAIVED_STATEMENT_LINES
-                   and lines[j - 1].lstrip().startswith("//")):
-                covered.add(j)  # justification continues across comment lines
+            j = idx  # 1-based line of the covered statement's first line
+            if not line.split("//", 1)[0].strip():
                 j += 1
-            if j <= len(lines):
-                covered.add(j)  # the statement the waiver applies to
                 while (j <= len(lines)
                        and len(covered) < MAX_WAIVED_STATEMENT_LINES
-                       and not _ends_statement(lines[j - 1])):
-                    covered.add(j + 1)
+                       and lines[j - 1].lstrip().startswith("//")):
+                    covered.add(j)
                     j += 1
-            waived.setdefault(rule, set()).update(covered)
+                covered.add(j)
+            while (j <= len(lines)
+                   and len(covered) < MAX_WAIVED_STATEMENT_LINES
+                   and not _ends_statement(lines[j - 1])):
+                covered.add(j + 1)
+                j += 1
+            waived.setdefault(m.group(1), set()).update(covered)
     return waived
 
 
-def find_hot_path_extents_regex(clean_text):
-    """Yields (start_line, end_line) for each function body following a
-    PRISTE_HOT_PATH marker, by brace matching from the first '{' after the
-    marker. Lexical by design."""
-    extents = []
-    for m in re.finditer(re.escape(HOT_PATH_MARKER), clean_text):
-        # Skip the macro's own definition and mentions in comments.
-        line_start = clean_text.rfind("\n", 0, m.start()) + 1
-        line = clean_text[line_start:clean_text.find("\n", m.start())]
-        if "#define" in line or line.lstrip().startswith("//"):
+# --- Function extraction -----------------------------------------------------
+
+
+class Function:
+    """One function definition: identity, body text and per-line records.
+    The records ignore waivers; each rule applies its own."""
+
+    def __init__(self, rel_path, qualified, simple, start_line, head, body,
+                 body_start_line):
+        self.rel_path = rel_path
+        self.qualified = qualified      # e.g. "QpSolver::Maximize"
+        self.simple = simple            # e.g. "Maximize"
+        self.start_line = start_line    # 1-based line of the head
+        self.head = head                # text from the last boundary to '{'
+        self.body = body                # text inside the braces
+        self.body_start_line = body_start_line  # line of the '{'
+        self.hot_path = HOT_PATH_MARKER in head
+        self.no_abort = NO_ABORT_MARKER in head
+        self.calls = []                 # [(callee simple name, line)]
+        self.allocs = []                # [(line, why)]
+        self.aborts = []                # [(line, why)]
+        self.blocks = []                # [(line, why)]
+        self.locks = []                 # [(line, MutexLock target)]
+
+    @property
+    def label(self):
+        return f"{os.path.basename(self.rel_path)}:{self.qualified}"
+
+
+def _matching_brace(text, open_idx):
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(text) - 1
+
+
+def _head_function_name(head):
+    """(qualified, simple) when `head`, which ends right before '{', reads
+    like a function definition's signature; else None."""
+    # A named lambda is a definition whose callable name is the variable.
+    m = LAMBDA_HEAD_RE.search(head)
+    if m:
+        return (m.group(1), m.group(1))
+    # Cut a constructor's member-init list: a top-level ':' (not '::') that
+    # follows a ')'.
+    depth = 0
+    cut = len(head)
+    for i, c in enumerate(head):
+        if c in "(<[":
+            depth += 1
+        elif c in ")>]":
+            depth -= 1
+        elif c == ":" and depth == 0:
+            before = head[i - 1] if i else ""
+            after = head[i + 1] if i + 1 < len(head) else ""
+            if before != ":" and after != ":" and ")" in head[:i]:
+                cut = i
+                break
+    sig = head[:cut]
+    if NON_FUNCTION_HEAD_RE.search(sig):
+        return None
+    # Each identifier directly before a top-level '(' is a candidate name;
+    # trailing groups such as PRISTE_REQUIRES(mu_) name macros, so the first
+    # viable candidate is the function.
+    candidates = []
+    depth = 0
+    for i, c in enumerate(sig):
+        if c == "(":
+            if depth == 0:
+                m = re.search(r"((?:[A-Za-z_]\w*::)*(?:~?[A-Za-z_]\w*|"
+                              r"operator\s*[^\s(]{1,3}))\s*$", sig[:i])
+                candidates.append(m.group(1).strip() if m else None)
+            depth += 1
+        elif c == ")":
+            depth -= 1
+    for name in candidates:
+        if name is None:
             continue
-        open_brace = clean_text.find("{", m.end())
-        semi = clean_text.find(";", m.end())
-        if open_brace == -1 or (semi != -1 and semi < open_brace):
-            continue  # declaration only — body lives elsewhere
+        simple = name.split("::")[-1]
+        base = simple.lstrip("~")
+        if simple.startswith("operator"):
+            return ("<operator>", "<operator>")
+        if base in NON_CALL_KEYWORDS:
+            continue
+        if MACRO_RE.fullmatch(base) and base.startswith("PRISTE"):
+            continue
+        return (name, base)
+    return None
+
+
+def extract_functions(rel_path, clean_text):
+    """Function definitions, found by classifying the head before each '{'.
+    A function body is consumed whole (nested braces, lambdas included,
+    belong to it); class, namespace and enum bodies, and operator bodies,
+    are descended into."""
+    functions = []
+    n = len(clean_text)
+    i = 0
+    prev_boundary = 0
+    while i < n:
+        c = clean_text[i]
+        if c in ";}":
+            prev_boundary = i + 1
+            i += 1
+            continue
+        if c != "{":
+            i += 1
+            continue
+        head = clean_text[prev_boundary:i]
+        # "(" admits ordinary definitions; "[" admits parameterless named
+        # lambdas (`auto f = [] { ... }`), whose heads carry no parens.
+        named = (_head_function_name(head)
+                 if ("(" in head or "[" in head) else None)
+        if named is None or named[0] == "<operator>":
+            prev_boundary = i + 1
+            i += 1
+            continue
+        close = _matching_brace(clean_text, i)
+        start_line = clean_text.count("\n", 0, prev_boundary +
+                                      len(head) - len(head.lstrip())) + 1
+        functions.append(Function(rel_path, named[0], named[1], start_line,
+                                  head, clean_text[i + 1:close],
+                                  clean_text.count("\n", 0, i) + 1))
+        prev_boundary = close + 1
+        i = close + 1
+    return functions
+
+
+def analyze_function(fn):
+    """Fills the call, allocation, abort, blocking and lock records."""
+    for offset, line in enumerate(fn.body.split("\n")):
+        lineno = fn.body_start_line + offset
+        for m in CALL_RE.finditer(line):
+            name = m.group(1)
+            if name not in NON_CALL_KEYWORDS and not MACRO_RE.fullmatch(name):
+                fn.calls.append((name, lineno))
+        for records, table in ((fn.allocs, HOT_PATH_ALLOC),
+                               (fn.aborts, ABORT_TOKENS),
+                               (fn.blocks, BLOCKING_TOKENS)):
+            records.extend((lineno, why) for pattern, why in table
+                           if pattern.search(line))
+    for m in ACQUIRE_RE.finditer(fn.body):
+        line = fn.body_start_line + fn.body.count("\n", 0, m.start())
+        fn.locks.append((line, m.group(1)))
+
+
+# --- Call graph --------------------------------------------------------------
+
+# One linted file: raw lines (waivers, bare-waiver), code lines with comments
+# and strings blanked (line rules), that text with preprocessor directives
+# blanked too (functions, declarations), and rule -> waived line numbers.
+SourceFile = collections.namedtuple("SourceFile", "raw code clean waived")
+
+
+class CallGraph:
+    """Every function of the linted files, indexed by simple name."""
+
+    def __init__(self):
+        self.functions = []
+        self.by_simple = collections.defaultdict(list)
+        self.files = {}                 # rel_path -> SourceFile
+        self._reach = {}                # (start, rule) -> BFS parent map
+
+    def add_file(self, rel_path, text):
+        raw = text.split("\n")
+        code = strip_comments_and_strings(text)
+        clean = strip_preprocessor(code)
+        self.files[rel_path] = SourceFile(raw, code.split("\n"), clean,
+                                          suppressed_lines(raw))
+        for fn in extract_functions(rel_path, clean):
+            analyze_function(fn)
+            self.functions.append(fn)
+            self.by_simple[fn.simple].append(fn)
+
+    def waived(self, rel_path, line, rule):
+        return line in self.files[rel_path].waived.get(rule, ())
+
+    def live(self, fn, records, *rules):
+        """`records` of `fn` minus the lines waived for any of `rules`."""
+        return [(line, what) for line, what in records
+                if not any(self.waived(fn.rel_path, line, r) for r in rules)]
+
+    def reach(self, start, rule):
+        """BFS parent map from `start` (callee -> (caller, call line); the
+        insertion order is shortest-path order). A call edge waived for
+        `rule` is cut."""
+        key = (start, rule)
+        if key not in self._reach:
+            parent = {start: None}
+            queue = collections.deque([start])
+            while queue:
+                fn = queue.popleft()
+                for name, line in fn.calls:
+                    if self.waived(fn.rel_path, line, rule):
+                        continue
+                    for callee in self.by_simple.get(name, ()):
+                        if callee is not fn and callee not in parent:
+                            parent[callee] = (fn, line)
+                            queue.append(callee)
+            self._reach[key] = parent
+        return self._reach[key]
+
+
+def chain(parent, node):
+    """`start (:line) -> ... -> node` along a BFS parent map."""
+    hops = []
+    while parent[node] is not None:
+        caller, line = parent[node]
+        hops.append(f"(:{line}) -> {node.label}")
+        node = caller
+    return " ".join([node.label] + hops[::-1])
+
+
+def reached_sink(graph, root, rule, sink, reported):
+    """The shortest chain from `root` to a function for which `sink` gives
+    (line, why), as message text; None when there is none or when this
+    root already reported that sink line."""
+    parent = graph.reach(root, rule)
+    for fn in parent:
+        detail = sink(fn) if fn is not root else None
+        if detail:
+            key = (root.rel_path, root.qualified, fn.rel_path, fn.qualified,
+                   detail[0])
+            if key in reported:
+                return None
+            reported.add(key)
+            return f"{chain(parent, fn)} [{detail[1]} at line {detail[0]}]"
+    return None
+
+
+# --- Rules: lines and hot paths ----------------------------------------------
+
+
+def rule_line_tokens(graph):
+    """banned-call in src/ and fma-pattern in the kernel TUs, line by line."""
+    findings = []
+    for rel, src in graph.files.items():
+        scopes = []
+        if rel.startswith("src/") and rel not in SANCTIONED_FILES:
+            scopes.append(("banned-call", BANNED_CALLS, ""))
+        if KERNEL_FILE_RE.search(rel):
+            scopes.append(("fma-pattern", FMA_PATTERNS,
+                           " breaks the scalar/SIMD bit-identity contract "
+                           "(see linalg/CMakeLists.txt)"))
+        for rule, table, suffix in scopes:
+            for idx, line in enumerate(src.code, start=1):
+                for pattern, why in table:
+                    if pattern.search(line) and not graph.waived(rel, idx,
+                                                                 rule):
+                        findings.append(Finding(rel, idx, rule, why + suffix))
+    return findings
+
+
+def rule_hot_path(graph):
+    """hot-path-alloc for each allocation in a marked body, and
+    hot-path-alloc-transitive for the nearest one among its callees."""
+    findings = []
+    reported = set()
+
+    def sink(fn):
+        allocs = graph.live(fn, fn.allocs, "hot-path-alloc",
+                            "hot-path-alloc-transitive")
+        return allocs[0] if allocs else None
+
+    for root in graph.functions:
+        if not root.hot_path:
+            continue
+        for line, why in graph.live(root, root.allocs, "hot-path-alloc"):
+            findings.append(Finding(
+                root.rel_path, line, "hot-path-alloc",
+                f"{why} inside PRISTE_HOT_PATH {root.qualified}"))
+        path = reached_sink(graph, root, "hot-path-alloc-transitive", sink,
+                            reported)
+        if path:
+            findings.append(Finding(
+                root.rel_path, root.start_line, "hot-path-alloc-transitive",
+                f"PRISTE_HOT_PATH {root.qualified} reaches an allocation: "
+                + path))
+    return findings
+
+
+def rule_no_abort(graph):
+    findings = []
+    reported = set()
+
+    def sink(fn):
+        aborts = graph.live(fn, fn.aborts, "no-abort-reachable")
+        return aborts[0] if aborts else None
+
+    for root in graph.functions:
+        if not root.no_abort:
+            continue
+        direct = sink(root)
+        if direct:
+            findings.append(Finding(
+                root.rel_path, direct[0], "no-abort-reachable",
+                f"PRISTE_NO_ABORT {root.qualified} aborts directly: "
+                f"{direct[1]}"))
+            continue
+        path = reached_sink(graph, root, "no-abort-reachable", sink, reported)
+        if path:
+            findings.append(Finding(
+                root.rel_path, root.start_line, "no-abort-reachable",
+                f"PRISTE_NO_ABORT {root.qualified} reaches an abort: " + path))
+    return findings
+
+
+# --- Rule: unchecked-result --------------------------------------------------
+
+
+def _returns_must_check(fn):
+    # The return type is the head before the function's name, minus a
+    # trailing `Class<...>::` scope, so `bool Result<T>::ok()` does not read
+    # as returning Result. Constructor and destructor heads keep only
+    # attributes and whitespace here and cannot match.
+    name_pos = fn.head.rfind(fn.simple)
+    prefix = fn.head if name_pos < 0 else fn.head[:name_pos]
+    prefix = re.sub(r"[\w:]+\s*(?:<[^<>]*(?:<[^<>]*>[^<>]*)*>)?\s*::\s*$", "",
+                    prefix)
+    return bool(MUST_CHECK_RETURN_RE.search(" " + prefix))
+
+
+def rule_unchecked_result(graph):
+    """Calls to Result-returning functions whose value is dropped."""
+    must_check = {fn.simple for fn in graph.functions
+                  if _returns_must_check(fn)}
+    findings = []
+    for fn in graph.functions:
+        for m in CALL_RE.finditer(fn.body):
+            name = m.group(1)
+            if name not in must_check:
+                continue
+            lineno = fn.body_start_line + fn.body.count("\n", 0, m.start())
+            if graph.waived(fn.rel_path, lineno, "unchecked-result"):
+                continue
+            if _call_is_discarded(fn.body, m):
+                findings.append(Finding(
+                    fn.rel_path, lineno, "unchecked-result",
+                    f"{fn.qualified} discards the Result<T> returned by "
+                    f"{name}() -- handle it, propagate it (PRISTE_TRY), or "
+                    "waive with allow(unchecked-result)"))
+    return findings
+
+
+def _call_is_discarded(body, match):
+    """True when the matched call's value is dropped, judged from what
+    precedes the callee name and what follows the argument list's ')'."""
+    i = match.start() - 1
+    while i >= 0 and body[i] in " \t\n":
+        i -= 1
+    prev = body[i] if i >= 0 else "{"
+    if prev in ".>":
+        # Member call: walk left past the object expression to the
+        # statement start.
+        j = i
         depth = 0
-        i = open_brace
-        n = len(clean_text)
-        while i < n:
-            if clean_text[i] == "{":
+        while j >= 0:
+            c = body[j]
+            if c in ")]":
                 depth += 1
-            elif clean_text[i] == "}":
+            elif c in "([":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif depth == 0 and c in ";{},":
+                break
+            j -= 1
+        stmt_prefix = body[max(0, j):i + 1]
+        prev = body[j] if j >= 0 else "{"
+        i = j
+        # `return obj.f()`, `x = obj.f()` and `c ? obj.f() : y` consume the
+        # value although the statement starts at ';' or '{'.
+        if re.search(r"\breturn\b|\bco_return\b|\bco_yield\b|\bthrow\b|"
+                     r"[=?]", stmt_prefix):
+            return False
+    open_paren = body.find("(", match.end() - 1)
+    depth = 0
+    k = open_paren
+    while k < len(body):
+        if body[k] == "(":
+            depth += 1
+        elif body[k] == ")":
+            depth -= 1
+            if depth == 0:
+                break
+        k += 1
+    after = (body[k + 1:k + 40] if k < len(body) else "").lstrip()
+    nxt = after[0] if after else ";"
+    if nxt in ".-" or after.startswith("->"):
+        return False  # chained access consumes the value
+
+    def word_before(pos):
+        m2 = re.search(r"([A-Za-z_]\w*)\s*$", body[:pos + 1])
+        return m2.group(1) if m2 else ""
+
+    if prev == ")":
+        # `(void) f();` or `if (...) f();`: classify the closing group.
+        depth = 0
+        g = i
+        while g >= 0:
+            if body[g] == ")":
+                depth += 1
+            elif body[g] == "(":
                 depth -= 1
                 if depth == 0:
                     break
-            i += 1
-        start_line = clean_text.count("\n", 0, open_brace) + 1
-        end_line = clean_text.count("\n", 0, i) + 1
-        extents.append((start_line, end_line))
-    return extents
+            g -= 1
+        if body[g + 1:i].strip() == "void":
+            return True  # cast-laundered discard
+        return word_before(g - 1) in ("if", "while", "for", "switch")
+    if prev == ",":
+        # An argument separator (value used) or the comma operator (value
+        # dropped): the nearest unclosed bracket decides.
+        depth = 0
+        j = i - 1
+        while j >= 0:
+            c = body[j]
+            if c in ")]}":
+                depth += 1
+            elif c in "([{":
+                if depth == 0:
+                    return False
+                depth -= 1
+            elif c == ";" and depth == 0:
+                return True
+            j -= 1
+        return True
+    if prev not in ";{}":
+        # After an identifier: `else f();` drops the value, while
+        # `return f()` and the '=' of `auto x = f()` consume it.
+        return word_before(i) in ("else", "do")
+    # Statement start: `f();` and `f(), g();` drop the value.
+    return nxt in ";,"
 
 
-# --- File-level checks ------------------------------------------------------
+# --- Rules: lock-order and blocking-under-lock -------------------------------
+
+
+def mutex_decls(graph):
+    """Every Mutex value member as {file, name, line, level}."""
+    decls = []
+    for rel, src in sorted(graph.files.items()):
+        for m in MUTEX_DECL_RE.finditer(src.clean):
+            decls.append({"file": rel, "name": m.group(1),
+                          "line": src.clean.count("\n", 0, m.start()) + 1,
+                          "level": int(m.group(2)) if m.group(2) else None})
+    return decls
+
+
+def resolve_levels(decls, rel, target):
+    """(sorted levels, declaration found) for `MutexLock lock(&target)`. The
+    last path component is matched in the same file first (Shard::mu,
+    LoopState::mu and Impl::mu share the name `mu` but never leave their
+    files), then across the tree."""
+    base = re.split(r"->|\.", target)[-1].split("[", 1)[0]
+    pool = ([d for d in decls if d["file"] == rel and d["name"] == base]
+            or [d for d in decls if d["name"] == base])
+    return (sorted({d["level"] for d in pool if d["level"] is not None}),
+            bool(pool))
+
+
+def blocking_names(graph):
+    """Simple names of the functions marked PRISTE_BLOCKING, declarations
+    included (Submit and ParallelFor are annotated in thread_pool.h only)."""
+    names = set()
+    for _rel, src in sorted(graph.files.items()):
+        for m in re.finditer(r"\bPRISTE_BLOCKING\b", src.clean):
+            tail = src.clean[m.end():m.end() + 400]
+            for stop in (";", "{"):
+                pos = tail.find(stop)
+                if pos != -1:
+                    tail = tail[:pos]
+            for cm in CALL_RE.finditer(tail):
+                name = cm.group(1)
+                if name not in NON_CALL_KEYWORDS and \
+                        not MACRO_RE.fullmatch(name):
+                    names.add(name)
+                    break
+    return names
+
+
+def held_regions(fn):
+    """(acquisition line, target, last held line) per MutexLock: an RAII lock
+    is held from its declaration to the line that closes its block, or to
+    the end of the body."""
+    lines = fn.body.split("\n")
+    regions = []  # [line, target, brace depth at acquisition, end]
+    depth = 0
+    for offset, text in enumerate(lines):
+        lineno = fn.body_start_line + offset
+        m = ACQUIRE_RE.search(text)
+        if m:
+            before = text[:m.start()]
+            regions.append([lineno, m.group(1),
+                            depth + before.count("{") - before.count("}"),
+                            None])
+        depth += text.count("{") - text.count("}")
+        for r in regions:
+            if r[3] is None and depth < r[2]:
+                r[3] = lineno
+    last = fn.body_start_line + len(lines) - 1
+    return [(line, target, end or last) for line, target, _, end in regions]
+
+
+# An edge from a held lock's level to a level taken while it is held, with
+# where it was observed.
+Edge = collections.namedtuple("Edge",
+                              "src dst file hold_line detail function")
+
+
+def scan_held_regions(graph, acquisitions, bnames):
+    """Walks every held region once: the lock-level edges it creates,
+    directly or through calls, and its blocking-under-lock findings."""
+
+    def blocking_detail(fn):
+        """(line, why) that makes `fn` block, or None."""
+        calls = [(line, name) for name, line in fn.calls if name in bnames]
+        found = (graph.live(fn, fn.blocks, "blocking-under-lock")
+                 or graph.live(fn, calls, "blocking-under-lock"))
+        if found:
+            return found[0]
+        if BLOCKING_MARKER in fn.head or fn.simple in bnames:
+            return (None, BLOCKING_MARKER)
+        return None
+
+    edges = set()
+    blocking = []
+    seen_block = set()
+
+    def add_blocking(fn, hold, line, what, message):
+        if (fn.rel_path, hold, line, what) not in seen_block:
+            seen_block.add((fn.rel_path, hold, line, what))
+            blocking.append(Finding(fn.rel_path, line, "blocking-under-lock",
+                                    message))
+
+    for fn in graph.functions:
+        acqs = acquisitions[fn]
+        if not acqs:
+            continue
+        levels_at = {a[0]: a[2] for a in acqs}
+        for hold, target, end in held_regions(fn):
+            levels = levels_at.get(hold, [])
+            if not levels:
+                continue  # unresolved or unclassified: lock-order reports it
+            held = f"{target} (acquired :{hold})"
+            # (how it is reached, acquisition line, target, its levels)
+            taken = [(" and", line, other, lv2)
+                     for line, other, lv2, _found, waived in acqs
+                     if hold < line <= end and not waived]
+            for line, why in graph.live(fn, fn.blocks, "blocking-under-lock"):
+                if hold < line <= end:
+                    add_blocking(fn, hold, line, why,
+                                 f"{fn.qualified} blocks ({why}) while "
+                                 f"holding {target} (level {levels[0]}, "
+                                 f"acquired :{hold})")
+            for name, call_line in fn.calls:
+                if not hold <= call_line <= end:
+                    continue
+                lock_cut = graph.waived(fn.rel_path, call_line, "lock-order")
+                block_cut = graph.waived(fn.rel_path, call_line,
+                                         "blocking-under-lock")
+                if name in bnames and not block_cut:
+                    add_blocking(fn, hold, call_line, name,
+                                 f"{fn.qualified} calls PRISTE_BLOCKING "
+                                 f"{name}() while holding {held}")
+                via_call = f"{fn.label} (:{call_line}) -> "
+                for callee in graph.by_simple.get(name, ()):
+                    if callee is fn:
+                        continue
+                    if not lock_cut:
+                        parent = graph.reach(callee, "lock-order")
+                        taken += [
+                            (f"; path {via_call}{chain(parent, s)}", line,
+                             other, lv2)
+                            for s in parent
+                            for line, other, lv2, _found, waived
+                            in acquisitions[s] if not waived]
+                    if not block_cut:
+                        parent = graph.reach(callee, "blocking-under-lock")
+                        for s in parent:
+                            detail = blocking_detail(s)
+                            if detail:
+                                where = (f" at :{detail[0]}"
+                                         if detail[0] is not None else "")
+                                add_blocking(
+                                    fn, hold, call_line, s.label,
+                                    f"{fn.qualified} holds {held} and "
+                                    f"reaches blocking {s.qualified} "
+                                    f"[{detail[1]}{where}] via "
+                                    + via_call + chain(parent, s))
+                                break  # the nearest sink per call suffices
+            for via, line, other, lv2 in taken:
+                for l1 in levels:
+                    for l2 in lv2:
+                        edges.add(Edge(
+                            l1, l2, fn.rel_path, hold,
+                            f"{fn.label} holds {target} (level {l1}, :{hold})"
+                            f"{via} takes {other} (level {l2}, :{line})",
+                            fn.qualified))
+    return sorted(edges), blocking
+
+
+def find_cycles(adj):
+    """Directed cycles over the (small) level graph, one per node set."""
+    cycles = []
+    seen = []
+    visiting, done, path = set(), set(), []
+
+    def dfs(u):
+        visiting.add(u)
+        path.append(u)
+        for v in sorted(adj.get(u, ())):
+            if v in visiting:
+                cyc = path[path.index(v):] + [v]
+                if frozenset(cyc) not in seen:
+                    seen.append(frozenset(cyc))
+                    cycles.append(cyc)
+            elif v not in done:
+                dfs(v)
+        visiting.discard(u)
+        done.add(u)
+        path.pop()
+
+    for u in sorted(adj):
+        if u not in done:
+            dfs(u)
+    return cycles
+
+
+def lock_order_findings(graph, decls, acquisitions, edges):
+    """Same-level edges, cycles between levels, Mutex members without a
+    level, and acquisitions that match no Mutex declaration."""
+    findings = []
+    for e in edges:
+        if e.src == e.dst:
+            findings.append(Finding(
+                e.file, e.hold_line, "lock-order",
+                f"same-level acquisition (level {e.src} under level "
+                f"{e.dst}): {e.detail}"))
+    adj = {}
+    for e in edges:
+        if e.src != e.dst:
+            adj.setdefault(e.src, set()).add(e.dst)
+    for cyc in find_cycles(adj):
+        examples = [next(e for e in edges if e.src == a and e.dst == b)
+                    for a, b in zip(cyc, cyc[1:])]
+        findings.append(Finding(
+            examples[0].file, examples[0].hold_line, "lock-order",
+            "lock-level cycle " + " -> ".join(str(l) for l in cyc)
+            + ": " + "; ".join(e.detail for e in examples)))
+    for d in decls:
+        if d["level"] is None and not graph.waived(d["file"], d["line"],
+                                                   "lock-order"):
+            findings.append(Finding(
+                d["file"], d["line"], "lock-order",
+                f"Mutex member '{d['name']}' carries no PRISTE_LOCK_LEVEL(n) "
+                "-- every mutex must be placed in the lock hierarchy "
+                "(common/thread_annotations.h)"))
+    for fn in graph.functions:
+        for line, target, _levels, found, waived in acquisitions[fn]:
+            if not found and not waived:
+                findings.append(Finding(
+                    fn.rel_path, line, "lock-order",
+                    f"{fn.qualified} locks '{target}', which matches no "
+                    "Mutex member declaration -- the hierarchy cannot "
+                    "classify it"))
+    return findings
+
+
+def rule_concurrency(graph):
+    """lock-order and blocking-under-lock: the findings and the lock graph
+    for the report."""
+    decls = mutex_decls(graph)
+    bnames = blocking_names(graph)
+    # fn -> [(line, target, levels, declaration found, waived)]
+    acquisitions = {
+        fn: [(line, target, *resolve_levels(decls, fn.rel_path, target),
+              graph.waived(fn.rel_path, line, "lock-order"))
+             for line, target in fn.locks]
+        for fn in graph.functions}
+    edges, blocking = scan_held_regions(graph, acquisitions, bnames)
+    lock_graph = {
+        "mutexes": decls,
+        "edges": [{"from": e.src, "to": e.dst, "file": e.file,
+                   "function": e.function, "held_from_line": e.hold_line,
+                   "detail": e.detail} for e in edges],
+        "blocking_functions": sorted(bnames),
+    }
+    return (lock_order_findings(graph, decls, acquisitions, edges) + blocking,
+            lock_graph)
+
+
+# --- Rule: bare-waiver -------------------------------------------------------
+
+
+def rule_bare_waiver(graph):
+    findings = []
+    for rel, src in graph.files.items():
+        for idx, line in enumerate(src.raw, start=1):
+            for m in SUPPRESS_RE.finditer(line):
+                if not line[m.end():].strip():
+                    findings.append(Finding(
+                        rel, idx, "bare-waiver",
+                        f"allow({m.group(1)}) carries no root-cause "
+                        "justification on the waiver line"))
+    return findings
+
+
+# --- Drivers -----------------------------------------------------------------
+
+
+def analyze(graph):
+    """All nine rules: (sorted findings, lock graph)."""
+    findings, lock_graph = rule_concurrency(graph)
+    findings += (rule_line_tokens(graph) + rule_hot_path(graph)
+                 + rule_no_abort(graph) + rule_unchecked_result(graph)
+                 + rule_bare_waiver(graph))
+    return sorted(findings), lock_graph
 
 
 def relpath(path, src_root):
-    try:
-        return os.path.relpath(path, src_root).replace(os.sep, "/")
-    except ValueError:
-        return path.replace(os.sep, "/")
-
-
-def lint_file(path, src_root):
-    rel = relpath(path, src_root)
-    try:
-        with open(path, encoding="utf-8", errors="replace") as f:
-            text = f.read()
-    except OSError as e:
-        return [Finding(rel, 0, "io", str(e))]
-
-    clean = strip_comments_and_strings(text)
-    lines = clean.split("\n")
-    waived = suppressed_lines(text.split("\n"))
-    findings = []
-
-    # banned-call over all of src/ (minus sanctioned files).
-    if rel not in SANCTIONED_FILES:
-        for idx, line in enumerate(lines, start=1):
-            code = line.split("//", 1)[0]
-            for pattern, why in BANNED_CALLS:
-                if pattern.search(code):
-                    if idx in waived.get("banned-call", ()):
-                        continue
-                    findings.append(Finding(rel, idx, "banned-call", why))
-
-    # fma-pattern in kernel TUs only.
-    if KERNEL_FILE_RE.search(rel):
-        for idx, line in enumerate(lines, start=1):
-            code = line.split("//", 1)[0]
-            for pattern, why in FMA_PATTERNS:
-                if pattern.search(code):
-                    if idx in waived.get("fma-pattern", ()):
-                        continue
-                    findings.append(Finding(
-                        rel, idx, "fma-pattern",
-                        f"{why} breaks the scalar/AVX2 bit-identity "
-                        "contract (see linalg/CMakeLists.txt)"))
-
-    # hot-path-alloc inside PRISTE_HOT_PATH extents.
-    if HOT_PATH_MARKER in clean:
-        for start, end in find_hot_path_extents_regex(clean):
-            for idx in range(start, end + 1):
-                if idx - 1 >= len(lines):
-                    break
-                code = lines[idx - 1].split("//", 1)[0]
-                for pattern, why in HOT_PATH_ALLOC:
-                    if pattern.search(code):
-                        if idx in waived.get("hot-path-alloc", ()):
-                            continue
-                        findings.append(Finding(
-                            rel, idx, "hot-path-alloc",
-                            f"{why} inside a PRISTE_HOT_PATH body "
-                            "(lexical, body-only check)"))
-    return findings
-
-
-# --- libclang mode ----------------------------------------------------------
-
-
-def try_libclang():
-    try:
-        from clang import cindex  # noqa: F401
-        idx = cindex.Index.create()
-        return cindex, idx
-    except Exception:
-        return None, None
-
-
-def hot_path_extents_libclang(cindex, index, entry):
-    """Exact function extents for PRISTE_HOT_PATH via the annotate attribute.
-    Returns {abspath: [(start, end), ...]} or None when parsing fails."""
-    args = []
-    raw = entry.get("arguments")
-    if raw:
-        args = list(raw[1:])
-    else:
-        # Crude shlex-free split is fine for CMake-generated commands.
-        args = entry.get("command", "").split()[1:]
-    args = [a for a in args if a not in ("-c",)]
-    # Drop the -o <obj> pair and the source file itself.
-    pruned = []
-    skip = False
-    for a in args:
-        if skip:
-            skip = False
-            continue
-        if a == "-o":
-            skip = True
-            continue
-        pruned.append(a)
-    src = entry["file"]
-    if pruned and pruned[-1].endswith(src.split("/")[-1]):
-        pruned = pruned[:-1]
-    try:
-        tu = index.parse(src, args=pruned)
-    except Exception:
-        return None
-    if any(d.severity >= 4 for d in tu.diagnostics):
-        return None
-    out = {}
-
-    def visit(node):
-        if node.kind in (cindex.CursorKind.FUNCTION_DECL,
-                         cindex.CursorKind.CXX_METHOD,
-                         cindex.CursorKind.FUNCTION_TEMPLATE) and \
-                node.is_definition():
-            for child in node.get_children():
-                if child.kind == cindex.CursorKind.ANNOTATE_ATTR and \
-                        child.spelling == "priste_hot_path":
-                    ext = node.extent
-                    out.setdefault(os.path.abspath(ext.start.file.name),
-                                   []).append(
-                        (ext.start.line, ext.end.line))
-        for child in node.get_children():
-            visit(child)
-
-    visit(tu.cursor)
-    return out
-
-
-# --- Drivers ----------------------------------------------------------------
+    return os.path.relpath(path, src_root).replace(os.sep, "/")
 
 
 def collect_sources(compile_commands, src_root):
-    """First-party files named by the compilation DB, plus their headers."""
-    files = set()
+    """src/ and tools/ without tools/lint, whose fixtures only --self-test
+    reads: the .h/.cc files the compilation database names, plus every
+    header."""
     with open(compile_commands, encoding="utf-8") as f:
         db = json.load(f)
-    for entry in db:
-        src = entry["file"]
-        if not os.path.isabs(src):
-            src = os.path.join(entry.get("directory", ""), src)
-        src = os.path.abspath(src)
-        rel = relpath(src, src_root)
-        if rel.startswith("src/") and rel.endswith(LINT_EXTENSIONS):
-            files.add(src)
-    # Headers are not compile_commands entries; walk src/ for them.
-    for root, _dirs, names in os.walk(os.path.join(src_root, "src")):
-        for name in names:
-            if name.endswith(".h"):
-                files.add(os.path.abspath(os.path.join(root, name)))
-    return sorted(files), db
+    paths = [os.path.abspath(os.path.join(e.get("directory", ""), e["file"]))
+             for e in db]
+    for tree in ("src", "tools"):
+        for root, _dirs, names in os.walk(os.path.join(src_root, tree)):
+            paths += [os.path.join(root, n) for n in names if n.endswith(".h")]
+    files = set()
+    for path in paths:
+        rel = relpath(path, src_root)
+        if (rel.endswith(LINT_EXTENSIONS)
+                and rel.startswith(("src/", "tools/"))
+                and not rel.startswith("tools/lint/")):
+            files.add(os.path.abspath(path))
+    return sorted(files)
 
 
-def run(compile_commands, src_root):
-    files, db = collect_sources(compile_commands, src_root)
-    cindex, index = try_libclang()
-    mode = "libclang" if cindex else "regex"
-    print(f"priste_lint: {len(files)} files, mode={mode}", file=sys.stderr)
-    findings = []
-    for path in files:
-        findings.extend(lint_file(path, src_root))
-    # libclang refines nothing today beyond the lexical pass (the lexical
-    # extents already cover every marked body), but we still parse one TU to
-    # verify the annotate attribute survives the build flags — a macro
-    # regression (e.g. PRISTE_HOT_PATH redefined empty under Clang) would
-    # otherwise silently disable the rule.
-    if cindex:
-        marked = [e for e in db
-                  if "kernels" in e["file"] or "qp_solver" in e["file"]]
-        for entry in marked[:1]:
-            extents = hot_path_extents_libclang(cindex, index, entry)
-            if extents is not None and not extents:
-                print("priste_lint: WARNING: libclang saw no priste_hot_path "
-                      "annotations in a kernel TU — marker may be disabled",
-                      file=sys.stderr)
-    return findings
+# Fixture -> the exact per-rule finding counts it must produce on its own.
+SELF_TEST = {
+    "bad_banned_call.cc": {"banned-call": 3},
+    "bad_hot_path_alloc.cc": {"hot-path-alloc": 6},
+    "kernels_bad_fma.cc": {"fma-pattern": 2},
+    "good_suppressed.cc": {},
+    "bad_transitive_alloc.cc": {"hot-path-alloc-transitive": 2},
+    "bad_lambda_hoist.cc": {"hot-path-alloc-transitive": 2},
+    "bad_no_abort.cc": {"no-abort-reachable": 4},
+    "bad_unchecked_result.cc": {"unchecked-result": 4},
+    "good_callgraph.cc": {},
+    "bad_lock_order.cc": {"lock-order": 3, "bare-waiver": 1},
+    "bad_blocking_under_lock.cc": {"blocking-under-lock": 3},
+    "good_concurrency.cc": {},
+}
 
 
-def run_self_test(src_root):
-    """Negative test: the seeded fixtures MUST produce these findings, and
-    the allow() fixture must produce none."""
-    fixtures = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "fixtures")
-    expectations = {
-        "bad_banned_call.cc": {"banned-call": 3},
-        "bad_hot_path_alloc.cc": {"hot-path-alloc": 4},
-        "kernels_bad_fma.cc": {"fma-pattern": 2},
-        "good_suppressed.cc": {},
-    }
+def run_self_test():
+    """A rule that stops firing fails here, not silently on the clean
+    tree."""
     failures = []
-    for name, expected in expectations.items():
-        path = os.path.join(fixtures, name)
-        # Fixtures pose as src/ files so the path-scoped rules fire; the
-        # fma fixture poses as a kernel TU.
-        if name.startswith("kernels_"):
-            rel = f"src/priste/linalg/{name}"
-        else:
-            rel = f"src/priste/fixture/{name}"
-        findings = lint_fixture(path, rel)
-        got = {}
-        for f in findings:
-            got[f.rule] = got.get(f.rule, 0) + 1
+    untabled = sorted(set(os.listdir(FIXTURES)) - set(SELF_TEST))
+    if untabled:
+        failures.append(f"fixtures missing from SELF_TEST: {untabled}")
+    for name, expected in SELF_TEST.items():
+        # Fixtures pose as src/ files so the src/-scoped rules apply, and
+        # kernels_* poses as a kernel TU.
+        subdir = "linalg" if name.startswith("kernels_") else "fixture"
+        graph = CallGraph()
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as f:
+            graph.add_file(f"src/priste/{subdir}/{name}", f.read())
+        findings, lock_graph = analyze(graph)
+        got = collections.Counter(finding.rule for finding in findings)
         if got != expected:
-            failures.append(f"{name}: expected {expected}, got {got}")
-            for f in findings:
-                print(f"  {f}", file=sys.stderr)
-    if failures:
-        for f in failures:
-            print(f"priste_lint self-test FAILED: {f}", file=sys.stderr)
-        return 1
-    print(f"priste_lint self-test OK ({len(expectations)} fixtures)",
-          file=sys.stderr)
-    return 0
-
-
-def lint_fixture(path, rel):
-    """lint_file, but with the repo-relative identity overridden so fixtures
-    exercise the path-scoped rules from their quarantine directory."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    clean = strip_comments_and_strings(text)
-    lines = clean.split("\n")
-    waived = suppressed_lines(text.split("\n"))
-    findings = []
-    if rel not in SANCTIONED_FILES:
-        for idx, line in enumerate(lines, start=1):
-            code = line.split("//", 1)[0]
-            for pattern, why in BANNED_CALLS:
-                if pattern.search(code) and \
-                        idx not in waived.get("banned-call", ()):
-                    findings.append(Finding(rel, idx, "banned-call", why))
-    if KERNEL_FILE_RE.search(rel):
-        for idx, line in enumerate(lines, start=1):
-            code = line.split("//", 1)[0]
-            for pattern, why in FMA_PATTERNS:
-                if pattern.search(code) and \
-                        idx not in waived.get("fma-pattern", ()):
-                    findings.append(Finding(rel, idx, "fma-pattern", why))
-    for start, end in find_hot_path_extents_regex(clean):
-        for idx in range(start, end + 1):
-            if idx - 1 >= len(lines):
-                break
-            code = lines[idx - 1].split("//", 1)[0]
-            for pattern, why in HOT_PATH_ALLOC:
-                if pattern.search(code) and \
-                        idx not in waived.get("hot-path-alloc", ()):
-                    findings.append(Finding(rel, idx, "hot-path-alloc", why))
-    return findings
+            failures.append(f"{name}: expected {expected}, got {dict(got)}")
+            for finding in findings:
+                print(f"  {finding}", file=sys.stderr)
+        if name == "bad_lock_order.cc":
+            # The report must carry the mutexes and edges behind the findings.
+            report = json.loads(json.dumps(lock_graph))
+            if not report["edges"] or not report["mutexes"]:
+                failures.append(f"{name}: the report's lock graph is empty")
+    for failure in failures:
+        print(f"priste_lint self-test FAILED: {failure}", file=sys.stderr)
+    if not failures:
+        print(f"priste_lint self-test OK ({len(SELF_TEST)} fixtures)",
+              file=sys.stderr)
+    return 1 if failures else 0
 
 
 def main():
@@ -497,25 +1129,38 @@ def main():
     parser.add_argument("--src-root", default=".",
                         help="repository root (default: cwd)")
     parser.add_argument("--self-test", action="store_true",
-                        help="run the seeded-fixture negative test")
+                        help="check the seeded fixtures' exact finding counts")
+    parser.add_argument("--report", metavar="PATH",
+                        help="write the findings and the lock graph as JSON")
     args = parser.parse_args()
+    if args.self_test:
+        return run_self_test()
+    if not args.compile_commands:
+        parser.error("--compile-commands is required (or use --self-test)")
 
     started = time.monotonic()
     src_root = os.path.abspath(args.src_root)
-    if args.self_test:
-        return run_self_test(src_root)
-    if not args.compile_commands:
-        parser.error("--compile-commands is required (or use --self-test)")
-    findings = run(args.compile_commands, src_root)
-    for f in findings:
-        print(f)
-    wall = time.monotonic() - started
-    if findings:
-        print(f"priste_lint: {len(findings)} finding(s) [wall {wall:.2f}s]",
-              file=sys.stderr)
-        return 1
-    print(f"priste_lint: clean [wall {wall:.2f}s]", file=sys.stderr)
-    return 0
+    graph = CallGraph()
+    for path in collect_sources(args.compile_commands, src_root):
+        with open(path, encoding="utf-8", errors="replace") as f:
+            graph.add_file(relpath(path, src_root), f.read())
+    findings, lock_graph = analyze(graph)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as f:
+            json.dump({"findings": [finding._asdict() for finding in findings],
+                       **lock_graph}, f, indent=1, sort_keys=True)
+            f.write("\n")
+    for finding in findings:
+        print(finding)
+    levels = {d["level"] for d in lock_graph["mutexes"]} - {None}
+    print(f"priste_lint: {len(graph.files)} files, "
+          f"{len(graph.functions)} functions, "
+          f"{len(lock_graph['mutexes'])} mutexes / {len(levels)} levels, "
+          f"{len(lock_graph['edges'])} lock edges, "
+          f"{len(lock_graph['blocking_functions'])} blocking functions; "
+          f"{len(findings) or 'no'} finding(s) "
+          f"[wall {time.monotonic() - started:.2f}s]", file=sys.stderr)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":
