@@ -55,7 +55,7 @@ int main() {
     Timer timer;
     linalg::Matrix a = linalg::Matrix::Identity(2 * m);
     for (int t = 1; t <= T; ++t) {
-      if (t > 1) a = linalg::MatMul(a, model.TransitionAt(t - 1).ToDense());
+      if (t > 1) a = linalg::MatMul(a, model.TransitionAt(t - 1));
       // Right-scale by the duplicated emission diagonal.
       const linalg::Vector dup = history[static_cast<size_t>(t - 1)].Concat(
           history[static_cast<size_t>(t - 1)]);

@@ -68,13 +68,6 @@ linalg::Vector AutomatonWorldModel::ContractColumn(const linalg::Vector& col) co
   return g;
 }
 
-void AutomatonWorldModel::StepRowInto(const linalg::Vector& v, int t,
-                                      linalg::Vector& out) const {
-  PRISTE_CHECK(v.size() == lifted_size() && out.size() == lifted_size());
-  PRISTE_DCHECK(v.data() != out.data());
-  StepRowSpanInto(v.data(), t, out.data());
-}
-
 void AutomatonWorldModel::StepRowSpanInto(const double* v, int t,
                                           double* out) const {
   const size_t m = num_states();
@@ -108,65 +101,37 @@ void AutomatonWorldModel::StepRowSpanInto(const double* v, int t,
   }
 }
 
-void AutomatonWorldModel::StepColumnInto(const linalg::Vector& v, int t,
-                                         linalg::Vector& out) const {
+void AutomatonWorldModel::StepColumnSpansInto(const double* const* v,
+                                              double* const* out,
+                                              size_t count, int t) const {
   const size_t m = num_states();
   const int k = automaton_.num_automaton_states();
-  PRISTE_CHECK(v.size() == lifted_size() && out.size() == lifted_size());
-  PRISTE_DCHECK(v.data() != out.data());
   PRISTE_CHECK(t >= 1);
+  PRISTE_CHECK(count >= 1 && count <= 2);
   const markov::TransitionMatrix& base = schedule_.AtStep(t);
   const int tau = t + 1;
   const bool in_window = tau >= automaton_.start() && tau <= automaton_.end();
 
   static thread_local std::vector<double> z;
   z.resize(m);
-  for (int q = 0; q < k; ++q) {
-    // z[s'] = v[δ(q, τ, s')·m + s'] — the successor's value per destination.
-    if (in_window) {
-      for (size_t sp = 0; sp < m; ++sp) {
-        const int qp = automaton_.Next(q, tau, static_cast<int>(sp));
-        z[sp] = v[static_cast<size_t>(qp) * m + sp];
+  for (size_t i = 0; i < count; ++i) {
+    for (int q = 0; q < k; ++q) {
+      // z[s'] = v[δ(q, τ, s')·m + s'] — the successor's value per
+      // destination.
+      if (in_window) {
+        for (size_t sp = 0; sp < m; ++sp) {
+          const int qp = automaton_.Next(q, tau, static_cast<int>(sp));
+          z[sp] = v[i][static_cast<size_t>(qp) * m + sp];
+        }
+      } else {
+        std::memcpy(z.data(), v[i] + static_cast<size_t>(q) * m,
+                    m * sizeof(double));
       }
-    } else {
-      std::memcpy(z.data(), v.data() + static_cast<size_t>(q) * m,
-                  m * sizeof(double));
+      // out[(q, s)] = Σ_{s'} M(s, s')·z[s'] — a base column product per
+      // slice.
+      base.BackwardSpan(z.data(), out[i] + static_cast<size_t>(q) * m);
     }
-    // out[(q, s)] = Σ_{s'} M(s, s')·z[s'] — a base column product per slice.
-    base.BackwardSpan(z.data(), out.data() + static_cast<size_t>(q) * m);
   }
-}
-
-void AutomatonWorldModel::ApplyEmissionInPlace(const linalg::Vector& emission,
-                                               linalg::Vector& v) const {
-  const size_t m = num_states();
-  const int k = automaton_.num_automaton_states();
-  PRISTE_CHECK(emission.size() == m);
-  PRISTE_CHECK(v.size() == lifted_size());
-  const double* e = emission.data();
-  for (int q = 0; q < k; ++q) {
-    linalg::kernels::HadamardInPlace(e, v.data() + static_cast<size_t>(q) * m,
-                                     m);
-  }
-}
-
-linalg::Vector AutomatonWorldModel::StepRow(const linalg::Vector& v, int t) const {
-  linalg::Vector out(lifted_size());
-  StepRowInto(v, t, out);
-  return out;
-}
-
-linalg::Vector AutomatonWorldModel::StepColumn(const linalg::Vector& v, int t) const {
-  linalg::Vector out(lifted_size());
-  StepColumnInto(v, t, out);
-  return out;
-}
-
-linalg::Vector AutomatonWorldModel::ApplyEmission(const linalg::Vector& emission,
-                                                  const linalg::Vector& v) const {
-  linalg::Vector out = v;
-  ApplyEmissionInPlace(emission, out);
-  return out;
 }
 
 }  // namespace priste::core

@@ -45,22 +45,15 @@ class AutomatonWorldModel : public LiftedEventModel {
 
   linalg::Vector LiftInitial(const linalg::Vector& pi) const override;
   linalg::Vector ContractColumn(const linalg::Vector& col) const override;
-  linalg::Vector StepRow(const linalg::Vector& v, int t) const override;
-  linalg::Vector StepColumn(const linalg::Vector& v, int t) const override;
-  linalg::Vector ApplyEmission(const linalg::Vector& emission,
-                               const linalg::Vector& v) const override;
 
-  /// Allocation-free blockwise kernels: the base chain is applied once per
-  /// live automaton state through its span kernels (CSR fast path when the
-  /// chain is sparse), and the automaton transition only permutes slices —
-  /// the (k·m)×(k·m) lifted operator is never formed.
+  /// Blockwise kernels: the base chain is applied once per live automaton
+  /// state through its span kernels (CSR fast path when the chain is
+  /// sparse), and the automaton transition only permutes slices — the
+  /// (k·m)×(k·m) lifted operator is never formed.
   void StepRowSpanInto(const double* v, int t, double* out) const override;
-  void StepRowInto(const linalg::Vector& v, int t,
-                   linalg::Vector& out) const override;
-  void StepColumnInto(const linalg::Vector& v, int t,
-                      linalg::Vector& out) const override;
-  void ApplyEmissionInPlace(const linalg::Vector& emission,
-                            linalg::Vector& v) const override;
+  /// One base column product per automaton slice of each vector, in turn.
+  void StepColumnSpansInto(const double* const* v, double* const* out,
+                           size_t count, int t) const override;
 
  private:
   AutomatonWorldModel(markov::TransitionSchedule schedule,

@@ -1,6 +1,6 @@
 #include "priste/core/event_model.h"
 
-#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "priste/common/check.h"
@@ -8,35 +8,48 @@
 
 namespace priste::core {
 
+linalg::Vector LiftedEventModel::StepRow(const linalg::Vector& v,
+                                         int t) const {
+  linalg::Vector out(lifted_size());
+  StepRowInto(v, t, out);
+  return out;
+}
+
 void LiftedEventModel::StepRowInto(const linalg::Vector& v, int t,
                                    linalg::Vector& out) const {
-  out = StepRow(v, t);
+  PRISTE_CHECK(v.size() == lifted_size() && out.size() == lifted_size());
+  PRISTE_DCHECK(v.data() != out.data());
+  StepRowSpanInto(v.data(), t, out.data());
 }
 
 void LiftedEventModel::StepColumnInto(const linalg::Vector& v, int t,
                                       linalg::Vector& out) const {
-  out = StepColumn(v, t);
+  PRISTE_CHECK(v.size() == lifted_size() && out.size() == lifted_size());
+  PRISTE_DCHECK(v.data() != out.data());
+  const double* in = v.data();
+  double* op = out.data();
+  StepColumnSpansInto(&in, &op, 1, t);
 }
 
 void LiftedEventModel::StepColumnPairInto(const linalg::Vector& v1,
                                           const linalg::Vector& v2, int t,
                                           linalg::Vector& o1,
                                           linalg::Vector& o2) const {
-  StepColumnInto(v1, t, o1);
-  StepColumnInto(v2, t, o2);
+  const size_t n = lifted_size();
+  PRISTE_CHECK(v1.size() == n && v2.size() == n && o1.size() == n &&
+               o2.size() == n);
+  PRISTE_DCHECK(o1.data() != v1.data() && o1.data() != v2.data() &&
+                o2.data() != v1.data() && o2.data() != v2.data() &&
+                o1.data() != o2.data());
+  const double* in[2] = {v1.data(), v2.data()};
+  double* out[2] = {o1.data(), o2.data()};
+  StepColumnSpansInto(in, out, 2, t);
 }
 
 void LiftedEventModel::ApplyEmissionInPlace(const linalg::Vector& emission,
                                             linalg::Vector& v) const {
-  v = ApplyEmission(emission, v);
-}
-
-void LiftedEventModel::StepRowSpanInto(const double* v, int t,
-                                       double* out) const {
-  linalg::Vector vin(std::vector<double>(v, v + lifted_size()));
-  linalg::Vector vout(lifted_size());
-  StepRowInto(vin, t, vout);
-  std::copy(vout.data(), vout.data() + lifted_size(), out);
+  PRISTE_CHECK(v.size() == lifted_size());
+  ApplyEmissionSpanInPlace(emission, v.data());
 }
 
 void LiftedEventModel::ApplyEmissionSpanInPlace(const linalg::Vector& emission,

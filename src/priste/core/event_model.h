@@ -1,6 +1,7 @@
 #ifndef PRISTE_CORE_EVENT_MODEL_H_
 #define PRISTE_CORE_EVENT_MODEL_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "priste/linalg/vector.h"
@@ -17,9 +18,19 @@ namespace priste::core {
 /// interface, so PriSTE protects any event a lifted model can encode.
 ///
 /// Conventions: lifted vectors have `lifted_size()` = k·m entries, k event
-/// states × m map states; timestamps are 1-based; step t connects time t to
-/// t+1; the accepting mask marks lifted states where the event is true once
-/// the window [event_start, event_end] has been fully consumed.
+/// states × m map states, laid out as k blocks of m (block q holds event
+/// state q); timestamps are 1-based; step t connects time t to t+1; the
+/// accepting mask marks lifted states where the event is true once the
+/// window [event_start, event_end] has been fully consumed.
+///
+/// A new model implements the eight pure virtuals: the four sizes, the
+/// LiftInitial/ContractColumn pair, and the two step kernels over raw
+/// lifted spans, StepRowSpanInto and StepColumnSpansInto. The kernels are
+/// what the hot loops run, so they must not allocate per call and should
+/// apply the base chain per event state rather than sweep a (k·m)² operator.
+/// Everything else is written once here: the Vector forms of the steps, and
+/// the emission product, which is the same for every model because
+/// observations are independent of the event state.
 class LiftedEventModel {
  public:
   virtual ~LiftedEventModel() = default;
@@ -41,52 +52,37 @@ class LiftedEventModel {
   /// for every π — the contraction producing Theorem IV.1's ā, b̄, c̄.
   virtual linalg::Vector ContractColumn(const linalg::Vector& col) const = 0;
 
-  /// Forward propagation of a lifted row vector: v ← v · M_t.
-  virtual linalg::Vector StepRow(const linalg::Vector& v, int t) const = 0;
+  /// Row step kernel: out = v · M_t over spans of lifted_size() doubles.
+  /// `out` must not alias `v`.
+  virtual void StepRowSpanInto(const double* v, int t, double* out) const = 0;
 
-  /// Column propagation: v ← M_t · v (suffix and backward recursions).
-  virtual linalg::Vector StepColumn(const linalg::Vector& v, int t) const = 0;
+  /// Column step kernel: out[i] = M_t · v[i] for i < count, 1 <= count <= 2,
+  /// each output bit-equal to its own count-1 call, so a model may stream
+  /// its base matrix once for both. No output may alias any input.
+  virtual void StepColumnSpansInto(const double* const* v, double* const* out,
+                                   size_t count, int t) const = 0;
 
-  /// Entry-wise product with the emission column replicated across the k
-  /// event states (observations are independent of the event state).
-  virtual linalg::Vector ApplyEmission(const linalg::Vector& emission,
-                                       const linalg::Vector& v) const = 0;
+  /// Vector forms of the kernels; every vector is lifted_size(). StepRow
+  /// allocates its result, the *Into forms write `out`, which must not
+  /// alias an input.
+  linalg::Vector StepRow(const linalg::Vector& v, int t) const;
+  void StepRowInto(const linalg::Vector& v, int t, linalg::Vector& out) const;
+  void StepColumnInto(const linalg::Vector& v, int t,
+                      linalg::Vector& out) const;
 
-  /// Allocation-free variants for the per-timestep hot loops (quantifier
-  /// vector chains, joint forward pushes, suffix precompute). `out` must be
-  /// lifted_size() and must NOT alias `v`; the defaults fall back to the
-  /// allocating calls, and both built-in models override them with blockwise
-  /// kernels that apply the base chain per event state — O(k · base-product)
-  /// instead of sweeping a materialized (k·m)² operator.
-  virtual void StepRowInto(const linalg::Vector& v, int t,
-                           linalg::Vector& out) const;
-  virtual void StepColumnInto(const linalg::Vector& v, int t,
-                              linalg::Vector& out) const;
+  /// Two column steps at the same t: o1 = M_t · v1, o2 = M_t · v2. The
+  /// quantifier advances its b̄ and c̄ chains in lockstep through this.
+  void StepColumnPairInto(const linalg::Vector& v1, const linalg::Vector& v2,
+                          int t, linalg::Vector& o1, linalg::Vector& o2) const;
 
-  /// Two column steps at the same t: o1 = M_t · v1, o2 = M_t · v2, each
-  /// bit-equal to its own StepColumnInto. The quantifier advances its b̄ and
-  /// c̄ chains in lockstep through this, so a model can stream its base
-  /// matrix once for both; the default makes the two calls. Neither output
-  /// may alias either input.
-  virtual void StepColumnPairInto(const linalg::Vector& v1,
-                                  const linalg::Vector& v2, int t,
-                                  linalg::Vector& o1,
-                                  linalg::Vector& o2) const;
-
-  /// In-place emission product: v ← p̃ᴰ_o · v (entry-wise, so aliasing is
-  /// inherent and safe).
-  virtual void ApplyEmissionInPlace(const linalg::Vector& emission,
-                                    linalg::Vector& v) const;
-
-  /// Raw-span forms over lifted spans of lifted_size() doubles — the unit
-  /// the RowBlock-backed release engine stores its row chains in. The
-  /// emission defaults implement the documented k-block layout directly on
-  /// the span; the step default round-trips through temporary Vectors, and
-  /// both built-in models override it with their zero-copy blockwise
-  /// kernels. `out` must not alias `v`.
-  virtual void StepRowSpanInto(const double* v, int t, double* out) const;
-  virtual void ApplyEmissionSpanInPlace(const linalg::Vector& emission,
-                                        double* v) const;
+  /// Emission product v ← p̃ᴰ_o · v: the m-entry column `emission`
+  /// replicated across the k event blocks, entry-wise and in place. The
+  /// span form works on lifted_size() doubles, the unit the release engine
+  /// stores its row chains in.
+  void ApplyEmissionInPlace(const linalg::Vector& emission,
+                            linalg::Vector& v) const;
+  void ApplyEmissionSpanInPlace(const linalg::Vector& emission,
+                                double* v) const;
 
   /// Indicator of event-true lifted states after the window has been fully
   /// consumed (the two-world [0, 1] mask, generalized).

@@ -1,9 +1,19 @@
 #include "priste/core/priste.h"
 
+#include <cmath>
+
+#include "priste/common/check.h"
 #include "priste/common/strings.h"
 #include "priste/common/thread_annotations.h"
 
 namespace priste::core {
+
+void CheckPristeOptions(const PristeOptions& options) {
+  PRISTE_CHECK(std::isfinite(options.epsilon) && options.epsilon >= 0.0);
+  PRISTE_CHECK(options.decay > 0.0 && options.decay < 1.0);
+  PRISTE_CHECK(std::isfinite(options.initial_alpha) &&
+               options.initial_alpha >= 0.0);
+}
 
 PRISTE_NO_ABORT
 Result<void> ValidateRunInput(

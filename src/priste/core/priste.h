@@ -70,6 +70,14 @@ struct RunResult {
   ReleaseStepDiagnostics release_diagnostics;
 };
 
+/// The option rules both PriSTE drivers enforce at construction, each a
+/// PRISTE_CHECK: ε finite and >= 0 (no release satisfies a negative bound,
+/// and NaN compares false with every bound); decay in (0, 1) (at 1 a failing
+/// check halves forever); and a finite initial budget >= 0 (a negative one
+/// releases uniformly, and +∞ never decays to a budget a mechanism accepts
+/// or a check passes, so the halving search would not end).
+void CheckPristeOptions(const PristeOptions& options);
+
 /// Shared input-validation prelude of the PriSTE drivers' Run methods: the
 /// trajectory must be non-empty, cover every protected event's window, and
 /// visit only cells of `grid`. Annotated PRISTE_NO_ABORT (definition) — bad

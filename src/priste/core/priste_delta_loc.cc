@@ -1,7 +1,5 @@
 #include "priste/core/priste_delta_loc.h"
 
-#include <cmath>
-
 #include "priste/common/metrics.h"
 #include "priste/common/strings.h"
 #include "priste/common/timer.h"
@@ -22,9 +20,7 @@ PristeDeltaLoc::PristeDeltaLoc(geo::Grid grid, markov::TransitionMatrix chain,
       options_(options) {
   PRISTE_CHECK_MSG(!events_.empty(), "PristeDeltaLoc needs at least one event");
   PRISTE_CHECK(delta_ >= 0.0 && delta_ < 1.0);
-  PRISTE_CHECK(std::isfinite(options_.epsilon) && options_.epsilon >= 0.0);
-  PRISTE_CHECK(options_.decay > 0.0 && options_.decay < 1.0);
-  PRISTE_CHECK(options_.initial_alpha >= 0.0);
+  CheckPristeOptions(options_);
   PRISTE_CHECK(chain_.num_states() == grid_.num_cells());
   PRISTE_CHECK(initial_.size() == grid_.num_cells());
   models_.reserve(events_.size());

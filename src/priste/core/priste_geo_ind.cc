@@ -1,7 +1,5 @@
 #include "priste/core/priste_geo_ind.h"
 
-#include <cmath>
-
 #include "priste/common/metrics.h"
 #include "priste/common/strings.h"
 #include "priste/common/timer.h"
@@ -42,9 +40,7 @@ PristeGeoInd::PristeGeoInd(
                   ? std::move(family)
                   : std::make_shared<lppm::PlanarLaplaceFamily>(grid)) {
   PRISTE_CHECK_MSG(!models_.empty(), "PristeGeoInd needs at least one event");
-  PRISTE_CHECK(std::isfinite(options_.epsilon) && options_.epsilon >= 0.0);
-  PRISTE_CHECK(options_.decay > 0.0 && options_.decay < 1.0);
-  PRISTE_CHECK(options_.initial_alpha >= 0.0);
+  CheckPristeOptions(options_);
   PRISTE_CHECK(family_->num_states() == grid_.num_cells());
   for (const auto& model : models_) {
     PRISTE_CHECK(model != nullptr);

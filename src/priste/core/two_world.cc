@@ -4,31 +4,12 @@
 #include <cstring>
 
 #include "priste/common/check.h"
-#include "priste/linalg/kernels.h"
-#include "priste/linalg/ops.h"
 
 namespace priste::core {
-namespace {
 
 using event::SpatiotemporalEvent;
-using linalg::BlockMatrix2x2;
 using linalg::Matrix;
 using linalg::Vector;
-
-// Splits M by destination region d: `keep` carries transitions landing
-// outside d (M − M·dᴰ), `enter` transitions landing inside (M·dᴰ).
-struct CaptureSplit {
-  Matrix keep;
-  Matrix enter;
-};
-
-CaptureSplit SplitByDestination(const Matrix& m, const Vector& d) {
-  Vector not_d(d.size());
-  for (size_t i = 0; i < d.size(); ++i) not_d[i] = 1.0 - d[i];
-  return CaptureSplit{linalg::ScaleColumns(m, not_d), linalg::ScaleColumns(m, d)};
-}
-
-}  // namespace
 
 TwoWorldModel::TwoWorldModel(markov::TransitionMatrix base, event::EventPtr ev)
     : TwoWorldModel(markov::TransitionSchedule::Homogeneous(std::move(base)),
@@ -60,30 +41,38 @@ TwoWorldModel::StepForm TwoWorldModel::FormAt(int t) const {
   return form;
 }
 
-BlockMatrix2x2 TwoWorldModel::TransitionAt(int t) const {
+Matrix TwoWorldModel::TransitionAt(int t) const {
   PRISTE_CHECK(t >= 1);
+  const size_t m = num_states();
+  const Matrix& base = schedule_.AtStep(t).matrix();
   const StepForm form = FormAt(t);
-  const Matrix& m = schedule_.AtStep(t).matrix();
-  if (!form.in_window) {
-    return BlockMatrix2x2::BlockDiagonal(m);
+  Matrix out(2 * m, 2 * m);
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t c = 0; c < m; ++c) {
+      const double p = base(r, c);
+      if (!form.in_window) {
+        // Eq. (5)/(8): block diagonal, the worlds evolve independently.
+        out(r, c) = p;
+        out(m + r, m + c) = p;
+        continue;
+      }
+      // One world's row splits by destination region d — keep = M·(1−d)ᴰ
+      // into FALSE, enter = M·dᴰ into TRUE — and the other is absorbing.
+      // Eq. (4) for PRESENCE and Eq. (6) for the PATTERN window entry split
+      // FALSE ([keep enter; 0 M]); Eq. (7) splits TRUE ([M 0; keep enter]):
+      // trajectories leaving the region fall back to FALSE.
+      const double d = (*form.indicator)[c];
+      const size_t split = form.enter_true ? r : m + r;
+      out(split, c) = p * (1.0 - d);
+      out(split, m + c) = p * d;
+      if (form.enter_true) {
+        out(m + r, m + c) = p;
+      } else {
+        out(r, c) = p;
+      }
+    }
   }
-  const Matrix zero(m.rows(), m.cols());
-  const CaptureSplit split = SplitByDestination(m, *form.indicator);
-  if (form.enter_true) {
-    // Eq. (4) for PRESENCE, Eq. (6) for the PATTERN window entry: the FALSE
-    // world feeds the region's mass into TRUE; TRUE is absorbing.
-    return BlockMatrix2x2(split.keep, split.enter, zero, m);
-  }
-  // Eq. (7): TRUE keeps only trajectories continuing inside the region; the
-  // rest fall back to FALSE. FALSE is absorbing.
-  return BlockMatrix2x2(m, zero, split.keep, split.enter);
-}
-
-void TwoWorldModel::StepRowInto(const linalg::Vector& v, int t,
-                                linalg::Vector& out) const {
-  PRISTE_CHECK(v.size() == 2 * num_states() && out.size() == 2 * num_states());
-  PRISTE_DCHECK(v.data() != out.data());
-  StepRowSpanInto(v.data(), t, out.data());
+  return out;
 }
 
 void TwoWorldModel::StepRowSpanInto(const double* v, int t,
@@ -129,35 +118,12 @@ void TwoWorldModel::StepRowSpanInto(const double* v, int t,
   }
 }
 
-void TwoWorldModel::StepColumnInto(const linalg::Vector& v, int t,
-                                   linalg::Vector& out) const {
-  PRISTE_CHECK(v.size() == 2 * num_states() && out.size() == 2 * num_states());
-  PRISTE_DCHECK(v.data() != out.data());
-  const double* vp = v.data();
-  double* op = out.data();
-  StepColumnSpans(&vp, &op, 1, t);
-}
-
-void TwoWorldModel::StepColumnPairInto(const linalg::Vector& v1,
-                                       const linalg::Vector& v2, int t,
-                                       linalg::Vector& o1,
-                                       linalg::Vector& o2) const {
-  const size_t n = 2 * num_states();
-  PRISTE_CHECK(v1.size() == n && v2.size() == n && o1.size() == n &&
-               o2.size() == n);
-  PRISTE_DCHECK(o1.data() != v1.data() && o1.data() != v2.data() &&
-                o2.data() != v1.data() && o2.data() != v2.data() &&
-                o1.data() != o2.data());
-  const double* v[2] = {v1.data(), v2.data()};
-  double* out[2] = {o1.data(), o2.data()};
-  StepColumnSpans(v, out, 2, t);
-}
-
-void TwoWorldModel::StepColumnSpans(const double* const* v, double* const* out,
-                                    size_t count, int t) const {
+void TwoWorldModel::StepColumnSpansInto(const double* const* v,
+                                        double* const* out, size_t count,
+                                        int t) const {
   const size_t m = num_states();
   PRISTE_CHECK(t >= 1);
-  PRISTE_DCHECK(count >= 1 && count <= 2);
+  PRISTE_CHECK(count >= 1 && count <= 2);
   const markov::TransitionMatrix& base = schedule_.AtStep(t);
   // The step's base products, gathered for one pass over M.
   const double* in[4] = {};
@@ -205,32 +171,6 @@ void TwoWorldModel::StepColumnSpans(const double* const* v, double* const* out,
     prod[products++] = out[k] + m;
   }
   base.BackwardSpans(in, prod, products);
-}
-
-void TwoWorldModel::ApplyEmissionInPlace(const linalg::Vector& emission,
-                                         linalg::Vector& v) const {
-  const size_t m = num_states();
-  PRISTE_CHECK(emission.size() == m && v.size() == 2 * m);
-  ApplyEmissionSpanInPlace(emission, v.data());
-}
-
-linalg::Vector TwoWorldModel::StepRow(const linalg::Vector& v, int t) const {
-  Vector out(2 * num_states());
-  StepRowInto(v, t, out);
-  return out;
-}
-
-linalg::Vector TwoWorldModel::StepColumn(const linalg::Vector& v, int t) const {
-  Vector out(2 * num_states());
-  StepColumnInto(v, t, out);
-  return out;
-}
-
-linalg::Vector TwoWorldModel::ApplyEmission(const linalg::Vector& emission,
-                                            const linalg::Vector& v) const {
-  Vector out = v;
-  ApplyEmissionInPlace(emission, out);
-  return out;
 }
 
 linalg::Vector TwoWorldModel::LiftInitial(const linalg::Vector& pi) const {

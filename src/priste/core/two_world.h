@@ -5,7 +5,7 @@
 
 #include "priste/core/event_model.h"
 #include "priste/event/event.h"
-#include "priste/linalg/block.h"
+#include "priste/linalg/matrix.h"
 #include "priste/markov/schedule.h"
 #include "priste/markov/transition_matrix.h"
 
@@ -22,13 +22,13 @@ namespace priste::core {
 /// capture (entering the region at time τ = t+1 moves probability mass
 /// between worlds).
 ///
-/// Hot path: StepRow/StepColumn never materialize the 2m×2m operator. Every
-/// window block of M_t is a column-rescaled copy of the base matrix M
+/// Hot path: the two step kernels never materialize the 2m×2m operator.
+/// Every window block of M_t is a column-rescaled copy of the base matrix M
 /// (keep = M·(1−d)ᴰ, enter = M·dᴰ), so one lifted step factors into two base
 /// products plus O(m) world mixing — and the base products run on the
-/// chain's CSR fast path when the chain is sparse. The dense
-/// linalg::BlockMatrix2x2 form is built on demand by TransitionAt(), the
-/// oracle the tests check the step kernels against.
+/// chain's CSR fast path when the chain is sparse. TransitionAt() builds the
+/// dense 2m×2m matrix on demand: it is the oracle the tests check both
+/// kernels against.
 ///
 /// Time-varying chains (Section III footnote 3) are supported through a
 /// markov::TransitionSchedule.
@@ -52,30 +52,20 @@ class TwoWorldModel : public LiftedEventModel {
   const markov::TransitionSchedule& schedule() const { return schedule_; }
   const event::SpatiotemporalEvent& event() const { return *event_; }
 
-  /// The lifted transition M_t for the step t → t+1 (t >= 1), materialized
-  /// as dense blocks. Outside [start−1, end−1] this is the block-diagonal
-  /// matrix (Eq. 5/8). Oracle/test API — the step kernels are blockwise and
-  /// never build this; each call builds the blocks afresh.
-  linalg::BlockMatrix2x2 TransitionAt(int t) const;
+  /// The lifted transition M_t for the step t → t+1 (t >= 1) as a dense
+  /// 2m×2m matrix [ff ft; tf tt] (Eq. 3). Outside [start−1, end−1] this is
+  /// the block-diagonal matrix (Eq. 5/8). Oracle/test API — the step kernels
+  /// never build it; each call builds it afresh.
+  linalg::Matrix TransitionAt(int t) const;
 
   linalg::Vector LiftInitial(const linalg::Vector& pi) const override;
   linalg::Vector ContractColumn(const linalg::Vector& col) const override;
-  linalg::Vector StepRow(const linalg::Vector& v, int t) const override;
-  linalg::Vector StepColumn(const linalg::Vector& v, int t) const override;
-  linalg::Vector ApplyEmission(const linalg::Vector& emission,
-                               const linalg::Vector& v) const override;
-
   void StepRowSpanInto(const double* v, int t, double* out) const override;
-  void StepRowInto(const linalg::Vector& v, int t,
-                   linalg::Vector& out) const override;
-  void StepColumnInto(const linalg::Vector& v, int t,
-                      linalg::Vector& out) const override;
-  /// Both vectors' base products — up to four — in one base-matrix pass.
-  void StepColumnPairInto(const linalg::Vector& v1, const linalg::Vector& v2,
-                          int t, linalg::Vector& o1,
-                          linalg::Vector& o2) const override;
-  void ApplyEmissionInPlace(const linalg::Vector& emission,
-                            linalg::Vector& v) const override;
+  /// Every base product of the step — up to four for a pair — in one
+  /// BackwardSpans pass. In a block-diagonal step a span whose halves are
+  /// bit-equal gets one product, copied to both halves.
+  void StepColumnSpansInto(const double* const* v, double* const* out,
+                           size_t count, int t) const override;
 
  private:
   /// Shape of the lifted step t → t+1 (Equations 4–8).
@@ -90,13 +80,6 @@ class TwoWorldModel : public LiftedEventModel {
   };
 
   StepForm FormAt(int t) const;
-
-  /// Column step of `count` (1 or 2) lifted spans, out[k] = M_t · v[k], with
-  /// every base product of the step in one BackwardSpans pass. In a
-  /// block-diagonal step a span whose halves are bit-equal gets one product,
-  /// copied to both halves.
-  void StepColumnSpans(const double* const* v, double* const* out,
-                       size_t count, int t) const;
 
   markov::TransitionSchedule schedule_;
   event::EventPtr event_;

@@ -115,6 +115,11 @@ hmm::EmissionMatrix BuildEmission(const geo::Grid& grid, double alpha) {
   const double s = grid.cell_size_km();
   // (1 + αR)e^{−αR} < 1e−18 at αR = 45.
   const double r_cut = 45.0 / alpha;
+  // Once the truncation radius fits in the own cell (α·s >= 90), every other
+  // preimage is empty and each row normalizes to exactly the identity. The
+  // quadrature reaches that value too, until r_cut is so small (α·s past
+  // ~1e158) that its fan-sweep products underflow to a zero own-cell mass.
+  if (r_cut <= 0.5 * s) return hmm::EmissionMatrix::Identity(m);
   const PlanarLaplaceCellMass mass(alpha);
   const int w = grid.width();
   const int h = grid.height();

@@ -1,7 +1,9 @@
 #include "priste/core/automaton_world.h"
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "priste/event/enumeration.h"
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
+#include "priste/linalg/ops.h"
 #include "testing/test_util.h"
 
 namespace priste::core {
@@ -123,6 +126,91 @@ TEST(AutomatonWorldTest, QuantifierVectorsAgreeWithTwoWorld) {
     EXPECT_LT(va.a_bar.Minus(vb.a_bar).MaxAbs(), 1e-12) << "t=" << t;
     EXPECT_LT(va.b_bar.Minus(vb.b_bar).MaxAbs(), 1e-12) << "t=" << t;
     EXPECT_LT(va.c_bar.Minus(vb.c_bar).MaxAbs(), 1e-12) << "t=" << t;
+  }
+}
+
+// The dense lifted operator of step t → t+1: entry ((q, s), (q', s')) is
+// M(s, s') when q' is the automaton's successor of q on s' at τ = t + 1
+// (q itself outside the window), and 0 otherwise.
+linalg::Matrix DenseLiftedOperator(const AutomatonWorldModel& model,
+                                   const markov::TransitionMatrix& chain,
+                                   int t) {
+  const event::EventAutomaton& automaton = model.automaton();
+  const size_t m = model.num_states();
+  const int tau = t + 1;
+  const bool in_window = tau >= automaton.start() && tau <= automaton.end();
+  linalg::Matrix dense(model.lifted_size(), model.lifted_size());
+  for (int q = 0; q < automaton.num_automaton_states(); ++q) {
+    for (size_t s = 0; s < m; ++s) {
+      for (size_t sp = 0; sp < m; ++sp) {
+        const int qp =
+            in_window ? automaton.Next(q, tau, static_cast<int>(sp)) : q;
+        dense(static_cast<size_t>(q) * m + s,
+              static_cast<size_t>(qp) * m + sp) = chain.matrix()(s, sp);
+      }
+    }
+  }
+  return dense;
+}
+
+// A lifted vector of random entries with about a third of its automaton
+// slices zero, so the row kernel's empty-slice skip is taken too.
+linalg::Vector RandomLiftedSlices(size_t m, size_t k, Rng& rng) {
+  linalg::Vector v(k * m);
+  for (size_t q = 0; q < k; ++q) {
+    if (rng.NextDouble() < 0.3) continue;
+    for (size_t s = 0; s < m; ++s) v[q * m + s] = rng.NextDouble();
+  }
+  return v;
+}
+
+TEST(AutomatonWorldTest, StepKernelsMatchDenseLiftedOperator) {
+  // The row and column kernels step slice by slice and never form the
+  // (k·m)² operator; here both are checked against products with it, at
+  // every step from t = 1 to one past the window. Random expressions open
+  // their window at t = 1..3, at small m, where the spans run inline, and at
+  // m = 18, where they dispatch. Each pair step must also be bit-equal to
+  // its two single steps.
+  Rng rng(71);
+  for (const size_t m : {3ul, 4ul, 5ul, 6ul, 7ul, 8ul, 18ul}) {
+    const auto chain = testing::RandomTransition(m, rng);
+    for (int start = 1; start <= 3; ++start) {
+      // A predicate at `start` pins where the window opens.
+      const auto opening =
+          event::BoolExpr::Pred(start, static_cast<int>(rng.NextBelow(m)));
+      const auto tree = testing::RandomBoolExpr(m, start + 2, /*depth=*/3,
+                                                rng, /*min_t=*/start);
+      const auto expr = rng.NextDouble() < 0.5
+                            ? event::BoolExpr::Or(opening, tree)
+                            : event::BoolExpr::And(opening, tree);
+      const auto model = MustCreate(chain, *expr);
+      ASSERT_EQ(model->event_start(), start) << expr->ToString();
+      const size_t n = model->lifted_size();
+      const size_t k = n / m;
+      for (int t = 1; t <= model->event_end() + 1; ++t) {
+        const linalg::Matrix dense = DenseLiftedOperator(*model, chain, t);
+        const linalg::Vector v1 = RandomLiftedSlices(m, k, rng);
+        const linalg::Vector v2 = RandomLiftedSlices(m, k, rng);
+        EXPECT_LT(
+            model->StepRow(v1, t).Minus(linalg::VecMat(v1, dense)).MaxAbs(),
+            1e-12)
+            << "m=" << m << " t=" << t << " " << expr->ToString();
+        linalg::Vector s1(n), s2(n), o1(n), o2(n);
+        model->StepColumnInto(v1, t, s1);
+        model->StepColumnInto(v2, t, s2);
+        EXPECT_LT(s1.Minus(linalg::MatVec(dense, v1)).MaxAbs(), 1e-12)
+            << "m=" << m << " t=" << t << " " << expr->ToString();
+        model->StepColumnPairInto(v1, v2, t, o1, o2);
+        EXPECT_LT(o1.Minus(linalg::MatVec(dense, v1)).MaxAbs(), 1e-12)
+            << "m=" << m << " t=" << t << " " << expr->ToString();
+        EXPECT_LT(o2.Minus(linalg::MatVec(dense, v2)).MaxAbs(), 1e-12)
+            << "m=" << m << " t=" << t << " " << expr->ToString();
+        EXPECT_EQ(std::memcmp(o1.data(), s1.data(), n * sizeof(double)), 0)
+            << "m=" << m << " t=" << t;
+        EXPECT_EQ(std::memcmp(o2.data(), s2.data(), n * sizeof(double)), 0)
+            << "m=" << m << " t=" << t;
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include "priste/core/priste_delta_loc.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -143,8 +144,9 @@ TEST(PristeDeltaLocTest, RejectsShortTrajectory) {
 
 TEST(PristeDeltaLocDeathTest, RejectsOptionsPristeGeoIndRejects) {
   // decay = 1 would halve forever on a failing check; a negative initial
-  // budget would release uniformly at every step; no release satisfies
-  // |ln LR| <= epsilon for a negative or NaN epsilon.
+  // budget would release uniformly at every step, and +∞ never halves to a
+  // budget the mechanism accepts; no release satisfies |ln LR| <= epsilon
+  // for a negative or NaN epsilon.
   const Scenario s;
   PristeOptions options = FastOptions(0.5, 0.3);
   options.decay = 1.0;
@@ -155,10 +157,12 @@ TEST(PristeDeltaLocDeathTest, RejectsOptionsPristeGeoIndRejects) {
   EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
                               options),
                "decay");
-  options = FastOptions(0.5, -1.0);
-  EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
-                              options),
-               "initial_alpha");
+  for (const double initial_alpha :
+       {-1.0, std::numeric_limits<double>::infinity()}) {
+    EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2,
+                                s.pi, FastOptions(0.5, initial_alpha)),
+                 "initial_alpha");
+  }
   for (const double epsilon : {-1.0, std::nan("")}) {
     EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2,
                                 s.pi, FastOptions(epsilon, 0.3)),

@@ -1,6 +1,7 @@
 #include "priste/core/priste_geo_ind.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -198,6 +199,16 @@ TEST(PristeGeoIndDeathTest, RejectsNegativeOrNanEpsilon) {
                               FastOptions(epsilon, 0.3)),
                  "epsilon");
   }
+}
+
+TEST(PristeGeoIndDeathTest, RejectsInfiniteInitialBudget) {
+  // At +∞ the halving search never reaches a budget the planar Laplace
+  // mechanism accepts, so construction must refuse it.
+  const Scenario setup = SmallScenario();
+  const double infinity = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(PristeGeoInd(setup.grid, setup.chain, setup.events,
+                            FastOptions(0.5, infinity)),
+               "initial_alpha");
 }
 
 }  // namespace

@@ -33,17 +33,17 @@ TEST(TwoWorldTest, PresenceMatricesMatchAppendixC) {
       {0.0, 0.0, 0.7, 0.1, 0.2, 0.0}, {0.0, 0.0, 0.5, 0.4, 0.1, 0.0},
       {0.0, 0.0, 0.9, 0.0, 0.1, 0.0}, {0.0, 0.0, 0.0, 0.1, 0.2, 0.7},
       {0.0, 0.0, 0.0, 0.4, 0.1, 0.5}, {0.0, 0.0, 0.0, 0.0, 0.1, 0.9}};
-  EXPECT_LT(model.TransitionAt(2).ToDense().MaxAbsDiff(expected_window), 1e-12);
-  EXPECT_LT(model.TransitionAt(3).ToDense().MaxAbsDiff(expected_window), 1e-12);
+  EXPECT_LT(model.TransitionAt(2).MaxAbsDiff(expected_window), 1e-12);
+  EXPECT_LT(model.TransitionAt(3).MaxAbsDiff(expected_window), 1e-12);
 
   // M1, M4, M5: block diagonal (right matrix of Eq. 22).
   const linalg::Matrix expected_outside{
       {0.1, 0.2, 0.7, 0.0, 0.0, 0.0}, {0.4, 0.1, 0.5, 0.0, 0.0, 0.0},
       {0.0, 0.1, 0.9, 0.0, 0.0, 0.0}, {0.0, 0.0, 0.0, 0.1, 0.2, 0.7},
       {0.0, 0.0, 0.0, 0.4, 0.1, 0.5}, {0.0, 0.0, 0.0, 0.0, 0.1, 0.9}};
-  EXPECT_LT(model.TransitionAt(1).ToDense().MaxAbsDiff(expected_outside), 1e-12);
-  EXPECT_LT(model.TransitionAt(4).ToDense().MaxAbsDiff(expected_outside), 1e-12);
-  EXPECT_LT(model.TransitionAt(5).ToDense().MaxAbsDiff(expected_outside), 1e-12);
+  EXPECT_LT(model.TransitionAt(1).MaxAbsDiff(expected_outside), 1e-12);
+  EXPECT_LT(model.TransitionAt(4).MaxAbsDiff(expected_outside), 1e-12);
+  EXPECT_LT(model.TransitionAt(5).MaxAbsDiff(expected_outside), 1e-12);
 }
 
 TEST(TwoWorldTest, LiftedMatricesAreRowStochastic) {
@@ -147,8 +147,8 @@ linalg::Vector RandomLifted(size_t m, bool equal_halves, Rng& rng) {
 }
 
 TEST(TwoWorldTest, BlockwiseStepKernelsMatchDenseTransitionOracle) {
-  // StepRow/StepColumn never build M_t; both are checked here against
-  // products with the dense TransitionAt(t) blocks, so a mistake the two
+  // The row and column kernels never build M_t; both are checked here
+  // against products with the dense TransitionAt(t), so a mistake the two
   // kernels share cannot cancel out in the cached-vs-cold suites (which run
   // one kernel against the other). Covers the capture (PRESENCE), entry and
   // continuation (PATTERN) forms, windows opening at t = 1..3, and the
@@ -174,7 +174,7 @@ TEST(TwoWorldTest, BlockwiseStepKernelsMatchDenseTransitionOracle) {
         }
         const TwoWorldModel model(chain, ev);
         for (int t = 1; t <= model.event_end() + 1; ++t) {
-          const linalg::Matrix dense = model.TransitionAt(t).ToDense();
+          const linalg::Matrix dense = model.TransitionAt(t);
           for (const bool equal_halves : {false, true}) {
             const linalg::Vector v = RandomLifted(m, equal_halves, rng);
             EXPECT_LT(
@@ -182,9 +182,9 @@ TEST(TwoWorldTest, BlockwiseStepKernelsMatchDenseTransitionOracle) {
                 1e-12)
                 << "m=" << m << " presence=" << presence << " start=" << start
                 << " t=" << t;
-            EXPECT_LT(
-                model.StepColumn(v, t).Minus(linalg::MatVec(dense, v)).MaxAbs(),
-                1e-12)
+            linalg::Vector column(2 * m);
+            model.StepColumnInto(v, t, column);
+            EXPECT_LT(column.Minus(linalg::MatVec(dense, v)).MaxAbs(), 1e-12)
                 << "m=" << m << " presence=" << presence << " start=" << start
                 << " t=" << t << " equal_halves=" << equal_halves;
           }

@@ -173,6 +173,33 @@ TEST(CliSmokeTest, MalformedCsvExitsNonZeroNamingTheField) {
   EXPECT_NE(diagnostic->find("line 3"), std::string::npos) << *diagnostic;
 }
 
+TEST(CliSmokeTest, HugeAlphaRunsToCompletion) {
+  // Any finite --alpha >= 0 parses. At α·cell >= 90 the planar Laplace
+  // emission is the identity; from there the halving search must go on down
+  // the ladder, never abort in the mechanism's quadrature.
+  const char* cli_bin = std::getenv("PRISTE_CLI_BIN");
+  ASSERT_NE(cli_bin, nullptr);
+  const std::string input_path = "cli_huge_alpha_input.csv";
+  const std::string output_path = "cli_huge_alpha_output.csv";
+  ASSERT_TRUE(io::WriteTextFile(input_path,
+                                "t,cell\n1,0\n2,1\n3,5\n4,6\n5,10\n")
+                  .ok());
+  const std::string command =
+      std::string(cli_bin) + " --input " + input_path + " --output " +
+      output_path +
+      " --grid 4x4 --event-cells 5,6 --event-window 2:4 --alpha 1e300"
+      " > /dev/null";
+  const int rc = std::system(command.c_str());
+  EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0)
+      << "command: " << command << " rc=" << rc;
+  const auto output_csv = io::ReadTextFile(output_path);
+  ASSERT_TRUE(output_csv.ok()) << output_csv.status().ToString();
+  // The header plus one row per timestamp.
+  size_t rows = 0;
+  for (const char c : *output_csv) rows += c == '\n' ? 1 : 0;
+  EXPECT_EQ(rows, 6u) << *output_csv;
+}
+
 TEST(CliSmokeTest, MetricsFlagDumpsRuntimeCounters) {
   const char* cli_bin = std::getenv("PRISTE_CLI_BIN");
   ASSERT_NE(cli_bin, nullptr);

@@ -1,6 +1,7 @@
 #include "priste/lppm/planar_laplace.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -178,6 +179,33 @@ TEST(PlanarLaplaceTest, EmissionRespectsGridSymmetry) {
               plm.emission()(truth, grid.CellOf(2, 4)), 1e-10);
   EXPECT_NEAR(plm.emission()(truth, grid.CellOf(0, 0)),
               plm.emission()(truth, grid.CellOf(4, 4)), 1e-10);
+}
+
+// True when the mechanism's emission is bit for bit the identity.
+bool EmissionIsIdentity(const PlanarLaplaceMechanism& plm) {
+  const linalg::Matrix& e = plm.emission().matrix();
+  const linalg::Matrix id = hmm::EmissionMatrix::Identity(e.rows()).matrix();
+  return e.rows() == id.rows() && e.cols() == id.cols() &&
+         std::memcmp(e.RowPtr(0), id.RowPtr(0),
+                     e.rows() * e.cols() * sizeof(double)) == 0;
+}
+
+TEST(PlanarLaplaceTest, IdentityOnceAlphaTimesCellSizeReachesNinety) {
+  // At α·s >= 90 the truncation radius fits inside the own cell, so every
+  // row is exactly the identity — what the quadrature returns there as well,
+  // until α·s is so large that its products underflow.
+  for (const double s : {0.3, 1.0, 2.5}) {
+    const geo::Grid grid(5, 4, s);
+    for (const double alpha_s : {90.0, 91.0, 1e3, 1e100, 1e158}) {
+      const PlanarLaplaceMechanism plm(grid, alpha_s / s);
+      EXPECT_TRUE(EmissionIsIdentity(plm)) << "s=" << s
+                                           << " alpha*s=" << alpha_s;
+    }
+    for (const double alpha : {1e170, 1e300}) {
+      const PlanarLaplaceMechanism plm(grid, alpha);
+      EXPECT_TRUE(EmissionIsIdentity(plm)) << "s=" << s << " alpha=" << alpha;
+    }
+  }
 }
 
 TEST(PlanarLaplaceDeathTest, NegativeAlphaFailsBeforeAnyEmissionWork) {

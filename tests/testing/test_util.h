@@ -83,24 +83,28 @@ inline linalg::Vector RandomSparseEmissionColumn(size_t m, size_t support,
 
 namespace priste::testing {
 
-/// A random Boolean expression over timestamps [1, max_t] and states
+/// A random Boolean expression over timestamps [min_t, max_t] and states
 /// [0, m), with at least one predicate. Depth-limited recursive tree.
 inline event::BoolExpr::Ptr RandomBoolExpr(size_t m, int max_t, int depth,
-                                           Rng& rng) {
+                                           Rng& rng, int min_t = 1) {
   if (depth <= 0 || rng.NextDouble() < 0.3) {
-    return event::BoolExpr::Pred(1 + static_cast<int>(rng.NextBelow(
-                                         static_cast<uint64_t>(max_t))),
-                                 static_cast<int>(rng.NextBelow(m)));
+    return event::BoolExpr::Pred(
+        min_t + static_cast<int>(
+                    rng.NextBelow(static_cast<uint64_t>(max_t - min_t + 1))),
+        static_cast<int>(rng.NextBelow(m)));
   }
   switch (rng.NextBelow(3)) {
     case 0:
-      return event::BoolExpr::And(RandomBoolExpr(m, max_t, depth - 1, rng),
-                                  RandomBoolExpr(m, max_t, depth - 1, rng));
+      return event::BoolExpr::And(
+          RandomBoolExpr(m, max_t, depth - 1, rng, min_t),
+          RandomBoolExpr(m, max_t, depth - 1, rng, min_t));
     case 1:
-      return event::BoolExpr::Or(RandomBoolExpr(m, max_t, depth - 1, rng),
-                                 RandomBoolExpr(m, max_t, depth - 1, rng));
+      return event::BoolExpr::Or(
+          RandomBoolExpr(m, max_t, depth - 1, rng, min_t),
+          RandomBoolExpr(m, max_t, depth - 1, rng, min_t));
     default:
-      return event::BoolExpr::Not(RandomBoolExpr(m, max_t, depth - 1, rng));
+      return event::BoolExpr::Not(
+          RandomBoolExpr(m, max_t, depth - 1, rng, min_t));
   }
 }
 
