@@ -5,6 +5,7 @@
 // seed the BENCH_micro.json perf trajectory (scripts/bench.sh).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <string>
 
 #include "priste/common/check.h"
@@ -114,19 +115,28 @@ void BM_QpCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_QpCheck)->Arg(8)->Arg(12)->Arg(20);
 
+// The planar Laplace emission build at budget 0.5·2^−halvings. Halvings 12
+// is the slowest budget of the plm workload's ladder: its border preimages
+// reach r_cut = 45/α, so each quadrature runs longest.
 void BM_PlmEmissionBuild(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
+  const double alpha = std::ldexp(0.5, -static_cast<int>(state.range(1)));
   const geo::Grid grid(side, side, 1.0);
   // The cache would collapse every iteration after the first into a lookup;
   // disable it so this stays a measurement of the quadrature build itself.
   lppm::EmissionCache::Shared().SetEnabled(false);
   for (auto _ : state) {
-    lppm::PlanarLaplaceMechanism plm(grid, 0.5);
+    lppm::PlanarLaplaceMechanism plm(grid, alpha);
     benchmark::DoNotOptimize(plm.emission()(0, 0));
   }
   lppm::EmissionCache::Shared().SetEnabled(true);
 }
-BENCHMARK(BM_PlmEmissionBuild)->Arg(8)->Arg(16)->Arg(20);
+BENCHMARK(BM_PlmEmissionBuild)
+    ->ArgNames({"side", "halvings"})
+    ->Args({8, 0})
+    ->Args({16, 0})
+    ->Args({20, 0})
+    ->Args({20, 12});
 
 // Algorithm 3's per-candidate mechanism work, as PristeDeltaLoc::Run does
 // it: build the δ-restricted PLM over ΔX, draw one release and read its

@@ -32,8 +32,9 @@ fi
 EXTRA=""
 if [ "$SMOKE" = "1" ]; then
   # Plain-double form: accepted by every Google Benchmark release (the
-  # "0.05s" suffix form needs >= 1.8).
-  EXTRA="--benchmark_min_time=0.05"
+  # "0.05s" suffix form needs >= 1.8). Five repetitions give
+  # compare_bench.py a median to compare, so one noisy shot cannot trip it.
+  EXTRA="--benchmark_min_time=0.05 --benchmark_repetitions=5"
 fi
 
 # priste_threads lands in the JSON "context" block so later comparisons
@@ -44,11 +45,11 @@ PRISTE_THREADS="${PRISTE_THREADS:-4}" \
   --benchmark_context=priste_threads="${PRISTE_THREADS:-4}" \
   --benchmark_counters_tabular=true $EXTRA
 
-# The cold-chain / QP-check / δ-restricted-mechanism / release-step-engine
-# families are part of the recorded perf trajectory — fail loudly if a
-# refactor drops them from the binary.
+# The cold-chain / QP-check / emission-build / release-step-engine families
+# are part of the recorded perf trajectory — fail loudly if a refactor drops
+# them from the binary.
 for family in BM_TheoremVectors \
-              BM_QpCheck BM_DeltaRestrictedBuild \
+              BM_QpCheck BM_PlmEmissionBuild BM_DeltaRestrictedBuild \
               BM_ReleaseStepCached BM_ReleaseStepDensePrefix \
               BM_SharedEmissionCache BM_RowBlockReplicateDot; do
   if ! grep -q "$family" "$OUT"; then

@@ -4,7 +4,8 @@
 Usage: scripts/compare_bench.py BASELINE.json FRESH.json [--tolerance PCT]
 
 Reads two Google Benchmark JSON dumps and reports the per-benchmark cpu_time
-ratio (fresh / baseline). Exits non-zero when any GUARDED benchmark family
+ratio (fresh / baseline). A benchmark run with repetitions is read from its
+median aggregate row, one without from its single iteration row. Exits non-zero when any GUARDED benchmark family
 regresses by more than the tolerance (default 25%, overridable with
 --tolerance or the PRISTE_BENCH_TOLERANCE_PCT env var — CI runners are
 noisy, so the gate is deliberately loose; it exists to catch order-of-magnitude
@@ -29,6 +30,7 @@ GUARDED_PREFIXES = [
     "BM_ForwardBackward/side:32/csr:1",
     "BM_TheoremVectors",
     "BM_QpCheck",
+    "BM_PlmEmissionBuild",
     "BM_DeltaRestrictedBuild",
     "BM_ReleaseStepCached/cached:1",
     "BM_ReleaseStepDensePrefix/dense_rows:1",
@@ -40,12 +42,15 @@ GUARDED_PREFIXES = [
 def load_benchmarks(path):
     with open(path) as f:
         data = json.load(f)
-    out = {}
+    iterations = {}
+    medians = {}
     for bench in data.get("benchmarks", []):
-        if bench.get("run_type", "iteration") != "iteration":
-            continue  # skip aggregate rows (mean/median/stddev)
-        out[bench["name"]] = float(bench["cpu_time"])
-    return out
+        name = bench.get("run_name", bench["name"])
+        if bench.get("run_type", "iteration") == "iteration":
+            iterations[name] = float(bench["cpu_time"])
+        elif bench.get("aggregate_name") == "median":
+            medians[name] = float(bench["cpu_time"])
+    return {**iterations, **medians}
 
 
 def is_guarded(name):

@@ -1,7 +1,6 @@
 #include "priste/core/two_world.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "priste/common/check.h"
 
@@ -132,24 +131,14 @@ void TwoWorldModel::StepColumnSpansInto(const double* const* v,
 
   const StepForm form = FormAt(t);
   if (!form.in_window) {
-    // Block diagonal (Eq. 5/8): each world takes its own base product. The
-    // post-window β of the quantifier starts at Ones and meets only
-    // replicated emissions and equal blocks, so its halves stay bit-equal
-    // and one product serves both.
-    bool equal_halves[2] = {false, false};
+    // Block diagonal (Eq. 5/8): each world takes its own base product.
     for (size_t k = 0; k < count; ++k) {
-      equal_halves[k] = std::memcmp(v[k], v[k] + m, m * sizeof(double)) == 0;
       in[products] = v[k];
       prod[products++] = out[k];
-      if (!equal_halves[k]) {
-        in[products] = v[k] + m;
-        prod[products++] = out[k] + m;
-      }
+      in[products] = v[k] + m;
+      prod[products++] = out[k] + m;
     }
     base.BackwardSpans(in, prod, products);
-    for (size_t k = 0; k < count; ++k) {
-      if (equal_halves[k]) std::memcpy(out[k] + m, out[k], m * sizeof(double));
-    }
     return;
   }
 

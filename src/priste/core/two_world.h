@@ -62,8 +62,8 @@ class TwoWorldModel : public LiftedEventModel {
   linalg::Vector ContractColumn(const linalg::Vector& col) const override;
   void StepRowSpanInto(const double* v, int t, double* out) const override;
   /// Every base product of the step — up to four for a pair — in one
-  /// BackwardSpans pass. In a block-diagonal step a span whose halves are
-  /// bit-equal gets one product, copied to both halves.
+  /// BackwardSpans pass, which computes bit-equal inputs once (the
+  /// quantifier's c̄ has bit-equal halves, and a 0/1 window mix keeps them).
   void StepColumnSpansInto(const double* const* v, double* const* out,
                            size_t count, int t) const override;
 

@@ -15,8 +15,14 @@ namespace priste::hmm {
 class EmissionMatrix {
  public:
   /// Validates that `e` is row-stochastic with finite entries (each true
-  /// state emits a distribution over outputs).
+  /// state emits a distribution over outputs), then divides each row by its
+  /// sum; entries in [−tol, 0) become 0.
   static Result<EmissionMatrix> Create(linalg::Matrix e, double tol = 1e-6);
+
+  /// Validates as Create does, with no negative entry allowed, and keeps
+  /// every entry bit for bit: for a caller that normalizes its rows itself.
+  static Result<EmissionMatrix> CreateNormalized(linalg::Matrix e,
+                                                 double tol = 1e-6);
 
   /// The m×m identity emission — the mechanism that reports the truth.
   static EmissionMatrix Identity(size_t num_states);

@@ -1,103 +1,75 @@
 #include "priste/lppm/planar_laplace.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <numbers>
-#include <unordered_map>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "priste/common/check.h"
 #include "priste/common/strings.h"
+#include "priste/lppm/planar_laplace_cell_mass.h"
 
 namespace priste::lppm {
 namespace {
 
-/// Mass of the continuous planar-Laplace noise — density (α²/2π)·e^{−α·|p|}
-/// around the origin — over an axis-aligned rectangle.
-///
-/// For a radially symmetric density the mass over any polygon decomposes into
-/// signed origin-fan triangles, and each triangle's 2D integral collapses to a
-/// smooth 1D angular integral of the closed-form radial CDF
-/// G(R) = 1 − (1+αR)·e^{−αR}: the r = 0 cusp of the density is absorbed
-/// analytically, so four adaptive-Simpson edge sweeps give the exact cell mass
-/// to quadrature tolerance — including for the rectangle containing the
-/// origin.
-class PlanarLaplaceCellMass {
+/// One side [lo, hi] of a preimage rectangle, relative to the input cell's
+/// center.
+struct Side {
+  double lo;
+  double hi;
+};
+
+/// The canonical order of sides: by (hi − lo, lo, hi), lexicographically.
+bool Precedes(const Side& a, const Side& b) {
+  return std::make_tuple(a.hi - a.lo, a.lo, a.hi) <
+         std::make_tuple(b.hi - b.lo, b.lo, b.hi);
+}
+
+/// The preimage sides along one grid axis of n cells of size s: output o seen
+/// from the center of input i covers its cell's interval, a border output's
+/// outer side extended to the tail radius, and everything truncated at it.
+/// An interior output's side depends only on o − i and a border output's
+/// only on i, so Slot(i, o) numbers the distinct cases: the low-border
+/// outputs by i, the high-border ones by i, then the interior ones by o − i.
+/// Each side is stored reflected to lo + hi >= 0. Its bounds are
+/// (o − i ± 0.5)·s or ±r_cut, so the reflection is exact and a mirrored pair
+/// (i, o) lands on bit-equal bounds.
+class AxisSides {
  public:
-  explicit PlanarLaplaceCellMass(double alpha) : alpha_(alpha) {
-    PRISTE_CHECK(alpha > 0.0);
+  AxisSides(int n, double s, double r_cut) : n_(n) {
+    const auto add = [&](int delta, bool low_border, bool high_border) {
+      const double lo =
+          low_border ? -r_cut : std::max((delta - 0.5) * s, -r_cut);
+      const double hi =
+          high_border ? r_cut : std::min((delta + 0.5) * s, r_cut);
+      sides_.push_back(lo + hi < 0.0 ? Side{-hi, -lo} : Side{lo, hi});
+    };
+    for (int i = 0; i < n; ++i) add(-i, true, n == 1);
+    if (n >= 2) {
+      for (int i = 0; i < n; ++i) add(n - 1 - i, false, true);
+    }
+    if (n >= 3) {
+      for (int delta = 2 - n; delta <= n - 2; ++delta) add(delta, false, false);
+    }
   }
 
-  /// P(noise ∈ [x0, x1] × [y0, y1]); coordinates relative to the origin. The
-  /// rectangle's edge lines must not pass through the origin (cell boundaries
-  /// never contain a cell center). Degenerate rectangles have mass 0.
-  double OverRect(double x0, double x1, double y0, double y1) const {
-    if (x0 >= x1 || y0 >= y1) return 0.0;
-    // Entirely inside the saturated tail: the radial CDF is 1 to within
-    // 1e-17 across the whole rectangle, so the four signed sweeps cancel.
-    const double rx = std::max({x0, -x1, 0.0});
-    const double ry = std::max({y0, -y1, 0.0});
-    if (alpha_ * std::sqrt(rx * rx + ry * ry) > 42.0) return 0.0;
-    const double p = EdgeSweep(x0, y0, x1, y0) + EdgeSweep(x1, y0, x1, y1) +
-                     EdgeSweep(x1, y1, x0, y1) + EdgeSweep(x0, y1, x0, y0);
-    return std::clamp(p, 0.0, 1.0);
+  size_t size() const { return sides_.size(); }
+  const Side& operator[](size_t slot) const { return sides_[slot]; }
+
+  size_t Slot(int i, int o) const {
+    if (o == 0) return static_cast<size_t>(i);
+    if (o == n_ - 1) return static_cast<size_t>(n_ + i);
+    return static_cast<size_t>(3 * n_ - 2 + (o - i));
   }
 
  private:
-  double RadialCdf(double r) const {
-    const double ar = alpha_ * r;
-    return 1.0 - (1.0 + ar) * std::exp(-ar);
-  }
-
-  // Signed fan-triangle term for the directed edge a → b: the sweep covers
-  // the angles between a and b (|Δθ| < π; the edge line misses the origin),
-  // and r(φ) is the ray/edge-line intersection distance.
-  double EdgeSweep(double ax, double ay, double bx, double by) const {
-    const double cross = ax * by - ay * bx;
-    const double dot = ax * bx + ay * by;
-    const double dtheta = std::atan2(cross, dot);
-    if (dtheta == 0.0) return 0.0;
-    const double theta_a = std::atan2(ay, ax);
-    const double dx = bx - ax;
-    const double dy = by - ay;
-    const double num = ax * dy - ay * dx;  // cross(a, b − a)
-    const auto integrand = [&](double s) {
-      const double t = theta_a + s * dtheta;
-      const double den = std::cos(t) * dy - std::sin(t) * dx;
-      const double r = num / den;
-      // Within the open sweep r is finite and positive; the guard only
-      // catches floating-point noise at the sweep endpoints.
-      if (!std::isfinite(r) || r <= 0.0) return 1.0;
-      return RadialCdf(r);
-    };
-    const double f0 = integrand(0.0);
-    const double f05 = integrand(0.5);
-    const double f1 = integrand(1.0);
-    const double whole = (f0 + 4.0 * f05 + f1) / 6.0;
-    const double unit = AdaptiveSimpson(integrand, 0.0, f0, 1.0, f1, 0.5, f05,
-                                        whole, 1e-11, 20);
-    return unit * dtheta / (2.0 * std::numbers::pi);
-  }
-
-  template <typename F>
-  static double AdaptiveSimpson(const F& f, double a, double fa, double b,
-                                double fb, double m, double fm, double whole,
-                                double tol, int depth) {
-    const double lm = 0.5 * (a + m);
-    const double rm = 0.5 * (m + b);
-    const double flm = f(lm);
-    const double frm = f(rm);
-    const double left = (m - a) / 6.0 * (fa + 4.0 * flm + fm);
-    const double right = (b - m) / 6.0 * (fm + 4.0 * frm + fb);
-    const double delta = left + right - whole;
-    if (depth <= 0 || std::fabs(delta) <= 15.0 * tol) {
-      return left + right + delta / 15.0;
-    }
-    return AdaptiveSimpson(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1) +
-           AdaptiveSimpson(f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1);
-  }
-
-  double alpha_;
+  int n_;
+  std::vector<Side> sides_;
 };
 
 /// E(i, o) = Pr(clamp(c_i + noise) ∈ cell o): the *exact* discretization of
@@ -106,7 +78,7 @@ class PlanarLaplaceCellMass {
 /// preimage extends to infinity across the border sides (truncated at the
 /// radius where the remaining tail mass is below 1e-18). Rows are normalized
 /// by their quadrature sum (≈ 1 by construction — the preimages tile the
-/// plane) so the matrix is exactly row-stochastic.
+/// plane) so the matrix is row-stochastic to rounding.
 hmm::EmissionMatrix BuildEmission(const geo::Grid& grid, double alpha) {
   const size_t m = grid.num_cells();
   if (alpha <= 0.0) {
@@ -120,54 +92,56 @@ hmm::EmissionMatrix BuildEmission(const geo::Grid& grid, double alpha) {
   // quadrature reaches that value too, until r_cut is so small (α·s past
   // ~1e158) that its fan-sweep products underflow to a zero own-cell mass.
   if (r_cut <= 0.5 * s) return hmm::EmissionMatrix::Identity(m);
-  const PlanarLaplaceCellMass mass(alpha);
-  const int w = grid.width();
-  const int h = grid.height();
-  PRISTE_CHECK_MSG(w < 2000 && h < 2000, "grid too large for offset keying");
+  const detail::PlanarLaplaceCellMass mass(alpha);
+  const AxisSides xs(grid.width(), s, r_cut);
+  const AxisSides ys(grid.height(), s, r_cut);
 
-  // The mass depends only on the cell offset (Δcol, Δrow) and which border
-  // sides cell o clamps — O(w·h) distinct geometries for the m² pairs.
-  std::unordered_map<int32_t, double> cache;
-  cache.reserve(4 * m);
+  // The density is radially symmetric and the cells are square, so a
+  // preimage rectangle, its reflections and its transpose have one mass.
+  // Each (x side, y side) pair maps to its canonical rectangle: both sides
+  // reflected (AxisSides), then swapped if the x side Precedes the y side.
+  // Each canonical rectangle is integrated once: 780 quadratures for the
+  // 77 × 77 side pairs of a 20×20 grid.
+  std::map<std::array<double, 4>, uint32_t> canonical;
+  std::vector<double> masses;
+  std::vector<uint32_t> mass_of(xs.size() * ys.size());
+  for (size_t a = 0; a < xs.size(); ++a) {
+    for (size_t b = 0; b < ys.size(); ++b) {
+      Side x = xs[a];
+      Side y = ys[b];
+      if (Precedes(x, y)) std::swap(x, y);
+      const auto [it, added] = canonical.try_emplace(
+          {x.lo, x.hi, y.lo, y.hi}, static_cast<uint32_t>(masses.size()));
+      if (added) masses.push_back(mass.OverRect(x.lo, x.hi, y.lo, y.hi));
+      mass_of[a * ys.size() + b] = it->second;
+    }
+  }
+
+  // Each row sums its masses grouped by canonical rectangle, so a mirrored
+  // or transposed row adds the same numbers in the same order: the matrix
+  // keeps the grid's symmetries bit for bit.
+  std::vector<uint32_t> uses(masses.size(), 0);
   linalg::Matrix e(m, m);
   for (size_t i = 0; i < m; ++i) {
     const int ci = grid.ColOf(static_cast<int>(i));
     const int ri = grid.RowOf(static_cast<int>(i));
-    double sum = 0.0;
+    double* row = e.RowPtr(i);
     for (size_t o = 0; o < m; ++o) {
-      const int co = grid.ColOf(static_cast<int>(o));
-      const int ro = grid.RowOf(static_cast<int>(o));
-      const int flags = (co == 0 ? 1 : 0) | (co == w - 1 ? 2 : 0) |
-                        (ro == 0 ? 4 : 0) | (ro == h - 1 ? 8 : 0);
-      const int32_t key = (((co - ci + 2048) << 16) | ((ro - ri + 2048) << 4) |
-                           flags);
-      const auto it = cache.find(key);
-      double p;
-      if (it != cache.end()) {
-        p = it->second;
-      } else {
-        // Preimage bounds relative to the center of cell i: the cell square,
-        // border sides extended to (and everything truncated at) the tail
-        // radius. (s * offset keeps the bounds a pure function of the key.)
-        const double x0 =
-            std::max((flags & 1) ? -r_cut : (co - ci - 0.5) * s, -r_cut);
-        const double x1 =
-            std::min((flags & 2) ? r_cut : (co - ci + 0.5) * s, r_cut);
-        const double y0 =
-            std::max((flags & 4) ? -r_cut : (ro - ri - 0.5) * s, -r_cut);
-        const double y1 =
-            std::min((flags & 8) ? r_cut : (ro - ri + 0.5) * s, r_cut);
-        p = mass.OverRect(x0, x1, y0, y1);
-        cache.emplace(key, p);
-      }
-      e(i, o) = p;
-      sum += p;
+      const size_t a = xs.Slot(ci, grid.ColOf(static_cast<int>(o)));
+      const size_t b = ys.Slot(ri, grid.RowOf(static_cast<int>(o)));
+      const uint32_t k = mass_of[a * ys.size() + b];
+      row[o] = masses[k];
+      ++uses[k];
+    }
+    double sum = 0.0;
+    for (size_t k = 0; k < masses.size(); ++k) {
+      for (; uses[k] > 0; --uses[k]) sum += masses[k];
     }
     PRISTE_CHECK_MSG(std::fabs(sum - 1.0) < 1e-6,
                      "planar Laplace cell masses do not tile the plane");
-    for (size_t o = 0; o < m; ++o) e(i, o) /= sum;
+    for (size_t o = 0; o < m; ++o) row[o] /= sum;
   }
-  auto result = hmm::EmissionMatrix::Create(std::move(e));
+  auto result = hmm::EmissionMatrix::CreateNormalized(std::move(e));
   PRISTE_CHECK_MSG(result.ok(), "planar Laplace emission invalid");
   return std::move(result).value();
 }

@@ -92,12 +92,40 @@ void TransitionMatrix::BackwardSpans(const double* const* in,
                                      double* const* out, size_t count) const {
   // DotRows only DCHECKs the count, and its paths disagree outside it.
   PRISTE_CHECK(count >= 1 && count <= linalg::kernels::kDotRowsMaxVectors);
-  if (sparse_ != nullptr) {
-    for (size_t j = 0; j < count; ++j) sparse_->MatVecSpan(in[j], out[j]);
-    return;
-  }
   const size_t m = num_states();
-  linalg::kernels::DotRows(matrix_.RowPtr(0), m, m, in, count, m, out);
+  // Each output depends only on its own input, so bit-equal inputs get one
+  // product, copied to the others' outputs.
+  constexpr size_t kMax = linalg::kernels::kDotRowsMaxVectors;
+  const double* distinct_in[kMax];
+  double* distinct_out[kMax];
+  size_t source[kMax];
+  size_t distinct = 0;
+  for (size_t j = 0; j < count; ++j) {
+    size_t k = 0;
+    while (k < distinct &&
+           std::memcmp(distinct_in[k], in[j], m * sizeof(double)) != 0) {
+      ++k;
+    }
+    if (k == distinct) {
+      distinct_in[k] = in[j];
+      distinct_out[k] = out[j];
+      ++distinct;
+    }
+    source[j] = k;
+  }
+  if (sparse_ != nullptr) {
+    for (size_t k = 0; k < distinct; ++k) {
+      sparse_->MatVecSpan(distinct_in[k], distinct_out[k]);
+    }
+  } else {
+    linalg::kernels::DotRows(matrix_.RowPtr(0), m, m, distinct_in, distinct, m,
+                             distinct_out);
+  }
+  for (size_t j = 0; j < count; ++j) {
+    if (distinct_out[source[j]] != out[j]) {
+      std::memcpy(out[j], distinct_out[source[j]], m * sizeof(double));
+    }
+  }
 }
 
 void TransitionMatrix::PropagateInto(const linalg::Vector& p,

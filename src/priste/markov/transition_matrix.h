@@ -76,10 +76,11 @@ class TransitionMatrix {
   void BackwardSpan(const double* v, double* out) const;
 
   /// out[j] = M · in[j] for j < count, 1 ≤ count ≤
-  /// linalg::kernels::kDotRowsMaxVectors. The dense path streams M once for
-  /// all of them (kernels::DotRows); the CSR path runs one MatVecSpan per
-  /// vector. Either way out[j] is bit-equal to a lone BackwardSpan(in[j]).
-  /// No out[j] may overlap any in[k].
+  /// linalg::kernels::kDotRowsMaxVectors. Bit-equal inputs (memcmp) share one
+  /// product. The dense path streams M once for all distinct inputs
+  /// (kernels::DotRows); the CSR path runs one MatVecSpan per distinct input.
+  /// Either way out[j] is bit-equal to a lone BackwardSpan(in[j]).
+  /// No out[j] may overlap any in[k] or another out[k].
   void BackwardSpans(const double* const* in, double* const* out,
                      size_t count) const;
 

@@ -24,6 +24,27 @@ TEST(EmissionMatrixTest, CreateValidates) {
   EXPECT_TRUE(EmissionMatrix::Create(linalg::Matrix{{0.2, 0.8}, {1.0, 0.0}}).ok());
 }
 
+TEST(EmissionMatrixTest, CreateNormalizedKeepsEntriesBitForBit) {
+  // The row sums to 1 − 2^-53 in column order, so Create rescales every
+  // entry and CreateNormalized keeps them.
+  const double c = 1.0 - 0.3 - 0.6;
+  const linalg::Matrix e{{0.3, 0.6, c}};
+  const auto kept = EmissionMatrix::CreateNormalized(e);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->matrix().MaxAbsDiff(e), 0.0);
+  const auto rescaled = EmissionMatrix::Create(e);
+  ASSERT_TRUE(rescaled.ok());
+  EXPECT_NE((*rescaled)(0, 0), 0.3);
+  // The checks are Create's, except that no entry may be negative.
+  EXPECT_FALSE(EmissionMatrix::CreateNormalized(linalg::Matrix(0, 0)).ok());
+  EXPECT_FALSE(EmissionMatrix::CreateNormalized(linalg::Matrix{{0.5, 0.6}}).ok());
+  EXPECT_FALSE(EmissionMatrix::CreateNormalized(
+                   linalg::Matrix{{std::numeric_limits<double>::quiet_NaN(), 1.0}})
+                   .ok());
+  EXPECT_TRUE(EmissionMatrix::Create(linalg::Matrix{{-1e-9, 1.0}}).ok());
+  EXPECT_FALSE(EmissionMatrix::CreateNormalized(linalg::Matrix{{-1e-9, 1.0}}).ok());
+}
+
 TEST(EmissionMatrixTest, IdentityReportsTruth) {
   const EmissionMatrix e = EmissionMatrix::Identity(3);
   EXPECT_DOUBLE_EQ(e(1, 1), 1.0);

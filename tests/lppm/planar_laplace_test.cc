@@ -1,20 +1,27 @@
 #include "priste/lppm/planar_laplace.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "priste/lppm/geo_ind_audit.h"
+#include "priste/lppm/planar_laplace_cell_mass.h"
 
 namespace priste::lppm {
 namespace {
 
 TEST(PlanarLaplaceTest, EmissionIsRowStochastic) {
-  const geo::Grid grid(6, 6, 1.0);
-  const PlanarLaplaceMechanism plm(grid, 0.5);
-  EXPECT_TRUE(plm.emission().matrix().IsRowStochastic(1e-9));
+  // A side of 2,000 cells needs nothing beyond the m×m matrix itself.
+  for (const auto& [w, h, alpha] : {std::tuple{6, 6, 0.5}, std::tuple{2000, 1, 1.0},
+                                    std::tuple{1, 2000, 1.0}}) {
+    const PlanarLaplaceMechanism plm(geo::Grid(w, h, 1.0), alpha);
+    EXPECT_TRUE(plm.emission().matrix().IsRowStochastic(1e-9)) << w << "x" << h;
+  }
 }
 
 TEST(PlanarLaplaceTest, SatisfiesAlphaGeoIndistinguishability) {
@@ -166,19 +173,86 @@ TEST(PlanarLaplaceTest, EmissionIsTrueDiscretizationOfContinuousSampler) {
   }
 }
 
+// Counts the pairs (i, o) whose entry differs in any bit from that of
+// (f(i), f(o)).
+template <typename Symmetry>
+int AsymmetricEntries(const PlanarLaplaceMechanism& plm, Symmetry f) {
+  const linalg::Matrix& e = plm.emission().matrix();
+  int differing = 0;
+  for (int i = 0; i < static_cast<int>(e.rows()); ++i) {
+    for (int o = 0; o < static_cast<int>(e.cols()); ++o) {
+      const double a = e(static_cast<size_t>(i), static_cast<size_t>(o));
+      const double b = e(static_cast<size_t>(f(i)), static_cast<size_t>(f(o)));
+      if (std::memcmp(&a, &b, sizeof(double)) != 0) ++differing;
+    }
+  }
+  return differing;
+}
+
 TEST(PlanarLaplaceTest, EmissionRespectsGridSymmetry) {
-  // A centered truth on an odd grid sees mirror-symmetric cells with equal
-  // probability; the fan quadrature computes each offset independently, so
-  // agreement is a real accuracy check (not a cache artifact).
-  const geo::Grid grid(5, 5, 1.0);
-  const PlanarLaplaceMechanism plm(grid, 0.9);
-  const int truth = grid.CellOf(2, 2);
-  EXPECT_NEAR(plm.emission()(truth, grid.CellOf(1, 2)),
-              plm.emission()(truth, grid.CellOf(3, 2)), 1e-10);
-  EXPECT_NEAR(plm.emission()(truth, grid.CellOf(2, 0)),
-              plm.emission()(truth, grid.CellOf(2, 4)), 1e-10);
-  EXPECT_NEAR(plm.emission()(truth, grid.CellOf(0, 0)),
-              plm.emission()(truth, grid.CellOf(4, 4)), 1e-10);
+  // The density is radially symmetric and cells are square, so mirroring the
+  // grid, or transposing a square one, maps each preimage onto one of equal
+  // mass. The build integrates each symmetry class once and sums every row
+  // grouped by class, so the symmetries hold bit for bit.
+  const geo::Grid grid(7, 5, 1.0);
+  const geo::Grid square(6, 6, 1.0);
+  const auto mirror_x = [&](int c) {
+    return grid.CellOf(grid.width() - 1 - grid.ColOf(c), grid.RowOf(c));
+  };
+  const auto mirror_y = [&](int c) {
+    return grid.CellOf(grid.ColOf(c), grid.height() - 1 - grid.RowOf(c));
+  };
+  const auto transpose = [&](int c) {
+    return square.CellOf(square.RowOf(c), square.ColOf(c));
+  };
+  for (const double alpha : {1.0, 0.05, 1e-3}) {
+    const PlanarLaplaceMechanism plm(grid, alpha);
+    EXPECT_EQ(AsymmetricEntries(plm, mirror_x), 0) << "alpha=" << alpha;
+    EXPECT_EQ(AsymmetricEntries(plm, mirror_y), 0) << "alpha=" << alpha;
+    const PlanarLaplaceMechanism square_plm(square, alpha);
+    EXPECT_EQ(AsymmetricEntries(square_plm, transpose), 0) << "alpha=" << alpha;
+  }
+}
+
+TEST(PlanarLaplaceTest, EmissionMatchesPerEntryQuadrature) {
+  // The reference integrates every entry on its own preimage rectangle, in
+  // its own orientation, and normalizes each row by its sum in output order:
+  // no symmetry keying. The build integrates a mirrored or transposed
+  // rectangle in another orientation and sums rows in another order, so the
+  // two agree to rounding.
+  for (const geo::Grid& grid : {geo::Grid(7, 5, 1.0), geo::Grid(5, 7, 0.3)}) {
+    for (const double alpha : {1.0, 0.05, 1e-3}) {
+      const PlanarLaplaceMechanism plm(grid, alpha);
+      const detail::PlanarLaplaceCellMass mass(alpha);
+      const double s = grid.cell_size_km();
+      const double r_cut = 45.0 / alpha;
+      const int w = grid.width();
+      const int h = grid.height();
+      const size_t m = grid.num_cells();
+      double worst = 0.0;
+      for (size_t i = 0; i < m; ++i) {
+        const int ci = grid.ColOf(static_cast<int>(i));
+        const int ri = grid.RowOf(static_cast<int>(i));
+        std::vector<double> row(m);
+        double sum = 0.0;
+        for (size_t o = 0; o < m; ++o) {
+          const int co = grid.ColOf(static_cast<int>(o));
+          const int ro = grid.RowOf(static_cast<int>(o));
+          const double x0 = co == 0 ? -r_cut : std::max((co - ci - 0.5) * s, -r_cut);
+          const double x1 = co == w - 1 ? r_cut : std::min((co - ci + 0.5) * s, r_cut);
+          const double y0 = ro == 0 ? -r_cut : std::max((ro - ri - 0.5) * s, -r_cut);
+          const double y1 = ro == h - 1 ? r_cut : std::min((ro - ri + 0.5) * s, r_cut);
+          row[o] = mass.OverRect(x0, x1, y0, y1);
+          sum += row[o];
+        }
+        for (size_t o = 0; o < m; ++o) {
+          worst = std::max(worst, std::fabs(plm.emission()(i, o) - row[o] / sum));
+        }
+      }
+      EXPECT_LE(worst, 1e-15) << grid.width() << "x" << grid.height()
+                              << " alpha=" << alpha;
+    }
+  }
 }
 
 // True when the mechanism's emission is bit for bit the identity.

@@ -1,5 +1,6 @@
 #include "priste/markov/transition_matrix.h"
 
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -151,28 +152,44 @@ TEST(TransitionMatrixTest, FusedKernelsMatchComposition) {
 
 TEST(TransitionMatrixTest, BackwardSpansMatchSeparateBackwardSpans) {
   // One pass for up to four vectors must reproduce the lone products bit for
-  // bit, on the dense (DotRows) and the CSR (per-vector MatVecSpan) paths.
+  // bit, on the dense (DotRows) and the CSR (per-vector MatVecSpan) paths —
+  // also when inputs repeat, which are computed once and copied.
   Rng rng(29);
+  // Each pattern lists which random vector fills each input.
+  const std::vector<std::vector<size_t>> patterns = {
+      {0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {0, 0}, {0, 1, 0, 0}, {1, 0, 1},
+      {2, 2, 2, 2}};
   for (const bool allow_sparse : {false, true}) {
     const TransitionMatrix chain = GridRandomWalk(7, 5, allow_sparse);
     ASSERT_EQ(chain.has_sparse(), allow_sparse);
     const size_t m = chain.num_states();
-    std::vector<linalg::Vector> in;
-    for (int j = 0; j < 4; ++j) in.push_back(testing::RandomProbability(m, rng));
-    for (size_t count = 1; count <= 4; ++count) {
-      std::vector<linalg::Vector> fused(count, linalg::Vector(m));
-      std::vector<const double*> ip;
-      std::vector<double*> op;
-      for (size_t j = 0; j < count; ++j) {
-        ip.push_back(in[j].data());
-        op.push_back(fused[j].data());
-      }
-      chain.BackwardSpans(ip.data(), op.data(), count);
-      for (size_t j = 0; j < count; ++j) {
-        linalg::Vector lone(m);
-        chain.BackwardSpan(in[j].data(), lone.data());
-        EXPECT_EQ(fused[j].as_std(), lone.as_std())
-            << "csr=" << allow_sparse << " count=" << count << " j=" << j;
+    std::vector<linalg::Vector> vectors;
+    for (int j = 0; j < 4; ++j) {
+      vectors.push_back(testing::RandomProbability(m, rng));
+    }
+    for (const std::vector<size_t>& pattern : patterns) {
+      for (const bool shared_buffers : {false, true}) {
+        const size_t count = pattern.size();
+        // Repeats either sit in buffers of their own or reuse one pointer.
+        std::vector<linalg::Vector> copies;
+        for (const size_t v : pattern) copies.push_back(vectors[v]);
+        std::vector<linalg::Vector> fused(count, linalg::Vector(m));
+        std::vector<const double*> ip;
+        std::vector<double*> op;
+        for (size_t j = 0; j < count; ++j) {
+          ip.push_back(shared_buffers ? vectors[pattern[j]].data()
+                                      : copies[j].data());
+          op.push_back(fused[j].data());
+        }
+        chain.BackwardSpans(ip.data(), op.data(), count);
+        for (size_t j = 0; j < count; ++j) {
+          linalg::Vector lone(m);
+          chain.BackwardSpan(vectors[pattern[j]].data(), lone.data());
+          EXPECT_EQ(std::memcmp(fused[j].data(), lone.data(), m * sizeof(double)),
+                    0)
+              << "csr=" << allow_sparse << " count=" << count << " j=" << j
+              << " shared=" << shared_buffers;
+        }
       }
     }
   }
