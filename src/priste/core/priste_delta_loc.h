@@ -37,7 +37,6 @@ class PristeDeltaLoc {
  private:
   geo::Grid grid_;
   markov::TransitionMatrix chain_;
-  std::vector<event::EventPtr> events_;
   double delta_;
   linalg::Vector initial_;
   PristeOptions options_;

@@ -56,13 +56,6 @@ class PristeGeoInd {
   Result<RunResult> Run(const geo::Trajectory& true_trajectory, Rng& rng) const;
 
  private:
-  /// The family member at `alpha`. Construction is cheap on the ladder's
-  /// steady state: the mechanism's emission matrix — the expensive part —
-  /// comes out of the process-wide lppm::EmissionCache, so instances are
-  /// thin handles and no per-PristeGeoInd cache (the old mutex-guarded
-  /// unbounded map) is needed.
-  std::unique_ptr<lppm::Lppm> MechanismFor(double alpha) const;
-
   geo::Grid grid_;
   PristeOptions options_;
   QpSolver solver_;

@@ -52,7 +52,7 @@ class DeltaRestrictedPlanarLaplace : public Lppm {
 
   /// The emission column p̃_o, bit-equal to emission().EmissionColumn(o)
   /// without building the matrix.
-  linalg::Vector EmissionColumn(int o) const;
+  linalg::Vector EmissionColumn(int o) const override;
 
   double alpha() const { return alpha_; }
   const geo::Region& location_set() const { return location_set_; }

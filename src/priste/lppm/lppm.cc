@@ -7,4 +7,8 @@ int Lppm::Perturb(int true_cell, Rng& rng) const {
   return rng.SampleDiscrete(emission().OutputDistribution(true_cell).as_std());
 }
 
+linalg::Vector Lppm::EmissionColumn(int o) const {
+  return emission().EmissionColumn(o);
+}
+
 }  // namespace priste::lppm

@@ -26,6 +26,11 @@ class Lppm {
   /// `true_cell` — by construction exactly consistent with emission().
   virtual int Perturb(int true_cell, Rng& rng) const;
 
+  /// The emission column p̃_o, bit-equal to emission().EmissionColumn(o),
+  /// which the default returns. A mechanism that keeps a compact form
+  /// overrides it to skip building the matrix.
+  virtual linalg::Vector EmissionColumn(int o) const;
+
   /// Human-readable mechanism name for reports.
   virtual std::string name() const = 0;
 };

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "priste/common/metrics.h"
 #include "priste/core/joint.h"
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
@@ -140,6 +141,103 @@ TEST(PristeDeltaLocTest, RejectsShortTrajectory) {
                               FastOptions(0.5, 0.3));
   Rng rng(15);
   EXPECT_FALSE(priste.Run(geo::Trajectory({0, 1}), rng).ok());
+}
+
+TEST(PristeDeltaLocTest, ZeroInitialBudgetCommitsTheAnchorUnchecked) {
+  // At initial_alpha = 0 every step starts below min_alpha: the loop
+  // commits the uniform release over ΔX_t at budget 0, with no check and no
+  // halving.
+  const Scenario s;
+  const PristeDeltaLoc priste(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
+                              FastOptions(0.5, 0.0));
+  const Histogram& checks =
+      MetricsRegistry::Global().GetHistogram("release.check_seconds");
+  const long checks_before = checks.count();
+  Rng rng(19);
+  const markov::MarkovChain chain(s.model.transition(), s.pi);
+  const geo::Trajectory truth(chain.Sample(6, rng));
+  const auto result = priste.Run(truth, rng);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->steps.size(), 6u);
+  for (const auto& step : result->steps) {
+    EXPECT_EQ(step.released_alpha, 0.0);
+    EXPECT_EQ(step.halvings, 0);
+    EXPECT_EQ(step.conservative_timeouts, 0);
+  }
+  const ReleaseStepDiagnostics& diagnostics = result->release_diagnostics;
+  EXPECT_EQ(diagnostics.cached_checks + diagnostics.dense_prefix_checks +
+                diagnostics.cold_checks + diagnostics.dense_fallbacks,
+            0);
+  EXPECT_EQ(checks.count(), checks_before);
+}
+
+TEST(PristeDeltaLocTest, ConservativeThresholdCountsTimeouts) {
+  // An absurdly small threshold makes every check time out: each step
+  // counts one conservative timestamp, halves once per timed-out check, and
+  // falls to the budget-0 anchor.
+  const Scenario s;
+  PristeOptions options = FastOptions(0.3, 0.5);
+  options.qp_threshold_seconds = 1e-9;
+  const PristeDeltaLoc priste(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
+                              options);
+  Rng rng(17);
+  const markov::MarkovChain chain(s.model.transition(), s.pi);
+  const geo::Trajectory truth(chain.Sample(5, rng));
+  const auto result = priste.Run(truth, rng);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->total_conservative, 5);
+  for (const auto& step : result->steps) {
+    EXPECT_EQ(step.released_alpha, 0.0);
+    EXPECT_GT(step.halvings, 0);
+    EXPECT_EQ(step.conservative_timeouts, step.halvings);
+  }
+}
+
+TEST(PristeDeltaLocTest, RunRecordsOneStepSampleAndEveryHalving) {
+  // release.step_seconds gains one sample per timestamp, and
+  // release.budget_halvings gains the sum of the steps' halvings.
+  const Scenario s;
+  const PristeDeltaLoc strict(s.grid, s.model.transition(), {s.ev}, 0.2, s.pi,
+                              FastOptions(0.02, 1.5));
+  const Counter& halvings =
+      MetricsRegistry::Global().GetCounter("release.budget_halvings");
+  const Histogram& steps =
+      MetricsRegistry::Global().GetHistogram("release.step_seconds");
+  const long halvings_before = halvings.value();
+  const long steps_before = steps.count();
+  Rng rng(7);
+  const markov::MarkovChain chain(s.model.transition(), s.pi);
+  const geo::Trajectory truth(chain.Sample(6, rng));
+  const auto result = strict.Run(truth, rng);
+  ASSERT_TRUE(result.ok());
+  long sum = 0;
+  for (const auto& step : result->steps) sum += step.halvings;
+  EXPECT_GT(sum, 0);
+  EXPECT_EQ(halvings.value() - halvings_before, sum);
+  EXPECT_EQ(steps.count() - steps_before, 6);
+}
+
+TEST(PristeDeltaLocDeathTest, RejectsNullEvent) {
+  // The constructor read the null event's state count and died of SIGSEGV;
+  // the model builder both drivers share checks it first.
+  const Scenario s;
+  EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {nullptr}, 0.2,
+                              s.pi, FastOptions(0.5, 0.3)),
+               "ev != nullptr");
+}
+
+TEST(PristeDeltaLocDeathTest, RejectsNonPositiveOrNonFiniteMinAlpha) {
+  // At min_alpha <= 0 or NaN a step whose checks keep failing halves α
+  // through ~1,074 candidates before it underflows to the anchor.
+  const Scenario s;
+  for (const double min_alpha : {0.0, -1.0, std::nan(""),
+                                 std::numeric_limits<double>::infinity()}) {
+    PristeOptions options = FastOptions(0.0, 0.3);
+    options.min_alpha = min_alpha;
+    EXPECT_DEATH(PristeDeltaLoc(s.grid, s.model.transition(), {s.ev}, 0.2,
+                                s.pi, options),
+                 "min_alpha");
+  }
 }
 
 TEST(PristeDeltaLocDeathTest, RejectsOptionsPristeGeoIndRejects) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "priste/common/metrics.h"
 #include "priste/core/joint.h"
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
@@ -187,6 +188,79 @@ TEST(PristeGeoIndTest, ConservativeThresholdCountsTimeouts) {
   // Everything falls to the uniform release.
   for (const auto& step : result->steps) {
     EXPECT_DOUBLE_EQ(step.released_alpha, 0.0);
+  }
+}
+
+TEST(PristeGeoIndTest, ZeroInitialBudgetCommitsTheAnchorUnchecked) {
+  // At initial_alpha = 0 every step starts below min_alpha: the loop
+  // commits the uniform release at budget 0, with no check and no halving.
+  const Scenario setup = SmallScenario();
+  const PristeGeoInd priste(setup.grid, setup.chain, setup.events,
+                            FastOptions(0.5, 0.0));
+  const Histogram& checks =
+      MetricsRegistry::Global().GetHistogram("release.check_seconds");
+  const long checks_before = checks.count();
+  Rng rng(19);
+  const markov::MarkovChain chain(setup.chain,
+                                  linalg::Vector::UniformProbability(16));
+  const geo::Trajectory truth(chain.Sample(6, rng));
+  const auto result = priste.Run(truth, rng);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->steps.size(), 6u);
+  for (const auto& step : result->steps) {
+    EXPECT_EQ(step.released_alpha, 0.0);
+    EXPECT_EQ(step.halvings, 0);
+    EXPECT_EQ(step.conservative_timeouts, 0);
+  }
+  const ReleaseStepDiagnostics& diagnostics = result->release_diagnostics;
+  EXPECT_EQ(diagnostics.cached_checks + diagnostics.dense_prefix_checks +
+                diagnostics.cold_checks + diagnostics.dense_fallbacks,
+            0);
+  EXPECT_EQ(checks.count(), checks_before);
+}
+
+TEST(PristeGeoIndTest, RunRecordsOneStepSampleAndEveryHalving) {
+  // release.step_seconds gains one sample per timestamp, and
+  // release.budget_halvings gains the sum of the steps' halvings.
+  const Scenario setup = SmallScenario(/*sigma=*/0.7);
+  const PristeGeoInd strict(setup.grid, setup.chain, setup.events,
+                            FastOptions(0.02, 1.5));
+  const Counter& halvings =
+      MetricsRegistry::Global().GetCounter("release.budget_halvings");
+  const Histogram& steps =
+      MetricsRegistry::Global().GetHistogram("release.step_seconds");
+  const long halvings_before = halvings.value();
+  const long steps_before = steps.count();
+  Rng rng(7);
+  const markov::MarkovChain chain(setup.chain,
+                                  linalg::Vector::UniformProbability(16));
+  const geo::Trajectory truth(chain.Sample(5, rng));
+  const auto result = strict.Run(truth, rng);
+  ASSERT_TRUE(result.ok());
+  long sum = 0;
+  for (const auto& step : result->steps) sum += step.halvings;
+  EXPECT_GT(sum, 0);
+  EXPECT_EQ(halvings.value() - halvings_before, sum);
+  EXPECT_EQ(steps.count() - steps_before, 5);
+}
+
+TEST(PristeGeoIndDeathTest, RejectsNonPositiveOrNonFiniteMinAlpha) {
+  // At min_alpha <= 0 or NaN a failing check halves α towards 0 without
+  // reaching the uniform anchor: a cloaking run never returned, and a
+  // planar Laplace run aborted once α underflowed. Both families refuse it
+  // at construction, and +∞ too.
+  const Scenario setup = SmallScenario();
+  const std::vector<std::shared_ptr<const LiftedEventModel>> models = {
+      std::make_shared<TwoWorldModel>(setup.chain, setup.events[0])};
+  const auto cloaking = std::make_shared<lppm::CloakingFamily>(setup.grid);
+  for (const double min_alpha : {0.0, -1.0, std::nan(""),
+                                 std::numeric_limits<double>::infinity()}) {
+    PristeOptions options = FastOptions(0.0, 0.3);
+    options.min_alpha = min_alpha;
+    EXPECT_DEATH(PristeGeoInd(setup.grid, setup.chain, setup.events, options),
+                 "min_alpha");
+    EXPECT_DEATH(PristeGeoInd(setup.grid, models, options, cloaking),
+                 "min_alpha");
   }
 }
 

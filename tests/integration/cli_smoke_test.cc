@@ -200,6 +200,32 @@ TEST(CliSmokeTest, HugeAlphaRunsToCompletion) {
   EXPECT_EQ(rows, 6u) << *output_csv;
 }
 
+TEST(CliSmokeTest, WindowPastTheTrajectoryExitsOneBeforeBuildingTheEvent) {
+  // The event keeps one region per window timestamp and its two-world model
+  // one indicator per window step, so a window ending far past the five-row
+  // trajectory must be refused before either is built (building them ran
+  // out of memory), with the run's own message naming the window end.
+  const char* cli_bin = std::getenv("PRISTE_CLI_BIN");
+  ASSERT_NE(cli_bin, nullptr);
+  const std::string input_path = "cli_long_window_input.csv";
+  const std::string stderr_path = "cli_long_window_stderr.txt";
+  ASSERT_TRUE(io::WriteTextFile(input_path,
+                                "t,cell\n1,0\n2,1\n3,5\n4,6\n5,10\n")
+                  .ok());
+  const std::string command =
+      std::string(cli_bin) + " --input " + input_path +
+      " --output cli_long_window_unused.csv --grid 4x4 --event-cells 5,6"
+      " --event-window 2:2000000000 2> " + stderr_path;
+  const int rc = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(rc)) << "CLI terminated by signal, rc=" << rc;
+  EXPECT_EQ(WEXITSTATUS(rc), 1);
+  const auto diagnostic = io::ReadTextFile(stderr_path);
+  ASSERT_TRUE(diagnostic.ok()) << diagnostic.status().ToString();
+  EXPECT_NE(diagnostic->find("event window ending at 2000000000"),
+            std::string::npos)
+      << *diagnostic;
+}
+
 TEST(CliSmokeTest, MetricsFlagDumpsRuntimeCounters) {
   const char* cli_bin = std::getenv("PRISTE_CLI_BIN");
   ASSERT_NE(cli_bin, nullptr);

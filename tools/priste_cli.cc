@@ -209,6 +209,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "input: %s\n", trajectory.error().ToString().c_str());
     return 1;
   }
+  // The event and its two-world model keep state per window timestamp, so
+  // a window past the trajectory's end is refused before either is built.
+  const Result<void> window =
+      core::ValidateEventWindow(trajectory->length(), args.window_end);
+  if (!window.ok()) {
+    std::fprintf(stderr, "run: %s\n", window.error().ToString().c_str());
+    return 1;
+  }
 
   geo::Region region(grid.num_cells());
   for (int c : args.event_cells) {
