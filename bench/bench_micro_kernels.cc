@@ -477,7 +477,10 @@ void BM_RowBlockReplicateDot(benchmark::State& state) {
   for (size_t j = 0; j < m; ++j) cand[j] = rng.NextDouble();
   for (size_t j = 0; j < lifted; ++j) seed[j] = rng.NextDouble();
 
-  const bool previous = linalg::kernels::SetSimdEnabledForTest(simd);
+  const linalg::kernels::SimdLevel previous =
+      linalg::kernels::SetSimdLevelForTest(
+          simd ? linalg::kernels::WidestSimdLevel()
+               : linalg::kernels::SimdLevel::kScalar);
   for (auto _ : state) {
     double acc = 0.0;
     for (size_t i = 0; i < rows; ++i) {
@@ -488,7 +491,7 @@ void BM_RowBlockReplicateDot(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(acc);
   }
-  linalg::kernels::SetSimdEnabledForTest(previous);
+  linalg::kernels::SetSimdLevelForTest(previous);
 }
 BENCHMARK(BM_RowBlockReplicateDot)->Arg(0)->Arg(1)->ArgName("simd");
 
@@ -552,7 +555,8 @@ int main(int argc, char** argv) {
                               build_type.empty() ? "none" : build_type);
   benchmark::AddCustomContext(
       "priste_simd_dispatch",
-      priste::linalg::kernels::SimdActive() ? "avx2" : "scalar");
+      priste::linalg::kernels::SimdLevelName(
+          priste::linalg::kernels::ActiveSimdLevel()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -23,8 +23,11 @@ TwoWorldModel::TwoWorldModel(markov::TransitionSchedule schedule,
   const size_t m = num_states();
   first_window_step_ = std::max(event_->start() - 1, 1);
   last_window_step_ = event_->end() - 1;
-  for (int t = first_window_step_; t <= last_window_step_; ++t) {
-    window_indicators_.push_back(event_->RegionAt(t + 1).Indicator());
+  const int steps = last_window_step_ - first_window_step_ + 1;
+  const int kept = event_->fixed_region() ? std::min(steps, 1) : steps;
+  for (int k = 0; k < kept; ++k) {
+    window_indicators_.push_back(
+        event_->RegionAt(first_window_step_ + k + 1).Indicator());
   }
   InitializeDerived(Vector::Zeros(m).Concat(Vector::Ones(m)));
 }
@@ -35,8 +38,10 @@ TwoWorldModel::StepForm TwoWorldModel::FormAt(int t) const {
   if (!form.in_window) return form;
   form.enter_true = event_->kind() == SpatiotemporalEvent::Kind::kPresence ||
                     t == event_->start() - 1;
-  form.indicator =
-      &window_indicators_[static_cast<size_t>(t - first_window_step_)];
+  form.indicator = &window_indicators_[
+      window_indicators_.size() == 1
+          ? 0
+          : static_cast<size_t>(t - first_window_step_)];
   return form;
 }
 

@@ -83,8 +83,10 @@ class TwoWorldModel : public LiftedEventModel {
 
   markov::TransitionSchedule schedule_;
   event::EventPtr event_;
-  /// window_indicators_[t - first_window_step] = RegionAt(t+1).Indicator(),
-  /// precomputed so the step kernels never allocate.
+  /// RegionAt(t+1).Indicator() for each window step t, precomputed so the
+  /// step kernels never allocate: window_indicators_[t - first_window_step],
+  /// or window_indicators_[0] alone for a fixed-region event, whatever its
+  /// window's length.
   std::vector<linalg::Vector> window_indicators_;
   int first_window_step_ = 0;
   int last_window_step_ = -1;

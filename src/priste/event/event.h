@@ -16,7 +16,8 @@ namespace priste::event {
 /// appears in a region at *any* timestamp of a window — and PATTERN — the
 /// user's locations lie in a sequence of regions at *every* timestamp of a
 /// window. Both carry a consecutive window [start, end] (1-based, inclusive)
-/// and one region per window timestamp.
+/// and a region at every window timestamp; a fixed-region event stores its
+/// one region once, whatever the window's length.
 class SpatiotemporalEvent {
  public:
   enum class Kind { kPresence, kPattern };
@@ -35,6 +36,10 @@ class SpatiotemporalEvent {
   /// The region at window timestamp t ∈ [start, end].
   const geo::Region& RegionAt(int t) const;
 
+  /// True for an event built with one region for its whole window:
+  /// RegionAt returns that one object for every t.
+  bool fixed_region() const { return regions_.size() == 1; }
+
   /// Ground truth of the event on a trajectory covering the window.
   virtual bool Holds(const geo::Trajectory& trajectory) const = 0;
 
@@ -49,11 +54,15 @@ class SpatiotemporalEvent {
   /// the same state count, the window must be non-empty and start >= 1.
   SpatiotemporalEvent(int start, std::vector<geo::Region> regions);
 
-  const std::vector<geo::Region>& regions() const { return regions_; }
+  /// `region` at every timestamp of [start, end], stored once.
+  SpatiotemporalEvent(int start, int end, geo::Region region);
 
  private:
+  SpatiotemporalEvent(int start, int end, std::vector<geo::Region>&& regions);
+
   int start_;
   int end_;
+  /// One region per window timestamp, or one for a fixed-region event.
   std::vector<geo::Region> regions_;
 };
 

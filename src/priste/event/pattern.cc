@@ -9,11 +9,7 @@ PatternEvent::PatternEvent(std::vector<geo::Region> regions, int start)
     : SpatiotemporalEvent(start, std::move(regions)) {}
 
 PatternEvent::PatternEvent(geo::Region region, int start, int end)
-    : SpatiotemporalEvent(
-          start, std::vector<geo::Region>(static_cast<size_t>(end - start + 1),
-                                          std::move(region))) {
-  PRISTE_CHECK(end >= start);
-}
+    : SpatiotemporalEvent(start, end, std::move(region)) {}
 
 std::shared_ptr<const PatternEvent> PatternEvent::FromTrajectory(
     size_t num_states, const std::vector<int>& cells, int start) {

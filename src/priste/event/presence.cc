@@ -4,18 +4,9 @@
 #include "priste/common/strings.h"
 
 namespace priste::event {
-namespace {
-
-std::vector<geo::Region> Repeat(geo::Region region, int start, int end) {
-  PRISTE_CHECK(end >= start);
-  return std::vector<geo::Region>(static_cast<size_t>(end - start + 1),
-                                  std::move(region));
-}
-
-}  // namespace
 
 PresenceEvent::PresenceEvent(geo::Region region, int start, int end)
-    : SpatiotemporalEvent(start, Repeat(std::move(region), start, end)) {}
+    : SpatiotemporalEvent(start, end, std::move(region)) {}
 
 PresenceEvent::PresenceEvent(std::vector<geo::Region> regions, int start)
     : SpatiotemporalEvent(start, std::move(regions)) {}

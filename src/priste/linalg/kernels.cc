@@ -2,9 +2,9 @@
 
 #include "priste/common/thread_annotations.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 #include "priste/common/metrics.h"
 #include "priste/common/strings.h"
@@ -87,48 +87,65 @@ constexpr KernelTable kScalarTable = {
 // Dispatch. g_table is constant-initialized to the scalar table so kernel
 // calls made before (or without) the dynamic initializer below are always
 // valid; InitDispatch upgrades it once per process based on PRISTE_SIMD and
-// cpuid. SetSimdEnabledForTest re-points it for in-process A/B comparisons.
+// cpuid. SetSimdLevelForTest re-points it for in-process comparisons.
 // ---------------------------------------------------------------------------
 
 const KernelTable* g_table = &kScalarTable;
-bool g_avx2_available = false;
+SimdLevel g_level = SimdLevel::kScalar;
+SimdLevel g_widest = SimdLevel::kScalar;
 
-void PublishDispatchGauge() {
-  MetricsRegistry::Global().GetGauge("simd.dispatch")
-      .Set(g_table != &kScalarTable ? 1 : 0);
-}
-
-bool Avx2Supported() {
+// libgcc's and compiler-rt's cpu model report AVX2 and AVX-512F only when
+// the OS also saves the ymm and zmm register state (XGETBV), so a kernel
+// without that support reads as a host without the feature. The AVX-512
+// table runs AVX2 bodies for most entries, so it needs both features.
+SimdLevel HostWidestLevel() {
 #if defined(PRISTE_KERNELS_HAVE_AVX2) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") != 0;
+  if (__builtin_cpu_supports("avx2") == 0) return SimdLevel::kScalar;
+#if defined(PRISTE_KERNELS_HAVE_AVX512)
+  if (__builtin_cpu_supports("avx512f") != 0) return SimdLevel::kAvx512;
+#endif
+  return SimdLevel::kAvx2;
 #else
-  return false;
+  return SimdLevel::kScalar;
 #endif
 }
 
-const KernelTable* WidestTable() {
-#if defined(PRISTE_KERNELS_HAVE_AVX2)
-  if (g_avx2_available) return &Avx2Table();
+// Selects `level`'s table, capped at the widest one available.
+void Select(SimdLevel level) {
+  g_level = std::min(level, g_widest);
+  switch (g_level) {
+#if defined(PRISTE_KERNELS_HAVE_AVX512)
+    case SimdLevel::kAvx512:
+      g_table = &Avx512Table();
+      break;
 #endif
-  return &kScalarTable;
+#if defined(PRISTE_KERNELS_HAVE_AVX2)
+    case SimdLevel::kAvx2:
+      g_table = &Avx2Table();
+      break;
+#endif
+    default:
+      g_table = &kScalarTable;
+  }
+  MetricsRegistry::Global().GetGauge("simd.dispatch")
+      .Set(static_cast<int>(g_level));
 }
 
 bool InitDispatch() {
-  g_avx2_available = Avx2Supported();
-  bool want_simd = true;
+  g_widest = HostWidestLevel();
+  SimdLevel cap = SimdLevel::kAvx512;
   if (const char* env = std::getenv("PRISTE_SIMD"); env != nullptr) {
     int parsed = 0;
-    if (ParseInt32(env, &parsed) && (parsed == 0 || parsed == 1)) {
-      want_simd = parsed == 1;
+    if (ParseInt32(env, &parsed) && parsed >= 0 && parsed <= 2) {
+      cap = static_cast<SimdLevel>(parsed);
     } else {
       std::fprintf(stderr,
                    "priste: ignoring invalid PRISTE_SIMD=\"%s\" "
-                   "(want 0 or 1)\n",
+                   "(want 0, 1 or 2)\n",
                    env);
     }
   }
-  g_table = want_simd ? WidestTable() : &kScalarTable;
-  PublishDispatchGauge();
+  Select(cap);
   return true;
 }
 
@@ -197,12 +214,25 @@ void ReplicateDotPair(const double* row, size_t blocks, size_t m,
   g_table->replicate_dot_pair(row, blocks, m, cand, seed, seeded, plain);
 }
 
-bool SimdActive() { return g_table != &kScalarTable; }
+const char* SimdLevelName(SimdLevel level) {
+  switch (level) {
+    case SimdLevel::kAvx512:
+      return "avx512";
+    case SimdLevel::kAvx2:
+      return "avx2";
+    case SimdLevel::kScalar:
+      break;
+  }
+  return "scalar";
+}
 
-bool SetSimdEnabledForTest(bool enabled) {
-  const bool was = SimdActive();
-  g_table = enabled ? WidestTable() : &kScalarTable;
-  PublishDispatchGauge();
+SimdLevel ActiveSimdLevel() { return g_level; }
+
+SimdLevel WidestSimdLevel() { return g_widest; }
+
+SimdLevel SetSimdLevelForTest(SimdLevel level) {
+  const SimdLevel was = g_level;
+  Select(level);
   return was;
 }
 

@@ -9,29 +9,39 @@
 
 namespace priste::linalg::kernels {
 
-/// Hand-vectorized span kernels with runtime dispatch. Every kernel below is
-/// implemented twice — a portable scalar path and an AVX2 path selected once
-/// at startup via cpuid — and the two paths produce BIT-IDENTICAL results:
-/// reductions use fixed-width accumulator blocking (four independent
-/// accumulators, lane j summing elements j, j+4, j+8, …), a fixed reduction
-/// order (acc0+acc2)+(acc1+acc3), and a sequential tail added after the
-/// reduction. The AVX2 path multiplies and adds separately (no FMA), so the
-/// rounding of every intermediate matches the scalar path exactly. This is
-/// what keeps the cached-vs-cold equivalence suites and the cross-build
-/// determinism story intact regardless of which path a host selects.
+/// Hand-vectorized span kernels with runtime dispatch. Every kernel below
+/// runs through one of three tables selected once at startup via cpuid —
+/// a portable scalar table, an AVX2 table and an AVX-512 table — and all
+/// three produce BIT-IDENTICAL results: reductions use fixed-width
+/// accumulator blocking (four independent accumulators, lane j summing
+/// elements j, j+4, j+8, …), a fixed reduction order (acc0+acc2)+(acc1+acc3),
+/// and a sequential tail added after the reduction. The SIMD tables multiply
+/// and add separately (no FMA), so the rounding of every intermediate
+/// matches the scalar path exactly. This is what keeps the cached-vs-cold
+/// equivalence suites and the cross-build determinism story intact
+/// regardless of which path a host selects.
+///
+/// The AVX-512 table is the AVX2 table with two entries replaced. DotRows
+/// over two to four vectors pairs them: each zmm register carries two of
+/// the AVX2 path's 4-lane accumulators — two vectors against one row chunk
+/// broadcast to both halves — and each 256-bit half is reduced and finished
+/// exactly as on the AVX2 path, so no 8-lane reduction ever changes a
+/// rounding. ScanEdges takes eight j per step. One-vector DotRows and every
+/// other kernel keep their AVX2 bodies.
 ///
 /// Short spans skip the dispatch table entirely: below kInlineThreshold (and
 /// kGatherInlineThreshold for the gather) the public entry points run the
 /// inline scalar body in the caller's frame, because an indirect call per
-/// ~9-nnz CSR row costs more than the row itself and AVX2 is not profitable
-/// at those lengths anyway. Both dispatch modes share that inline path, and
+/// ~9-nnz CSR row costs more than the row itself and SIMD is not profitable
+/// at those lengths anyway. Every dispatch mode shares that inline path, and
 /// the table paths are bit-identical to it by construction, so results never
 /// depend on dispatch mode at any size.
 ///
-/// Dispatch is controlled by the PRISTE_SIMD environment variable: unset or
-/// "1" selects the widest path the CPU supports, "0" forces the scalar path,
-/// anything else warns and keeps the default. The active path is published
-/// as the `simd.dispatch` gauge (1 = AVX2, 0 = scalar).
+/// Dispatch is capped by the PRISTE_SIMD environment variable: 0 selects
+/// the scalar table, 1 at most AVX2, 2 at most AVX-512; unset selects the
+/// widest table the CPU and the OS support, and anything else warns and
+/// keeps that default. The active table is published as the
+/// `simd.dispatch` gauge (0 = scalar, 1 = AVX2, 2 = AVX-512).
 ///
 /// Aliasing contract: output spans must not overlap any input span (checked
 /// with PRISTE_DCHECK in debug builds at the call sites that take both).
@@ -209,10 +219,11 @@ inline constexpr size_t kDotRowsMaxVectors = 4;
 /// outs[j][r] = Dot(rows + r·stride, vs[j], n) for every r < nrows and
 /// j < count, 1 ≤ count ≤ kDotRowsMaxVectors: up to four matrix-vector
 /// products over one pass through the rows. The AVX2 path register-blocks
-/// rows × vectors (4×1, 4×2, 2×3 and 2×4 accumulators), which changes only
+/// rows × vectors (4×1, 4×2, 2×3 and 2×4 accumulators), and the AVX-512 path
+/// pairs two vectors per zmm register (8×2, 6×3 and 6×4), which changes only
 /// which accumulators share the registers: each output keeps Dot's four
 /// lanes, its (l0+l2)+(l1+l3) reduction and its sequential tail, so every
-/// outs[j][r] is bit-equal to the per-row Dot on either path. No output may
+/// outs[j][r] is bit-equal to the per-row Dot on every path. No output may
 /// overlap `rows` or any vs[k].
 PRISTE_HOT_PATH inline void DotRows(const double* rows, size_t stride,
                                     size_t nrows, const double* const* vs,
@@ -230,12 +241,13 @@ PRISTE_HOT_PATH inline void DotRows(const double* rows, size_t stride,
 /// the simplex edge from e_j to e_i, when that edge is concave and peaks
 /// strictly inside it, replaces *best if its value is strictly greater.
 /// i < n, and a, d, l each hold n entries. The AVX2 path evaluates four j
-/// per step with the scalar body's operations in the same order: no FMA,
+/// per step, and the AVX-512 path eight before the AVX2 path's four-wide
+/// loop and tail, with the scalar body's operations in the same order: no FMA,
 /// ordered compares (a NaN fails the peak test, as `!(…)` makes it fail in
 /// the scalar body), a division only in groups where some lane passes, and
 /// the passing lanes offered to *best in ascending j with the same strict
 /// `>` — so a group yields its largest value, ties to the smallest j, and
-/// both paths pick the same edge, t and value bit for bit. Rows shorter than
+/// every path picks the same edge, t and value bit for bit. Rows shorter than
 /// kInlineThreshold run the scalar body inline.
 PRISTE_HOT_PATH inline void ScanEdges(const double* a, const double* d,
                                       const double* l, size_t i, size_t n,
@@ -295,8 +307,9 @@ PRISTE_HOT_PATH inline double GatherDot(const double* values, const size_t* cols
 
 /// out[cols[k]] += s·values[k] — one CSR row of VecMatSpan. Columns within a
 /// row are unique, so the scatter has no accumulation-order ambiguity. Always
-/// the inline loop: AVX2 has no scatter instruction, so there is no wide path
-/// to dispatch to and the adds are sequential either way.
+/// the inline loop: AVX2 has no scatter instruction and the AVX-512 table
+/// keeps the AVX2 bodies, so there is no wide path to dispatch to and the
+/// adds are sequential either way.
 PRISTE_HOT_PATH inline void ScatterAxpy(double s, const double* values, const size_t* cols,
                         size_t nnz, double* out) {
   for (size_t k = 0; k < nnz; ++k) out[cols[k]] += s * values[k];
@@ -308,7 +321,7 @@ PRISTE_HOT_PATH inline void ScatterAxpy(double s, const double* values, const si
 ///   ReplicateDot     = Σ_q Σ_j row[q·m+j]·cand[j]
 ///   ReplicateDotPair additionally returns Σ_q Σ_j row[q·m+j]·cand[j]·seed[q·m+j]
 /// Per-block partial sums are reduced independently and added in block order,
-/// identically on both paths. Always dispatched: blocks·m is large by
+/// identically on every path. Always dispatched: blocks·m is large by
 /// construction (m is the grid size).
 PRISTE_HOT_PATH double ReplicateDot(const double* row, size_t blocks,
                                     size_t m, const double* cand);
@@ -317,14 +330,24 @@ PRISTE_HOT_PATH void ReplicateDotPair(const double* row, size_t blocks,
                                       const double* seed, double* seeded,
                                       double* plain);
 
-/// True when the active dispatch table is the AVX2 one.
-bool SimdActive();
+/// The dispatch tables, narrowest first; the values are PRISTE_SIMD's and
+/// the `simd.dispatch` gauge's.
+enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// Re-points the dispatch table (test/bench hook for in-process
-/// scalar-vs-SIMD comparisons). Returns the previous state. Requesting SIMD
-/// on a host without AVX2 support keeps the scalar table. Not thread-safe
-/// against concurrent kernel calls.
-bool SetSimdEnabledForTest(bool enabled);
+/// "scalar", "avx2" or "avx512".
+const char* SimdLevelName(SimdLevel level);
+
+/// The active dispatch table.
+SimdLevel ActiveSimdLevel();
+
+/// The widest table this build has and this host can run.
+SimdLevel WidestSimdLevel();
+
+/// Re-points the dispatch table at `level`, capped at WidestSimdLevel()
+/// (test and bench hook for in-process comparisons between tables).
+/// Returns the previous level. Not thread-safe against concurrent kernel
+/// calls.
+SimdLevel SetSimdLevelForTest(SimdLevel level);
 
 }  // namespace priste::linalg::kernels
 

@@ -227,6 +227,31 @@ PRISTE_HOT_PATH void Avx2ReplicateDotPair(const double* row, size_t blocks, size
   *plain = pt;
 }
 
+PRISTE_HOT_PATH void Avx2ScanEdges(const double* a, const double* d,
+                                   const double* l, size_t i, size_t n,
+                                   EdgePoint* best) {
+  Avx2ScanEdgesFrom(a, d, l, i, i + 1, n, best);
+}
+
+constexpr KernelTable kAvx2Table = {
+    &Avx2Sum,
+    &Avx2Dot,
+    &Avx2DotHadamard,
+    &Avx2Axpy,
+    &Avx2Scale,
+    &Avx2HadamardInPlace,
+    &Avx2HadamardInto,
+    &Avx2GatherDot,
+    &Avx2DotRows,
+    &Avx2ReplicateDot,
+    &Avx2ReplicateDotPair,
+    &Avx2ScanEdges,
+};
+
+}  // namespace
+
+const KernelTable& Avx2Table() { return kAvx2Table; }
+
 // ScanEdges four j per step. Each lane runs the scalar body's operations in
 // its order (no FMA; ordered compares, so a NaN fails the peak test just as
 // it fails `!(…)` there). A group divides only when some lane passes the
@@ -234,9 +259,10 @@ PRISTE_HOT_PATH void Avx2ReplicateDotPair(const double* row, size_t blocks, size
 // scalar body's strict `>`: the group's largest value wins, ties to the
 // smallest j, exactly where the sequential scan ends up. The scalar tail
 // follows.
-PRISTE_HOT_PATH void Avx2ScanEdges(const double* a, const double* d,
-                                   const double* l, size_t i, size_t n,
-                                   EdgePoint* best) {
+PRISTE_HOT_PATH void Avx2ScanEdgesFrom(const double* a, const double* d,
+                                       const double* l, size_t i,
+                                       size_t first, size_t n,
+                                       EdgePoint* best) {
   const double ai = a[i];
   const double di = d[i];
   const double li = l[i];
@@ -245,7 +271,7 @@ PRISTE_HOT_PATH void Avx2ScanEdges(const double* a, const double* d,
   const __m256d vli = _mm256_set1_pd(li);
   const __m256d zero = _mm256_setzero_pd();
   const __m256d minus_two = _mm256_set1_pd(-2.0);
-  size_t j = i + 1;
+  size_t j = first;
   for (; j + 4 <= n; j += 4) {
     const __m256d aj = _mm256_loadu_pd(a + j);
     const __m256d dj = _mm256_loadu_pd(d + j);
@@ -289,25 +315,6 @@ PRISTE_HOT_PATH void Avx2ScanEdges(const double* a, const double* d,
     if (value > best->value) *best = {i, j, t, value};
   }
 }
-
-constexpr KernelTable kAvx2Table = {
-    &Avx2Sum,
-    &Avx2Dot,
-    &Avx2DotHadamard,
-    &Avx2Axpy,
-    &Avx2Scale,
-    &Avx2HadamardInPlace,
-    &Avx2HadamardInto,
-    &Avx2GatherDot,
-    &Avx2DotRows,
-    &Avx2ReplicateDot,
-    &Avx2ReplicateDotPair,
-    &Avx2ScanEdges,
-};
-
-}  // namespace
-
-const KernelTable& Avx2Table() { return kAvx2Table; }
 
 }  // namespace priste::linalg::kernels
 

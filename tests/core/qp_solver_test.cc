@@ -16,9 +16,12 @@
 #include "priste/geo/gaussian_grid_model.h"
 #include "priste/linalg/kernels.h"
 #include "priste/lppm/planar_laplace.h"
+#include "testing/simd_levels.h"
 
 namespace priste::core {
 namespace {
+
+using linalg::kernels::SimdLevel;
 
 linalg::Vector RandomVec(size_t n, Rng& rng, double lo = -1.0, double hi = 1.0) {
   linalg::Vector v(n);
@@ -159,17 +162,24 @@ TEST(QpSolverTest, MidScanDeadlineStillReturnsFeasibleBestSoFar) {
   }
 }
 
-// Maximize with the kernel dispatch forced to the scalar table (simd =
-// false) or to the widest table the host supports.
-QpSolver::Result MaximizeOnPath(bool simd, const QpSolver::Objective& obj,
+// Maximize with the kernel dispatch forced to `level`'s table.
+QpSolver::Result MaximizeOnPath(SimdLevel level, const QpSolver::Objective& obj,
                                 const Deadline& deadline) {
-  const bool previous = linalg::kernels::SetSimdEnabledForTest(simd);
-  QpSolver::Result result = QpSolver().Maximize(obj, deadline);
-  linalg::kernels::SetSimdEnabledForTest(previous);
-  return result;
+  const testing::ScopedSimdLevel path(level);
+  return QpSolver().Maximize(obj, deadline);
 }
 
-TEST(QpSolverTest, ShortDeadlineTimesOutALargeScanOnBothPaths) {
+// The tables this host can run, narrowest first.
+std::vector<SimdLevel> AvailableLevels() {
+  std::vector<SimdLevel> levels;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level <= linalg::kernels::WidestSimdLevel()) levels.push_back(level);
+  }
+  return levels;
+}
+
+TEST(QpSolverTest, ShortDeadlineTimesOutALargeScanOnEveryTable) {
   // n = 2000 is about two million edges, at least 1 ms of scanning on either
   // path, so a 0.1 ms budget expires inside the scan even though the
   // deadline is read only once per few thousand edges.
@@ -179,9 +189,9 @@ TEST(QpSolverTest, ShortDeadlineTimesOutALargeScanOnBothPaths) {
   obj.a = RandomVec(n, rng, 0.0, 1.0);
   obj.d = RandomVec(n, rng);
   obj.l = RandomVec(n, rng);
-  for (const bool simd : {false, true}) {
-    const auto result = MaximizeOnPath(simd, obj, Deadline::After(1e-4));
-    EXPECT_TRUE(result.timed_out) << "simd=" << simd;
+  for (const SimdLevel level : AvailableLevels()) {
+    const auto result = MaximizeOnPath(level, obj, Deadline::After(1e-4));
+    EXPECT_TRUE(result.timed_out) << linalg::kernels::SimdLevelName(level);
     ExpectFeasibleResult(obj, result);
   }
 }
@@ -210,9 +220,9 @@ std::vector<QpSolver::Objective> TheoremObjectives(const TheoremVectors& raw,
 // mobility, a PRESENCE event over cells 1–10 at t = 4..8, and every prefix
 // of 10-step planar-Laplace histories (α = 0.5 and 0.2, three true cells),
 // checked at ε = 0.1 and 0.5. That is n = 400 dense coordinates, so every
-// row but the last few runs the dispatched scan. Both paths must return the
-// same argmax and max_value bit for bit.
-TEST(QpSolverTest, TheoremObjectivesMaximizeBitIdenticallyOnBothPaths) {
+// row but the last few runs the dispatched scan. Every table the host runs
+// must return the scalar table's argmax and max_value bit for bit.
+TEST(QpSolverTest, TheoremObjectivesMaximizeBitIdenticallyOnEveryTable) {
   const geo::Grid grid(20, 20, 1.0);
   const geo::GaussianGridModel mobility(grid, /*sigma=*/10.0);
   const TwoWorldModel model(
@@ -235,23 +245,27 @@ TEST(QpSolverTest, TheoremObjectivesMaximizeBitIdenticallyOnBothPaths) {
                TheoremObjectives(vectors, epsilon)) {
             ASSERT_EQ(obj.a.size(), 400u);
             const auto scalar =
-                MaximizeOnPath(false, obj, Deadline::Infinite());
-            const auto simd = MaximizeOnPath(true, obj, Deadline::Infinite());
+                MaximizeOnPath(SimdLevel::kScalar, obj, Deadline::Infinite());
             ASSERT_FALSE(scalar.timed_out);
-            ASSERT_FALSE(simd.timed_out);
-            const std::string where = "alpha=" + std::to_string(alpha) +
-                                      " cell=" + std::to_string(true_cell) +
-                                      " t=" + std::to_string(t) +
-                                      " eps=" + std::to_string(epsilon);
-            EXPECT_EQ(std::memcmp(&scalar.max_value, &simd.max_value,
-                                  sizeof(double)),
-                      0)
-                << where;
-            ASSERT_EQ(simd.argmax.size(), scalar.argmax.size());
-            EXPECT_EQ(std::memcmp(scalar.argmax.data(), simd.argmax.data(),
-                                  scalar.argmax.size() * sizeof(double)),
-                      0)
-                << where;
+            for (const SimdLevel level : AvailableLevels()) {
+              if (level == SimdLevel::kScalar) continue;
+              const auto simd = MaximizeOnPath(level, obj, Deadline::Infinite());
+              ASSERT_FALSE(simd.timed_out);
+              const std::string where =
+                  std::string(linalg::kernels::SimdLevelName(level)) +
+                  " alpha=" + std::to_string(alpha) +
+                  " cell=" + std::to_string(true_cell) +
+                  " t=" + std::to_string(t) + " eps=" + std::to_string(epsilon);
+              EXPECT_EQ(std::memcmp(&scalar.max_value, &simd.max_value,
+                                    sizeof(double)),
+                        0)
+                  << where;
+              ASSERT_EQ(simd.argmax.size(), scalar.argmax.size());
+              EXPECT_EQ(std::memcmp(scalar.argmax.data(), simd.argmax.data(),
+                                    scalar.argmax.size() * sizeof(double)),
+                        0)
+                  << where;
+            }
             edge_maxima +=
                 std::count_if(scalar.argmax.begin(), scalar.argmax.end(),
                               [](double p) { return p != 0.0; }) == 2;

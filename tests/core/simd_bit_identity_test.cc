@@ -8,16 +8,20 @@
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
 #include "priste/linalg/kernels.h"
+#include "testing/simd_levels.h"
 
 namespace priste::core {
 namespace {
 
-// The dispatch layer's end-to-end contract: the scalar and SIMD kernel paths
-// produce BIT-identical numbers, so a full PristeGeoInd or PristeDeltaLoc
-// run — forward/backward recursions, release-step caches, the cold Theorem
-// vector chain, QP checks, sampling — must make the exact same decisions and
-// release the exact same trajectory under either path. On a host without
-// AVX2 both runs take the scalar table and the test is trivially green.
+using linalg::kernels::SimdLevel;
+
+// The dispatch layer's end-to-end contract: the scalar, AVX2 and AVX-512
+// kernel tables produce BIT-identical numbers, so a full PristeGeoInd or
+// PristeDeltaLoc run — forward/backward recursions, release-step caches, the
+// cold Theorem vector chain, QP checks, sampling — must make the exact same
+// decisions and release the exact same trajectory under every table. Each
+// test runs its pipeline under the scalar table and under the parameter's;
+// a table the host cannot run is skipped with a message.
 
 struct RunRecord {
   std::vector<int> cells;
@@ -32,8 +36,8 @@ enum class Algorithm { kGeoInd, kDeltaLoc };  // Algorithms 2 and 3
 // PRESENCE event over the top-left 2×2 block at t = 3..4, so the cold
 // chain covers both its during-event (Eq. 18) and after-event
 // (Eqs. 19/20) forms.
-RunRecord RunPipeline(bool simd, int side, Algorithm algorithm) {
-  const bool previous = linalg::kernels::SetSimdEnabledForTest(simd);
+RunRecord RunPipeline(SimdLevel level, int side, Algorithm algorithm) {
+  const testing::ScopedSimdLevel path(level);
   const geo::Grid grid(side, side, 1.0);
   const geo::GaussianGridModel model(grid, 1.0);
   const auto ev = std::make_shared<event::PresenceEvent>(
@@ -60,7 +64,6 @@ RunRecord RunPipeline(bool simd, int side, Algorithm algorithm) {
                                 uniform, options);
     return priste.Run(truth, rng);
   }();
-  linalg::kernels::SetSimdEnabledForTest(previous);
   EXPECT_TRUE(result.ok()) << result.status();
   RunRecord record;
   if (!result.ok()) return record;
@@ -73,9 +76,10 @@ RunRecord RunPipeline(bool simd, int side, Algorithm algorithm) {
   return record;
 }
 
-void ExpectBitIdenticalAcrossPaths(int side, Algorithm algorithm) {
-  const RunRecord scalar = RunPipeline(/*simd=*/false, side, algorithm);
-  const RunRecord simd = RunPipeline(/*simd=*/true, side, algorithm);
+void ExpectBitIdenticalToScalar(SimdLevel level, int side,
+                                Algorithm algorithm) {
+  const RunRecord scalar = RunPipeline(SimdLevel::kScalar, side, algorithm);
+  const RunRecord simd = RunPipeline(level, side, algorithm);
   ASSERT_EQ(scalar.cells.size(), 6u);
   ASSERT_EQ(scalar.cells.size(), simd.cells.size());
   // Dense first columns on a 6-step horizon (and the switched-off prefix
@@ -88,17 +92,22 @@ void ExpectBitIdenticalAcrossPaths(int side, Algorithm algorithm) {
   EXPECT_EQ(scalar.halvings, simd.halvings);
 }
 
-TEST(SimdBitIdentityTest, FullPristeGeoIndRunIsBitIdenticalAcrossPaths) {
-  ExpectBitIdenticalAcrossPaths(/*side=*/4, Algorithm::kGeoInd);
+class SimdBitIdentityTest : public testing::SimdLevelTest {};
+
+INSTANTIATE_TEST_SUITE_P(SimdTables, SimdBitIdentityTest, testing::kSimdLevels,
+                         testing::SimdLevelParamName);
+
+TEST_P(SimdBitIdentityTest, FullPristeGeoIndRunMatchesScalar) {
+  ExpectBitIdenticalToScalar(GetParam(), /*side=*/4, Algorithm::kGeoInd);
 }
 
 // m = 25: the row blocks and the four-lane spans both leave a tail.
-TEST(SimdBitIdentityTest, FiveByFiveGeoIndRunIsBitIdenticalAcrossPaths) {
-  ExpectBitIdenticalAcrossPaths(/*side=*/5, Algorithm::kGeoInd);
+TEST_P(SimdBitIdentityTest, FiveByFiveGeoIndRunMatchesScalar) {
+  ExpectBitIdenticalToScalar(GetParam(), /*side=*/5, Algorithm::kGeoInd);
 }
 
-TEST(SimdBitIdentityTest, FullPristeDeltaLocRunIsBitIdenticalAcrossPaths) {
-  ExpectBitIdenticalAcrossPaths(/*side=*/5, Algorithm::kDeltaLoc);
+TEST_P(SimdBitIdentityTest, FullPristeDeltaLocRunMatchesScalar) {
+  ExpectBitIdenticalToScalar(GetParam(), /*side=*/5, Algorithm::kDeltaLoc);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
 #include <utility>
 
 #include "priste/event/pattern.h"
@@ -237,6 +240,49 @@ TEST(TwoWorldTest, StepColumnPairIsBitEqualToTwoSingleSteps) {
         }
       }
     }
+  }
+}
+
+// Resident set size in MB (Linux /proc/self/statm: pages, then resident
+// pages).
+double ResidentMb() {
+  std::ifstream statm("/proc/self/statm");
+  double pages = 0.0, resident = 0.0;
+  statm >> pages >> resident;
+  return resident * static_cast<double>(sysconf(_SC_PAGESIZE)) /
+         (1024.0 * 1024.0);
+}
+
+// A fixed-region PRESENCE and its model cost the same memory whatever the
+// length of the event's window: the event stores its region once and the
+// model one indicator. Both events below end at t = 100000, so their models
+// keep the same 100000 suffix vectors, one per t ≤ end; only the windows
+// differ, 2 steps against 99999. One region copy and one indicator per
+// window step made the long window cost about 23 MB more on 16 cells.
+TEST(TwoWorldTest, FixedRegionPresenceMemoryDoesNotGrowWithItsWindow) {
+  if (ResidentMb() <= 0.0) GTEST_SKIP() << "no /proc/self/statm here";
+  Rng rng(17);
+  const auto chain = testing::RandomTransition(16, rng);
+  const geo::Region region(16, {5, 6});
+  const double before = ResidentMb();
+  const TwoWorldModel short_window(
+      chain, std::make_shared<PresenceEvent>(region, 99999, 100000));
+  const double after_short = ResidentMb();
+  const TwoWorldModel long_window(
+      chain, std::make_shared<PresenceEvent>(region, 2, 100000));
+  const double after_long = ResidentMb();
+  EXPECT_LT((after_long - after_short) - (after_short - before), 4.0)
+      << "short window " << after_short - before << " MB, long window "
+      << after_long - after_short << " MB";
+  // The step kernels read the one indicator at every window step.
+  const linalg::Vector v = testing::RandomProbability(32, rng);
+  linalg::Vector column(32);
+  for (const int t : {1, 2, 777, 99998, 99999}) {
+    long_window.StepColumnInto(v, t, column);
+    EXPECT_LT(
+        column.Minus(linalg::MatVec(long_window.TransitionAt(t), v)).MaxAbs(),
+        1e-12)
+        << "t=" << t;
   }
 }
 

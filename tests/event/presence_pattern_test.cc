@@ -29,6 +29,23 @@ TEST(PresenceEventTest, MakeUsesPaperShorthand) {
   EXPECT_TRUE(ev->RegionAt(8).Contains(9));
 }
 
+// A fixed-region event stores its region once: RegionAt answers every t of
+// a long window with the same object.
+TEST(PresenceEventTest, FixedRegionIsStoredOnce) {
+  const PresenceEvent ev(Region(16, {5, 6}), /*start=*/2, /*end=*/200000);
+  EXPECT_TRUE(ev.fixed_region());
+  EXPECT_EQ(ev.window_length(), 199999);
+  EXPECT_EQ(&ev.RegionAt(2), &ev.RegionAt(200000));
+  EXPECT_EQ(ev.RegionAt(100000), Region(16, {5, 6}));
+  // Per-timestamp regions keep one region per timestamp.
+  const PatternEvent pattern({Region(3, {0, 1}), Region(3, {1, 2})}, 2);
+  EXPECT_FALSE(pattern.fixed_region());
+  EXPECT_EQ(pattern.RegionAt(3), Region(3, {1, 2}));
+  const PatternEvent stay(Region(3, {2}), /*start=*/1, /*end=*/4);
+  EXPECT_TRUE(stay.fixed_region());
+  EXPECT_EQ(stay.end(), 4);
+}
+
 TEST(PresenceEventTest, BooleanExprMatchesTableTwo) {
   // Example II.1: PRESENCE in {s1,s2} at t∈{3,4} is
   // (u3=s1)∨(u3=s2)∨(u4=s1)∨(u4=s2).

@@ -2,15 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#include "priste/common/metrics.h"
 #include "priste/common/random.h"
+#include "testing/simd_levels.h"
 
 namespace priste::linalg::kernels {
 namespace {
+
+using priste::testing::ScopedSimdLevel;
 
 std::vector<double> RandomSpan(size_t n, Rng& rng) {
   std::vector<double> v(n);
@@ -18,16 +23,12 @@ std::vector<double> RandomSpan(size_t n, Rng& rng) {
   return v;
 }
 
-// Restores the dispatch table on scope exit so a failing assertion cannot
-// leak a forced-scalar table into later tests.
-class ScopedSimd {
- public:
-  explicit ScopedSimd(bool enabled) : previous_(SetSimdEnabledForTest(enabled)) {}
-  ~ScopedSimd() { SetSimdEnabledForTest(previous_); }
-
- private:
-  bool previous_;
-};
+// Equal bits, so a path that differs only in the sign of a zero shows.
+bool SameBits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
 
 TEST(KernelsTest, SumKnownValues) {
   const double x[] = {1.0, 2.0, 3.0, 4.0, 5.0};
@@ -96,12 +97,17 @@ TEST(KernelsTest, ReplicateDotMatchesMaterializedReplication) {
   EXPECT_NEAR(plain, expect_plain, 1e-12);
 }
 
-// The central contract: whatever path the host dispatches, every kernel's
-// result is BIT-identical to the scalar path — sizes straddle the vector
-// width so full blocks, tails, and sub-width spans are all covered. On a
-// host without AVX2 both runs use the scalar table and the test is trivially
-// green.
-TEST(KernelsTest, ScalarAndSimdPathsAreBitIdentical) {
+// The central contract: each SIMD table's result is BIT-identical to the
+// scalar table's — sizes straddle the vector width so full blocks, tails,
+// and sub-width spans are all covered. GetParam() is the SIMD table under
+// test; a table the host cannot run is skipped.
+class KernelsPathTest : public priste::testing::SimdLevelTest {};
+
+INSTANTIATE_TEST_SUITE_P(SimdTables, KernelsPathTest,
+                         priste::testing::kSimdLevels,
+                         priste::testing::SimdLevelParamName);
+
+TEST_P(KernelsPathTest, ElementwiseAndReductionKernelsMatchScalar) {
   Rng rng(123);
   for (const size_t n : {0ul, 1ul, 3ul, 4ul, 7ul, 8ul, 15ul, 16ul, 33ul, 100ul}) {
     const std::vector<double> a = RandomSpan(n, rng);
@@ -110,114 +116,159 @@ TEST(KernelsTest, ScalarAndSimdPathsAreBitIdentical) {
     std::vector<size_t> cols(n);
     for (size_t i = 0; i < n; ++i) cols[i] = (i * 7) % (n > 0 ? n : 1);
 
-    double sum_s, dot_s, dh_s, gd_s;
-    std::vector<double> axpy_s = a, scale_s = a, hip_s = a, hi_s(n), sc_s(n, 0.0);
-    {
-      ScopedSimd scalar(false);
-      ASSERT_FALSE(SimdActive());
-      sum_s = Sum(a.data(), n);
-      dot_s = Dot(a.data(), b.data(), n);
-      dh_s = DotHadamard(a.data(), b.data(), c.data(), n);
-      gd_s = GatherDot(a.data(), cols.data(), n, b.data());
-      Axpy(1.7, b.data(), axpy_s.data(), n);
-      Scale(scale_s.data(), 0.3, n);
-      HadamardInPlace(b.data(), hip_s.data(), n);
-      HadamardInto(a.data(), b.data(), hi_s.data(), n);
-      ScatterAxpy(1.3, a.data(), cols.data(), n, sc_s.data());
+    const auto run = [&](SimdLevel level) {
+      ScopedSimdLevel path(level);
+      EXPECT_EQ(ActiveSimdLevel(), level);
+      std::vector<double> reductions = {
+          Sum(a.data(), n), Dot(a.data(), b.data(), n),
+          DotHadamard(a.data(), b.data(), c.data(), n),
+          GatherDot(a.data(), cols.data(), n, b.data())};
+      std::vector<double> axpy = a, scale = a, hip = a, hi(n), sc(n, 0.0);
+      Axpy(1.7, b.data(), axpy.data(), n);
+      Scale(scale.data(), 0.3, n);
+      HadamardInPlace(b.data(), hip.data(), n);
+      HadamardInto(a.data(), b.data(), hi.data(), n);
+      ScatterAxpy(1.3, a.data(), cols.data(), n, sc.data());
+      return std::vector<std::vector<double>>{reductions, axpy, scale,
+                                              hip, hi, sc};
+    };
+    const auto scalar = run(SimdLevel::kScalar);
+    const auto simd = run(GetParam());
+    for (size_t k = 0; k < scalar.size(); ++k) {
+      EXPECT_TRUE(SameBits(simd[k], scalar[k])) << "n=" << n << " output " << k;
     }
-    ScopedSimd simd(true);
-    EXPECT_EQ(Sum(a.data(), n), sum_s);
-    EXPECT_EQ(Dot(a.data(), b.data(), n), dot_s);
-    EXPECT_EQ(DotHadamard(a.data(), b.data(), c.data(), n), dh_s);
-    EXPECT_EQ(GatherDot(a.data(), cols.data(), n, b.data()), gd_s);
-    std::vector<double> axpy_v = a, scale_v = a, hip_v = a, hi_v(n), sc_v(n, 0.0);
-    Axpy(1.7, b.data(), axpy_v.data(), n);
-    Scale(scale_v.data(), 0.3, n);
-    HadamardInPlace(b.data(), hip_v.data(), n);
-    HadamardInto(a.data(), b.data(), hi_v.data(), n);
-    ScatterAxpy(1.3, a.data(), cols.data(), n, sc_v.data());
-    EXPECT_EQ(axpy_v, axpy_s);
-    EXPECT_EQ(scale_v, scale_s);
-    EXPECT_EQ(hip_v, hip_s);
-    EXPECT_EQ(hi_v, hi_s);
-    EXPECT_EQ(sc_v, sc_s);
   }
 }
 
-TEST(KernelsTest, ReplicateKernelsAreBitIdenticalAcrossPaths) {
+TEST_P(KernelsPathTest, ReplicateKernelsMatchScalar) {
   Rng rng(321);
   for (const size_t m : {1ul, 5ul, 8ul, 13ul, 32ul}) {
     for (const size_t blocks : {1ul, 2ul, 4ul}) {
       const std::vector<double> row = RandomSpan(blocks * m, rng);
       const std::vector<double> cand = RandomSpan(m, rng);
       const std::vector<double> seed = RandomSpan(blocks * m, rng);
-      double plain_s, seeded_s, pair_plain_s;
-      {
-        ScopedSimd scalar(false);
-        plain_s = ReplicateDot(row.data(), blocks, m, cand.data());
+      const auto run = [&](SimdLevel level) {
+        ScopedSimdLevel path(level);
+        std::vector<double> out(3);
+        out[0] = ReplicateDot(row.data(), blocks, m, cand.data());
         ReplicateDotPair(row.data(), blocks, m, cand.data(), seed.data(),
-                         &seeded_s, &pair_plain_s);
-      }
-      ScopedSimd simd(true);
-      EXPECT_EQ(ReplicateDot(row.data(), blocks, m, cand.data()), plain_s);
-      double seeded_v, pair_plain_v;
-      ReplicateDotPair(row.data(), blocks, m, cand.data(), seed.data(),
-                       &seeded_v, &pair_plain_v);
-      EXPECT_EQ(seeded_v, seeded_s);
-      EXPECT_EQ(pair_plain_v, pair_plain_s);
+                         &out[1], &out[2]);
+        return out;
+      };
+      EXPECT_TRUE(SameBits(run(GetParam()), run(SimdLevel::kScalar)))
+          << "m=" << m << " blocks=" << blocks;
     }
   }
 }
 
-// DotRows blocks rows × vectors, but every output must keep the exact
-// operation sequence of the per-row Dot: row counts straddle the 4- and
-// 2-row blocks, lengths straddle the inline threshold and the lane tail.
-TEST(KernelsTest, DotRowsMatchesPerRowDotOnBothPaths) {
+// DotRows through the public entry and through the table itself, which the
+// entry skips below kInlineThreshold; outs[j] is one nrows-long output.
+std::vector<std::vector<double>> RunDotRows(SimdLevel level,
+                                            const std::vector<double>& rows,
+                                            size_t stride, size_t nrows,
+                                            const std::vector<const double*>& vs,
+                                            size_t n, bool table) {
+  ScopedSimdLevel path(level);
+  std::vector<std::vector<double>> outs(vs.size(), std::vector<double>(nrows));
+  std::vector<double*> op;
+  for (auto& o : outs) op.push_back(o.data());
+  if (table) {
+    detail::DispatchDotRows(rows.data(), stride, nrows, vs.data(), vs.size(),
+                            n, op.data());
+  } else {
+    DotRows(rows.data(), stride, nrows, vs.data(), vs.size(), n, op.data());
+  }
+  return outs;
+}
+
+// DotRows blocks rows × vectors, and the AVX-512 table pairs two vectors per
+// register, but every output must keep the exact operation sequence of the
+// per-row Dot: 1–4 vectors, row counts straddling every block height,
+// lengths 0–37 across the lane tail and the inline threshold, rows padded
+// to a stride wider than n (so a kernel reading past n or ignoring the
+// stride shows), and entries that are ±0 or ±∞ now and then. NaN inputs are
+// left out: which of two NaNs an add returns depends on operand order, and
+// neither path promises that.
+TEST_P(KernelsPathTest, DotRowsMatchesScalarAndPerRowDot) {
   Rng rng(99);
-  for (const size_t count : {1ul, 2ul, 3ul, 4ul}) {
-    for (const size_t nrows : {1ul, 3ul, 4ul, 5ul, 9ul}) {
-      for (const size_t n : {3ul, 15ul, 16ul, 17ul, 33ul, 100ul}) {
-        // Rows padded to a stride wider than n, so a kernel reading past n
-        // or ignoring the stride shows.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0, -0.0, inf, -inf};
+  const auto span = [&](size_t len) {
+    std::vector<double> v = RandomSpan(len, rng);
+    for (double& x : v) {
+      if (rng.NextDouble() < 0.02) x = specials[rng.NextBelow(4)];
+    }
+    return v;
+  };
+  for (size_t count = 1; count <= kDotRowsMaxVectors; ++count) {
+    for (const size_t nrows :
+         {1ul, 3ul, 4ul, 5ul, 6ul, 7ul, 8ul, 9ul, 13ul, 17ul}) {
+      for (size_t n = 0; n <= 37; ++n) {
         const size_t stride = n + 3;
-        const std::vector<double> rows = RandomSpan(nrows * stride, rng);
+        const std::vector<double> rows = span(nrows * stride);
         std::vector<std::vector<double>> vs;
+        for (size_t j = 0; j < count; ++j) vs.push_back(span(n));
         std::vector<const double*> vp;
-        for (size_t j = 0; j < count; ++j) {
-          vs.push_back(RandomSpan(n, rng));
-          vp.push_back(vs.back().data());
-        }
-        const auto run = [&] {
-          std::vector<std::vector<double>> outs(count,
-                                                std::vector<double>(nrows));
-          std::vector<double*> op;
-          for (auto& o : outs) op.push_back(o.data());
-          DotRows(rows.data(), stride, nrows, vp.data(), count, n, op.data());
-          return outs;
-        };
-        const auto per_row_dot = [&] {
-          std::vector<std::vector<double>> outs(count,
-                                                std::vector<double>(nrows));
+        for (const auto& v : vs) vp.push_back(v.data());
+        std::vector<std::vector<double>> per_row(
+            count, std::vector<double>(nrows));
+        {
+          ScopedSimdLevel path(SimdLevel::kScalar);
           for (size_t j = 0; j < count; ++j) {
             for (size_t r = 0; r < nrows; ++r) {
-              outs[j][r] = Dot(rows.data() + r * stride, vp[j], n);
+              per_row[j][r] = Dot(rows.data() + r * stride, vp[j], n);
             }
           }
-          return outs;
-        };
-        std::vector<std::vector<double>> scalar;
-        {
-          ScopedSimd off(false);
-          scalar = run();
-          EXPECT_EQ(scalar, per_row_dot())
-              << "scalar count=" << count << " nrows=" << nrows << " n=" << n;
         }
-        ScopedSimd on(true);
-        const auto simd = run();
-        EXPECT_EQ(simd, per_row_dot())
-            << "simd count=" << count << " nrows=" << nrows << " n=" << n;
-        EXPECT_EQ(simd, scalar)
-            << "count=" << count << " nrows=" << nrows << " n=" << n;
+        for (const bool table : {false, true}) {
+          const auto scalar = RunDotRows(SimdLevel::kScalar, rows, stride,
+                                         nrows, vp, n, table);
+          const auto simd =
+              RunDotRows(GetParam(), rows, stride, nrows, vp, n, table);
+          for (size_t j = 0; j < count; ++j) {
+            EXPECT_TRUE(SameBits(scalar[j], per_row[j]))
+                << "scalar count=" << count << " nrows=" << nrows
+                << " n=" << n << " table=" << table << " output " << j;
+            EXPECT_TRUE(SameBits(simd[j], scalar[j]))
+                << "count=" << count << " nrows=" << nrows << " n=" << n
+                << " table=" << table << " output " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The window passes hand DotRows the same vector twice (c̄'s bit-equal
+// halves), by pointer or as equal copies; the two outputs must come out
+// equal and equal to the scalar table's.
+TEST_P(KernelsPathTest, DotRowsWithDuplicateVectorsMatchesScalar) {
+  Rng rng(404);
+  const size_t n = 37, nrows = 19, stride = 40;
+  const std::vector<double> rows = RandomSpan(nrows * stride, rng);
+  const std::vector<double> v = RandomSpan(n, rng);
+  const std::vector<double> copy = v;
+  const std::vector<double> w = RandomSpan(n, rng);
+  const std::vector<std::vector<const double*>> cases = {
+      {v.data(), v.data()},
+      {v.data(), copy.data()},
+      {v.data(), w.data(), copy.data()},
+      {v.data(), v.data(), w.data(), w.data()},
+      {w.data(), v.data(), copy.data(), v.data()}};
+  for (const auto& vs : cases) {
+    for (const bool table : {false, true}) {
+      const auto scalar =
+          RunDotRows(SimdLevel::kScalar, rows, stride, nrows, vs, n, table);
+      const auto simd = RunDotRows(GetParam(), rows, stride, nrows, vs, n, table);
+      for (size_t j = 0; j < vs.size(); ++j) {
+        EXPECT_TRUE(SameBits(simd[j], scalar[j]))
+            << "count=" << vs.size() << " output " << j;
+        for (size_t k = 0; k < j; ++k) {
+          if (std::memcmp(vs[k], vs[j], n * sizeof(double)) == 0) {
+            EXPECT_TRUE(SameBits(simd[j], simd[k]))
+                << "outputs " << k << " and " << j;
+          }
+        }
       }
     }
   }
@@ -231,41 +282,49 @@ bool SameEdge(const EdgePoint& x, const EdgePoint& y) {
          std::memcmp(&x.value, &y.value, sizeof(double)) == 0;
 }
 
-// Every row of an n-coordinate objective through ScanEdges on the forced
-// scalar table and on the dispatched one, each row starting from the same
-// incoming best; returns false (with a failure naming the row) on the first
-// row where the two paths disagree.
-bool ScanEdgesAgreeOnBothPaths(const std::vector<double>& a,
-                               const std::vector<double>& d,
-                               const std::vector<double>& l,
-                               const EdgePoint& incoming) {
+// Every row of an n-coordinate objective through ScanEdges on the scalar
+// table and on `level`'s, each row starting from the same incoming best,
+// both through the public entry and through the table itself (which the
+// entry skips for rows with fewer than kInlineThreshold entries past i);
+// returns false (with a failure naming the row) on the first row where the
+// two tables disagree.
+bool ScanEdgesMatchesScalar(SimdLevel level, const std::vector<double>& a,
+                            const std::vector<double>& d,
+                            const std::vector<double>& l,
+                            const EdgePoint& incoming) {
   const size_t n = a.size();
+  const auto scan = [&](SimdLevel path_level, size_t i, bool table) {
+    ScopedSimdLevel path(path_level);
+    EdgePoint best = incoming;
+    if (table) {
+      detail::DispatchScanEdges(a.data(), d.data(), l.data(), i, n, &best);
+    } else {
+      ScanEdges(a.data(), d.data(), l.data(), i, n, &best);
+    }
+    return best;
+  };
   for (size_t i = 0; i < n; ++i) {
-    EdgePoint scalar = incoming;
-    {
-      ScopedSimd off(false);
-      ScanEdges(a.data(), d.data(), l.data(), i, n, &scalar);
-    }
-    EdgePoint simd = incoming;
-    {
-      ScopedSimd on(true);
-      ScanEdges(a.data(), d.data(), l.data(), i, n, &simd);
-    }
-    if (!SameEdge(scalar, simd)) {
-      ADD_FAILURE() << "n=" << n << " i=" << i << " scalar (j=" << scalar.j
-                    << " t=" << scalar.t << " value=" << scalar.value
-                    << ") simd (j=" << simd.j << " t=" << simd.t
-                    << " value=" << simd.value << ")";
-      return false;
+    for (const bool table : {false, true}) {
+      const EdgePoint scalar = scan(SimdLevel::kScalar, i, table);
+      const EdgePoint simd = scan(level, i, table);
+      if (!SameEdge(scalar, simd)) {
+        ADD_FAILURE() << SimdLevelName(level) << " n=" << n << " i=" << i
+                      << " table=" << table << " scalar (j=" << scalar.j
+                      << " t=" << scalar.t << " value=" << scalar.value
+                      << ") simd (j=" << simd.j << " t=" << simd.t
+                      << " value=" << simd.value << ")";
+        return false;
+      }
     }
   }
   return true;
 }
 
-// Row lengths 0–37 cover the lane tails on both sides of the inline
-// threshold, over Theorem-shaped coordinates (a a probability, d and l
+// Row lengths 1–38 put 0–37 entries past i, so the AVX-512 table's
+// eight-wide steps, the four-wide loop and the scalar tail each run alone
+// and together, over Theorem-shaped coordinates (a a probability, d and l
 // signed).
-TEST(KernelsTest, ScanEdgesPicksTheSameEdgeOnBothPaths) {
+TEST_P(KernelsPathTest, ScanEdgesPicksTheSameEdgeAsScalar) {
   Rng rng(2024);
   for (size_t n = 1; n <= 38; ++n) {
     for (int trial = 0; trial < 20; ++trial) {
@@ -275,15 +334,15 @@ TEST(KernelsTest, ScanEdgesPicksTheSameEdgeOnBothPaths) {
         d[k] = rng.Uniform(-1.0, 1.0);
         l[k] = rng.Uniform(-1.0, 1.0);
       }
-      ASSERT_TRUE(ScanEdgesAgreeOnBothPaths(a, d, l, EdgePoint{}));
+      ASSERT_TRUE(ScanEdgesMatchesScalar(GetParam(), a, d, l, EdgePoint{}));
     }
   }
 }
 
 // Copies of one coordinate give edges with the same t and value, so the
-// maximum is tied across j — inside one group of four, across groups and
-// in the tail. Both paths must keep the smallest such j.
-TEST(KernelsTest, ScanEdgesBreaksTiesTowardTheSmallestJ) {
+// maximum is tied across j — inside one group of four or eight, across
+// groups and in the tail. Every table must keep the smallest such j.
+TEST_P(KernelsPathTest, ScanEdgesBreaksTiesTowardTheSmallestJ) {
   Rng rng(77);
   for (size_t n = 2; n <= 38; ++n) {
     for (int trial = 0; trial < 20; ++trial) {
@@ -301,7 +360,7 @@ TEST(KernelsTest, ScanEdgesBreaksTiesTowardTheSmallestJ) {
         d[k] = pd[p];
         l[k] = pl[p];
       }
-      ASSERT_TRUE(ScanEdgesAgreeOnBothPaths(a, d, l, EdgePoint{}));
+      ASSERT_TRUE(ScanEdgesMatchesScalar(GetParam(), a, d, l, EdgePoint{}));
     }
   }
   // A fixed case: row 0 against 36 copies of one coordinate, so every edge
@@ -310,11 +369,11 @@ TEST(KernelsTest, ScanEdgesBreaksTiesTowardTheSmallestJ) {
   std::vector<double> a(n, 0.0), d(n, 1.0), l(n, 0.0);
   a[0] = 1.0;
   d[0] = 0.0;
-  for (const bool simd : {false, true}) {
-    ScopedSimd path(simd);
+  for (const SimdLevel level : {SimdLevel::kScalar, GetParam()}) {
+    ScopedSimdLevel path(level);
     EdgePoint best;
     ScanEdges(a.data(), d.data(), l.data(), 0, n, &best);
-    EXPECT_EQ(best.j, 1u) << "simd=" << simd;
+    EXPECT_EQ(best.j, 1u) << SimdLevelName(level);
     EXPECT_EQ(best.t, 0.5);
     EXPECT_EQ(best.value, 0.25);
   }
@@ -322,7 +381,7 @@ TEST(KernelsTest, ScanEdgesBreaksTiesTowardTheSmallestJ) {
 
 // An incoming best equal to a lane's maximum is kept (strict `>`); one a
 // hair below it is replaced.
-TEST(KernelsTest, ScanEdgesKeepsAnIncomingBestEqualToTheMaximum) {
+TEST_P(KernelsPathTest, ScanEdgesKeepsAnIncomingBestEqualToTheMaximum) {
   Rng rng(5150);
   int dispatched_rows = 0;
   for (size_t n = 17; n <= 37; ++n) {
@@ -335,7 +394,7 @@ TEST(KernelsTest, ScanEdgesKeepsAnIncomingBestEqualToTheMaximum) {
     for (size_t i = 0; i + 1 < n; ++i) {
       EdgePoint peak;
       {
-        ScopedSimd off(false);
+        ScopedSimdLevel path(SimdLevel::kScalar);
         ScanEdges(a.data(), d.data(), l.data(), i, n, &peak);
       }
       if (peak.value == -std::numeric_limits<double>::infinity()) {
@@ -344,8 +403,8 @@ TEST(KernelsTest, ScanEdgesKeepsAnIncomingBestEqualToTheMaximum) {
       dispatched_rows += n - i - 1 >= detail::kInlineThreshold;
       const EdgePoint equal{n, n, 0.125, peak.value};
       const EdgePoint below{n, n, 0.125, std::nextafter(peak.value, -1.0)};
-      for (const bool simd : {false, true}) {
-        ScopedSimd path(simd);
+      for (const SimdLevel level : {SimdLevel::kScalar, GetParam()}) {
+        ScopedSimdLevel path(level);
         EdgePoint kept = equal;
         ScanEdges(a.data(), d.data(), l.data(), i, n, &kept);
         EXPECT_TRUE(SameEdge(kept, equal)) << "n=" << n << " i=" << i;
@@ -353,15 +412,15 @@ TEST(KernelsTest, ScanEdgesKeepsAnIncomingBestEqualToTheMaximum) {
         ScanEdges(a.data(), d.data(), l.data(), i, n, &raised);
         EXPECT_TRUE(SameEdge(raised, peak)) << "n=" << n << " i=" << i;
       }
-      ASSERT_TRUE(ScanEdgesAgreeOnBothPaths(a, d, l, equal));
+      ASSERT_TRUE(ScanEdgesMatchesScalar(GetParam(), a, d, l, equal));
     }
   }
   EXPECT_GT(dispatched_rows, 0);
 }
 
 // Signed zeros, NaN and infinities in every coordinate: a NaN must fail the
-// peak test on both paths, and ±0 and ±∞ must round and compare alike.
-TEST(KernelsTest, ScanEdgesTreatsSpecialValuesAlikeOnBothPaths) {
+// peak test on every table, and ±0 and ±∞ must round and compare alike.
+TEST_P(KernelsPathTest, ScanEdgesTreatsSpecialValuesLikeScalar) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double specials[] = {0.0, -0.0, nan, inf, -inf, 0.5, -0.5, 1e-300};
@@ -375,20 +434,33 @@ TEST(KernelsTest, ScanEdgesTreatsSpecialValuesAlikeOnBothPaths) {
                                      : rng.Uniform(-1.0, 1.0);
         }
       }
-      ASSERT_TRUE(ScanEdgesAgreeOnBothPaths(a, d, l, EdgePoint{}));
-      ASSERT_TRUE(
-          ScanEdgesAgreeOnBothPaths(a, d, l, EdgePoint{0, 0, 1.0, -0.0}));
+      ASSERT_TRUE(ScanEdgesMatchesScalar(GetParam(), a, d, l, EdgePoint{}));
+      ASSERT_TRUE(ScanEdgesMatchesScalar(GetParam(), a, d, l,
+                                         EdgePoint{0, 0, 1.0, -0.0}));
     }
   }
 }
 
-TEST(KernelsTest, SetSimdEnabledForTestReturnsPreviousState) {
-  const bool initial = SimdActive();
-  const bool prev = SetSimdEnabledForTest(false);
-  EXPECT_EQ(prev, initial);
-  EXPECT_FALSE(SimdActive());
-  SetSimdEnabledForTest(prev);
-  EXPECT_EQ(SimdActive(), initial);
+TEST(KernelsTest, SetSimdLevelForTestSelectsAnyAvailableTable) {
+  const SimdLevel initial = ActiveSimdLevel();
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    const SimdLevel before = ActiveSimdLevel();
+    EXPECT_EQ(SetSimdLevelForTest(level), before);
+    // A table the host cannot run is capped at the widest one it can.
+    const SimdLevel expected = std::min(level, WidestSimdLevel());
+    EXPECT_EQ(ActiveSimdLevel(), expected) << SimdLevelName(level);
+    EXPECT_EQ(MetricsRegistry::Global().GetGauge("simd.dispatch").value(),
+              static_cast<long>(expected));
+  }
+  SetSimdLevelForTest(initial);
+  EXPECT_EQ(ActiveSimdLevel(), initial);
+}
+
+TEST(KernelsTest, SimdLevelNamesTheTable) {
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx512), "avx512");
 }
 
 }  // namespace

@@ -1076,7 +1076,7 @@ def collect_sources(compile_commands, src_root):
 SELF_TEST = {
     "bad_banned_call.cc": {"banned-call": 3},
     "bad_hot_path_alloc.cc": {"hot-path-alloc": 6},
-    "kernels_bad_fma.cc": {"fma-pattern": 2},
+    "kernels_bad_fma.cc": {"fma-pattern": 4},
     "good_suppressed.cc": {},
     "bad_transitive_alloc.cc": {"hot-path-alloc-transitive": 2},
     "bad_lambda_hoist.cc": {"hot-path-alloc-transitive": 2},
