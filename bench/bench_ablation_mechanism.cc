@@ -2,15 +2,10 @@
 // spatial cloaking on the same event and privacy target. The calibrated
 // budget is family-specific (α vs disk radius 1/α), so the comparable
 // columns are the certified ε (identical by construction) and the utility.
-#include <cmath>
 #include <memory>
 
 #include "bench_common.h"
 
-#include "priste/common/thread_pool.h"
-#include "priste/core/priste_geo_ind.h"
-#include "priste/core/two_world.h"
-#include "priste/eval/metrics.h"
 #include "priste/lppm/mechanism_family.h"
 
 int main() {
@@ -20,8 +15,6 @@ int main() {
   const eval::SyntheticWorkload workload(scale, /*sigma=*/10.0);
   const geo::Grid& grid = workload.grid;
   const auto ev = bench::ScaledPresence(scale, grid.num_cells(), 10, 4, 8);
-  const auto model =
-      std::make_shared<core::TwoWorldModel>(workload.model.transition(), ev);
   std::printf("event: %s\n", ev->ToString().c_str());
 
   struct FamilyCase {
@@ -40,41 +33,14 @@ int main() {
                             "halvings/run"});
   for (const auto& c : cases) {
     for (const double eps : {0.2, 0.5, 1.0}) {
-      core::PristeOptions options = eval::DefaultBenchOptions(eps, c.initial_budget);
-      const core::PristeGeoInd priste(grid, {model}, options, c.family);
-      const markov::MarkovChain chain = workload.Chain();
-      // Per-trajectory runs fan out over the shared pool (PRISTE_THREADS);
-      // RNG streams are pre-split and aggregation stays in run order, so
-      // the table is thread-count independent up to QP-deadline timing
-      // (qp_threshold_seconds is finite here; see README "Performance").
-      Rng rng(2001);
-      std::vector<Rng> run_rngs;
-      for (int r = 0; r < scale.runs; ++r) run_rngs.push_back(rng.Split());
-      struct RunMetrics {
-        bool ok = false;
-        double budget = 0.0, euclid = 0.0, halvings = 0.0;
-      };
-      std::vector<RunMetrics> per_run(run_rngs.size());
-      ParallelFor(run_rngs.size(), [&](size_t r) {
-        Rng run_rng = run_rngs[r];
-        const geo::Trajectory truth(chain.Sample(scale.horizon, run_rng));
-        const auto result = priste.Run(truth, run_rng);
-        if (!result.ok()) return;
-        per_run[r] = {true, eval::MeanReleasedAlpha(*result),
-                      eval::MeanEuclideanErrorKm(truth, *result, grid),
-                      static_cast<double>(eval::TotalHalvings(*result))};
-      });
-      eval::RunningStats budget, euclid, halvings;
-      for (const RunMetrics& run : per_run) {
-        if (!run.ok) continue;
-        budget.Add(run.budget);
-        euclid.Add(run.euclid);
-        halvings.Add(run.halvings);
-      }
+      const auto stats = eval::RunRepeatedGeoInd(
+          grid, workload.Chain(), {ev},
+          eval::DefaultBenchOptions(eps, c.initial_budget), scale,
+          /*seed=*/2001, c.family);
       table.AddRow({c.label, StrFormat("%.1f", eps),
-                    StrFormat("%.4f", budget.mean()),
-                    StrFormat("%.3f", euclid.mean()),
-                    StrFormat("%.1f", halvings.mean())});
+                    StrFormat("%.4f", stats.mean_budget.mean()),
+                    StrFormat("%.3f", stats.euclid_km.mean()),
+                    StrFormat("%.1f", stats.halvings.mean())});
     }
   }
   table.Print(std::cout);

@@ -10,7 +10,7 @@
 
 #include "priste/common/check.h"
 #include "priste/common/random.h"
-#include "priste/common/thread_pool.h"
+#include "priste/common/parallel_for.h"
 #include "priste/core/joint.h"
 #include "priste/core/prior.h"
 #include "priste/core/quantifier.h"
@@ -23,6 +23,7 @@
 #include "priste/linalg/kernels.h"
 #include "priste/linalg/row_block.h"
 #include "priste/lppm/delta_location_set.h"
+#include "priste/lppm/emission_cache.h"
 #include "priste/lppm/planar_laplace.h"
 
 namespace {
@@ -123,13 +124,15 @@ void BM_PlmEmissionBuild(benchmark::State& state) {
   const double alpha = std::ldexp(0.5, -static_cast<int>(state.range(1)));
   const geo::Grid grid(side, side, 1.0);
   // The cache would collapse every iteration after the first into a lookup;
-  // disable it so this stays a measurement of the quadrature build itself.
-  lppm::EmissionCache::Shared().SetEnabled(false);
+  // turn it off so this stays a measurement of the quadrature build itself.
+  lppm::EmissionCache& cache = lppm::EmissionCache::Shared();
+  const size_t capacity = cache.capacity_bytes();
+  cache.SetCapacityBytes(0);
   for (auto _ : state) {
     lppm::PlanarLaplaceMechanism plm(grid, alpha);
     benchmark::DoNotOptimize(plm.emission()(0, 0));
   }
-  lppm::EmissionCache::Shared().SetEnabled(true);
+  cache.SetCapacityBytes(capacity);
 }
 BENCHMARK(BM_PlmEmissionBuild)
     ->ArgNames({"side", "halvings"})
@@ -169,33 +172,35 @@ BENCHMARK(BM_DeltaRestrictedBuild)->Arg(12)->Arg(20)->ArgName("side");
 // (grid, α) mechanism — the repeated-runs workload of eval::Experiment. With
 // the shared cache the first construction builds the quadrature matrix and
 // the other 7 take ref-counted handles to it (one miss + 7 hits per
-// iteration after a per-iteration Clear); with the cache disabled all 8 run
-// the full build. Acceptance: cached ≥5× faster, outputs bit-identical
-// (checked here once per run).
+// iteration after a per-iteration Clear); with the cache off (capacity 0)
+// all 8 run the full build. Acceptance: cached ≥5× faster, outputs
+// bit-identical (checked here once per run).
 void BM_SharedEmissionCache(benchmark::State& state) {
   const bool cached = state.range(0) != 0;
   const int side = 16;
   const geo::Grid grid(side, side, 1.0);
   constexpr int kUsers = 8;
+  lppm::EmissionCache& cache = lppm::EmissionCache::Shared();
+  const size_t capacity = cache.capacity_bytes();
 
   // Bit-identity of the two arms, verified before timing: a cached handle
   // and a cache-off build must agree on every entry.
   {
-    lppm::EmissionCache::Shared().Clear();
+    cache.Clear();
     const lppm::PlanarLaplaceMechanism warm(grid, 0.5);
-    lppm::EmissionCache::Shared().SetEnabled(false);
+    cache.SetCapacityBytes(0);
     const lppm::PlanarLaplaceMechanism cold(grid, 0.5);
-    lppm::EmissionCache::Shared().SetEnabled(true);
+    cache.SetCapacityBytes(capacity);
     PRISTE_CHECK(warm.emission().matrix().MaxAbsDiff(cold.emission().matrix()) ==
                  0.0);
   }
 
-  if (!cached) lppm::EmissionCache::Shared().SetEnabled(false);
+  if (!cached) cache.SetCapacityBytes(0);
   for (auto _ : state) {
     if (cached) {
       // Cold start each iteration: one build + (kUsers-1) shared hits.
       state.PauseTiming();
-      lppm::EmissionCache::Shared().Clear();
+      cache.Clear();
       state.ResumeTiming();
     }
     double acc = 0.0;
@@ -205,8 +210,8 @@ void BM_SharedEmissionCache(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(acc);
   }
-  lppm::EmissionCache::Shared().SetEnabled(true);
-  lppm::EmissionCache::Shared().Clear();
+  cache.SetCapacityBytes(capacity);
+  cache.Clear();
 }
 BENCHMARK(BM_SharedEmissionCache)->Arg(0)->Arg(1)->ArgName("cached")
     ->Unit(benchmark::kMillisecond);
@@ -496,10 +501,9 @@ void BM_RowBlockReplicateDot(benchmark::State& state) {
 BENCHMARK(BM_RowBlockReplicateDot)->Arg(0)->Arg(1)->ArgName("simd");
 
 // ---------------------------------------------------------------------------
-// Serial vs parallel driver variants. Explicit pools make the comparison
-// self-contained in one process (the shared pool is env-sized and fixed at
-// first use); the workload per index is a full Theorem-vector chain — the
-// same shape eval::Experiment fans out per run.
+// Serial vs parallel driver variants. An explicit thread count makes the
+// comparison self-contained in one process; the workload per index is a full
+// Theorem-vector chain — the same shape eval::Experiment fans out per run.
 // ---------------------------------------------------------------------------
 
 void BM_ParallelForQuantifier(benchmark::State& state) {
@@ -509,10 +513,9 @@ void BM_ParallelForQuantifier(benchmark::State& state) {
   const std::vector<linalg::Vector> history(
       8, f.plm.emission().EmissionColumn(3));
   const size_t jobs = 8;
-  ThreadPool pool(threads);
   std::vector<double> sums(jobs, 0.0);
   for (auto _ : state) {
-    ParallelFor(pool, jobs, [&](size_t i) {
+    ParallelFor(threads, jobs, [&](size_t i) {
       sums[i] = quantifier.ComputeVectors(history).b_bar.Sum();
     });
     benchmark::DoNotOptimize(sums.data());
@@ -520,10 +523,9 @@ void BM_ParallelForQuantifier(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForQuantifier)->Arg(1)->Arg(2)->Arg(4)->ArgName("threads");
 
-// A full multi-run eval::Experiment episode through the (env-sized) shared
-// pool: run with PRISTE_THREADS=1 vs =4 across processes to measure the
-// driver-level win (scripts/bench.sh records the thread count in the
-// context).
+// A full multi-run eval::Experiment episode at PRISTE_THREADS threads: run
+// with PRISTE_THREADS=1 vs =4 to measure the driver-level win
+// (scripts/bench.sh records the thread count in the context).
 void BM_RepeatedGeoIndExperiment(benchmark::State& state) {
   eval::ExperimentScale scale;
   scale.grid_width = 8;

@@ -6,8 +6,9 @@
 #   --smoke    short measurement window (CI artifact mode)
 #   build-dir  defaults to build/bench
 #
-# Knobs: PRISTE_THREADS sets the shared pool size used by the experiment
-# benchmarks (recorded in the JSON context); OUT overrides the output path.
+# Knobs: PRISTE_THREADS sets how many threads, the caller included, each
+# ParallelFor of the experiment benchmarks runs on (recorded in the JSON
+# context); OUT overrides the output path.
 set -eu
 
 SMOKE=0
@@ -38,7 +39,7 @@ if [ "$SMOKE" = "1" ]; then
 fi
 
 # priste_threads lands in the JSON "context" block so later comparisons
-# know what pool size the experiment benchmarks ran at.
+# know what thread count the experiment benchmarks ran at.
 PRISTE_THREADS="${PRISTE_THREADS:-4}" \
   "$BUILD_DIR/bench/bench_micro_kernels" \
   --benchmark_out="$OUT" --benchmark_out_format=json \

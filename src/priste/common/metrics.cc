@@ -108,8 +108,8 @@ MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
 MetricsRegistry::~MetricsRegistry() { delete impl_; }
 
 MetricsRegistry& MetricsRegistry::Global() {
-  // Leaked intentionally (same teardown argument as ThreadPool::Shared()):
-  // worker threads may still publish during static destruction.
+  // Leaked intentionally: metrics may still be published during static
+  // destruction, after a function-local static registry would be gone.
   static MetricsRegistry* global = new MetricsRegistry();
   return *global;
 }

@@ -14,8 +14,8 @@ namespace priste {
 /// and fixed-bucket latency histograms, in the style of a server's
 /// `runtime_metrics` surface. The hot-path contract is strict — Increment /
 /// Record are a handful of relaxed atomic ops, never a lock or an allocation —
-/// so the emission cache, release engine, QP solver, and thread pool can all
-/// publish unconditionally. Registration (GetCounter etc.) takes a mutex and
+/// so the emission cache, release engine, and QP solver can all publish
+/// unconditionally. Registration (GetCounter etc.) takes a mutex and
 /// may allocate; hot paths look a metric up once and keep the reference
 /// (function-local static references are the intended idiom).
 ///
@@ -101,7 +101,7 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry (never destroyed, like ThreadPool::Shared()).
+  /// The process-wide registry (never destroyed).
   static MetricsRegistry& Global();
 
   /// Finds or creates the named metric. A name belongs to exactly one metric

@@ -1,19 +1,18 @@
 #ifndef PRISTE_COMMON_MUTEX_H_
 #define PRISTE_COMMON_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #include "priste/common/thread_annotations.h"
 
 namespace priste {
 
-/// Capability-annotated wrappers over std::mutex / std::condition_variable
-/// (the LevelDB `port::Mutex` pattern). libstdc++'s std::mutex carries no
-/// thread-safety annotations, so Clang's -Wthread-safety cannot see through
-/// it; every mutex that guards library state uses these wrappers instead,
-/// which makes PRISTE_GUARDED_BY declarations statically checkable. The
-/// wrappers add no storage or locking overhead beyond the std types.
+/// Capability-annotated wrapper over std::mutex (the LevelDB `port::Mutex`
+/// pattern). libstdc++'s std::mutex carries no thread-safety annotations, so
+/// Clang's -Wthread-safety cannot see through it; every mutex that guards
+/// library state uses this wrapper instead, which makes PRISTE_GUARDED_BY
+/// declarations statically checkable. It adds no storage or locking
+/// overhead beyond std::mutex.
 class PRISTE_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -29,7 +28,6 @@ class PRISTE_CAPABILITY("mutex") Mutex {
   void AssertHeld() PRISTE_ASSERT_CAPABILITY() {}
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -44,34 +42,6 @@ class PRISTE_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// Condition variable used with a Mutex. Wait(mu) must be called with `mu`
-/// held and returns with it held (it releases and reacquires internally,
-/// which the analysis treats as continuous holding — the standard
-/// condition-variable annotation compromise). The mutex is a Wait parameter
-/// rather than a constructor binding because thread-safety analysis matches
-/// capability expressions syntactically: REQUIRES(mu) on a parameter
-/// substitutes the caller's argument and proves against the caller's held
-/// set, where a stored member pointer could not. Spurious wakeups are
-/// possible; always wait in a predicate loop.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  PRISTE_BLOCKING void Wait(Mutex* mu) PRISTE_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();
-  }
-
-  void Signal() { cv_.notify_one(); }
-  void SignalAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace priste

@@ -125,9 +125,7 @@
 /// `lock-order`), which also requires EVERY Mutex member to carry a level —
 /// an unclassified mutex is itself a finding. Current hierarchy:
 ///
-///   10  ShardedLruCache::Shard::mu   (leaf: no locks taken under it)
-///   20  ThreadPool::mu_              (queue state)
-///   30  ParallelFor LoopState::mu    (taken by workers while pool runs)
+///   10  lppm::EmissionCache::mu_     (LRU state; leaf: no locks taken under it)
 ///   40  MetricsRegistry::Impl::mu    (registry map; leaf-like, level-top)
 ///
 /// Under Clang the marker leaves an `annotate("priste_lock_level_<n>")`
@@ -141,11 +139,10 @@
 #endif
 
 /// Marks a function that may BLOCK the calling thread for an unbounded time:
-/// condition-variable waits, thread-pool submission/joining, file IO, sleeps.
+/// condition-variable waits, ParallelFor (it joins threads), file IO, sleeps.
 /// No function transitively reachable while a priste::MutexLock is held may
 /// be PRISTE_BLOCKING — blocking under a lock stalls every thread contending
-/// for it and inverts the pool's forward-progress guarantee. Enforced
-/// transitively by tools/lint/priste_lint.py (rule
+/// for it. Enforced transitively by tools/lint/priste_lint.py (rule
 /// `blocking-under-lock`); the annotation seeds the blocking set alongside
 /// the linter's built-in token list (sleep/fopen/ifstream/join/...).
 #if defined(__clang__)

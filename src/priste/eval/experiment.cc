@@ -3,7 +3,7 @@
 #include "priste/common/check.h"
 #include "priste/common/metrics.h"
 #include "priste/common/strings.h"
-#include "priste/common/thread_pool.h"
+#include "priste/common/parallel_for.h"
 #include "priste/eval/metrics.h"
 
 namespace priste::eval {
@@ -50,6 +50,7 @@ struct PerRunMetrics {
   double euclid_km = 0.0;
   double run_seconds = 0.0;
   double conservative = 0.0;
+  double halvings = 0.0;
 };
 
 template <typename RunFn>
@@ -78,6 +79,7 @@ RepeatedRunStats RepeatRuns(const markov::MarkovChain& chain, const geo::Grid& g
     per_run[r].euclid_km = MeanEuclideanErrorKm(truth, run, grid);
     per_run[r].run_seconds = run.total_seconds;
     per_run[r].conservative = static_cast<double>(run.total_conservative);
+    per_run[r].halvings = static_cast<double>(TotalHalvings(run));
   });
 
   RepeatedRunStats stats;
@@ -87,18 +89,21 @@ RepeatedRunStats RepeatRuns(const markov::MarkovChain& chain, const geo::Grid& g
     stats.euclid_km.Add(run.euclid_km);
     stats.run_seconds.Add(run.run_seconds);
     stats.conservative_releases.Add(run.conservative);
+    stats.halvings.Add(run.halvings);
   }
   return stats;
 }
 
 }  // namespace
 
-RepeatedRunStats RunRepeatedGeoInd(const geo::Grid& grid,
-                                   const markov::MarkovChain& chain,
-                                   const std::vector<event::EventPtr>& events,
-                                   const core::PristeOptions& options,
-                                   const ExperimentScale& scale, uint64_t seed) {
-  const core::PristeGeoInd priste(grid, chain.transition(), events, options);
+RepeatedRunStats RunRepeatedGeoInd(
+    const geo::Grid& grid, const markov::MarkovChain& chain,
+    const std::vector<event::EventPtr>& events,
+    const core::PristeOptions& options, const ExperimentScale& scale,
+    uint64_t seed, std::shared_ptr<const lppm::MechanismFamily> family) {
+  const core::PristeGeoInd priste(
+      grid, core::BuildTwoWorldModels(chain.transition(), events), options,
+      std::move(family));
   return RepeatRuns(chain, grid, scale.horizon, scale.runs, seed,
                     [&priste](const geo::Trajectory& truth, Rng& rng) {
                       return priste.Run(truth, rng);

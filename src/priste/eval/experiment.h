@@ -1,6 +1,7 @@
 #ifndef PRISTE_EVAL_EXPERIMENT_H_
 #define PRISTE_EVAL_EXPERIMENT_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "priste/eval/aggregate.h"
 #include "priste/geo/gaussian_grid_model.h"
 #include "priste/geo/grid.h"
+#include "priste/lppm/mechanism_family.h"
 #include "priste/markov/markov_chain.h"
 
 namespace priste::eval {
@@ -56,16 +58,22 @@ struct RepeatedRunStats {
   RunningStats euclid_km;
   RunningStats run_seconds;
   RunningStats conservative_releases;
+  /// Budget halvings per run (eval::TotalHalvings).
+  RunningStats halvings;
 };
 
 /// Runs `scale.runs` PriSTE-with-geo-indistinguishability episodes: each run
-/// samples a fresh true trajectory from `chain`, protects `events`, and
-/// aggregates the metrics. Seeds derive from `seed` deterministically.
-RepeatedRunStats RunRepeatedGeoInd(const geo::Grid& grid,
-                                   const markov::MarkovChain& chain,
-                                   const std::vector<event::EventPtr>& events,
-                                   const core::PristeOptions& options,
-                                   const ExperimentScale& scale, uint64_t seed);
+/// samples a fresh true trajectory from `chain`, protects `events` with
+/// `family`'s mechanisms (nullptr means planar Laplace, as in PristeGeoInd),
+/// and aggregates the metrics. Seeds derive from `seed` deterministically:
+/// the runs fan out over ParallelFor, and the statistics are bit-identical
+/// at any PRISTE_THREADS value whenever the QP checks have no deadline.
+RepeatedRunStats RunRepeatedGeoInd(
+    const geo::Grid& grid, const markov::MarkovChain& chain,
+    const std::vector<event::EventPtr>& events,
+    const core::PristeOptions& options, const ExperimentScale& scale,
+    uint64_t seed,
+    std::shared_ptr<const lppm::MechanismFamily> family = nullptr);
 
 /// δ-location-set counterpart (Algorithm 3).
 RepeatedRunStats RunRepeatedDeltaLoc(const geo::Grid& grid,

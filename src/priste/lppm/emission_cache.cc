@@ -1,54 +1,24 @@
 #include "priste/lppm/emission_cache.h"
 
-#include <cstring>
-#include <functional>
-
-#include "priste/common/strings.h"
+#include <utility>
 
 namespace priste::lppm {
 
-namespace {
+EmissionCache::EmissionCache(const std::string& metric_prefix,
+                             size_t capacity_bytes)
+    : capacity_bytes_(capacity_bytes),
+      hits_(MetricsRegistry::Global().GetCounter(metric_prefix + ".hits")),
+      misses_(MetricsRegistry::Global().GetCounter(metric_prefix + ".misses")),
+      evictions_(
+          MetricsRegistry::Global().GetCounter(metric_prefix + ".evictions")),
+      inserts_(MetricsRegistry::Global().GetCounter(metric_prefix + ".inserts")),
+      bytes_(MetricsRegistry::Global().GetGauge(metric_prefix + ".bytes")) {}
 
-// 64-bit FNV-1a over a byte span — cheap, stable, and key fields are hashed
-// by value representation (doubles compared with == above, so bitwise hashing
-// is consistent: equal keys hash equal; the only caveat, -0.0 vs 0.0, cannot
-// arise from the non-negative budgets/radii the mechanisms validate).
-uint64_t Fnv1a(const void* data, size_t n, uint64_t seed) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-size_t DefaultCapacityBytes() {
-  // PRISTE_EMISSION_CACHE_MB caps the cache; PRISTE_EMISSION_CACHE=0 disables
-  // it outright (capacity 0 == disabled in ShardedLruCache).
-  if (ReadIntEnv("PRISTE_EMISSION_CACHE", 1) == 0) return 0;
-  const int mb = ReadIntEnv("PRISTE_EMISSION_CACHE_MB", 256, /*min_value=*/1);
-  return static_cast<size_t>(mb) * 1024 * 1024;
-}
-
-}  // namespace
-
-size_t EmissionKeyHash::operator()(const EmissionKey& key) const {
-  uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  const int kind = static_cast<int>(key.kind);
-  h = Fnv1a(&kind, sizeof(kind), h);
-  h = Fnv1a(&key.width, sizeof(key.width), h);
-  h = Fnv1a(&key.height, sizeof(key.height), h);
-  h = Fnv1a(&key.cell_km, sizeof(key.cell_km), h);
-  h = Fnv1a(&key.param, sizeof(key.param), h);
-  return static_cast<size_t>(h);
-}
-
-EmissionCache::Cache& EmissionCache::Shared() {
+EmissionCache& EmissionCache::Shared() {
   // Leaked intentionally: mechanism handles may be released during static
   // destruction, after a function-local static cache would already be gone.
-  static Cache* shared =
-      new Cache("cache.emission", DefaultCapacityBytes(), /*num_shards=*/8);
+  static EmissionCache* shared =
+      new EmissionCache("cache.emission", size_t{256} << 20);
   return *shared;
 }
 
@@ -59,7 +29,54 @@ size_t EmissionCache::ChargeBytes(const hmm::EmissionMatrix& emission) {
 
 EmissionCache::Handle EmissionCache::GetOrBuild(
     const EmissionKey& key, const std::function<hmm::EmissionMatrix()>& build) {
-  return Shared().GetOrBuild(key, build, &EmissionCache::ChargeBytes);
+  {
+    MutexLock lock(&mu_);
+    const auto it = index_.find(key);
+    if (capacity_bytes_ > 0 && it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      hits_.Increment();
+      return it->second->value;
+    }
+  }
+  misses_.Increment();
+  Handle built = std::make_shared<const hmm::EmissionMatrix>(build());
+  const size_t charge = ChargeBytes(*built);
+
+  MutexLock lock(&mu_);
+  if (capacity_bytes_ == 0) return built;
+  const auto raced = index_.find(key);
+  if (raced != index_.end()) return raced->second->value;  // a racer won
+  lru_.push_front(Entry{key, built, charge});
+  index_.emplace(key, lru_.begin());
+  charge_ += charge;
+  inserts_.Increment();
+  while (charge_ > capacity_bytes_) {
+    const Entry& victim = lru_.back();
+    charge_ -= victim.charge;
+    index_.erase(victim.key);
+    lru_.pop_back();  // holders of the handle keep the matrix alive
+    evictions_.Increment();
+  }
+  bytes_.Set(static_cast<long>(charge_));
+  return built;
+}
+
+void EmissionCache::Clear() {
+  MutexLock lock(&mu_);
+  index_.clear();
+  lru_.clear();
+  charge_ = 0;
+  bytes_.Set(0);
+}
+
+void EmissionCache::SetCapacityBytes(size_t capacity_bytes) {
+  MutexLock lock(&mu_);
+  capacity_bytes_ = capacity_bytes;
+}
+
+size_t EmissionCache::capacity_bytes() const {
+  MutexLock lock(&mu_);
+  return capacity_bytes_;
 }
 
 }  // namespace priste::lppm

@@ -68,7 +68,7 @@ double EmissionRadius(const geo::Grid& grid, double radius_km) {
 CloakingMechanism::CloakingMechanism(const geo::Grid& grid, double radius_km)
     : grid_(grid),
       radius_km_(ValidateRadius(radius_km)),
-      emission_(EmissionCache::GetOrBuild(
+      emission_(EmissionCache::Shared().GetOrBuild(
           EmissionKey{EmissionKey::Kind::kCloaking, grid.width(), grid.height(),
                       grid.cell_size_km(), EmissionRadius(grid_, radius_km_)},
           [this] {

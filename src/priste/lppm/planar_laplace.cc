@@ -162,7 +162,7 @@ PlanarLaplaceMechanism::PlanarLaplaceMechanism(const geo::Grid& grid, double alp
       // BuildEmission is a pure function of (grid geometry, α), so the
       // process-wide cache shares one matrix across every mechanism instance
       // with this key — and an evicted entry rebuilds bit-identically.
-      emission_(EmissionCache::GetOrBuild(
+      emission_(EmissionCache::Shared().GetOrBuild(
           EmissionKey{EmissionKey::Kind::kPlanarLaplace, grid.width(),
                       grid.height(), grid.cell_size_km(), alpha_},
           [this] { return BuildEmission(grid_, alpha_); })) {}

@@ -1,13 +1,33 @@
 #include "priste/eval/experiment.h"
 
 #include <cstdlib>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "priste/event/presence.h"
+#include "priste/lppm/mechanism_family.h"
 
 namespace priste::eval {
 namespace {
+
+// Every statistic of two repeated-run results, compared bit for bit.
+void ExpectSameStats(const RepeatedRunStats& a, const RepeatedRunStats& b) {
+  for (const auto field :
+       {&RepeatedRunStats::mean_budget, &RepeatedRunStats::euclid_km,
+        &RepeatedRunStats::conservative_releases, &RepeatedRunStats::halvings}) {
+    EXPECT_EQ((a.*field).count(), (b.*field).count());
+    EXPECT_EQ((a.*field).mean(), (b.*field).mean());
+    EXPECT_EQ((a.*field).stddev(), (b.*field).stddev());
+  }
+  ASSERT_EQ(a.budget_per_timestamp.length(), b.budget_per_timestamp.length());
+  for (size_t t = 0; t < a.budget_per_timestamp.length(); ++t) {
+    EXPECT_EQ(a.budget_per_timestamp.At(t).mean(),
+              b.budget_per_timestamp.At(t).mean())
+        << "t=" << t;
+  }
+}
 
 TEST(ExperimentScaleTest, DefaultsAreReduced) {
   // Ensure env vars do not leak into this test.
@@ -117,8 +137,34 @@ TEST(ExperimentTest, RepeatedGeoIndRunsAggregate) {
   const RepeatedRunStats stats = RunRepeatedGeoInd(
       workload.grid, workload.Chain(), {ev}, options, scale, /*seed=*/42);
   EXPECT_EQ(stats.mean_budget.count(), 2u);
+  EXPECT_EQ(stats.halvings.count(), 2u);
   EXPECT_EQ(stats.budget_per_timestamp.length(), 5u);
   EXPECT_GE(stats.euclid_km.mean(), 0.0);
+}
+
+TEST(ExperimentTest, RepeatedGeoIndTakesAMechanismFamily) {
+  ExperimentScale scale;
+  scale.grid_width = 4;
+  scale.grid_height = 4;
+  scale.horizon = 5;
+  scale.runs = 2;
+  const SyntheticWorkload workload(scale, 1.0);
+  const auto ev = event::PresenceEvent::Make(workload.grid.num_cells(), 1, 4, 2, 3);
+  core::PristeOptions options = DefaultBenchOptions(0.8, 0.3);
+  options.qp_threshold_seconds = 0.0;  // no wall-clock dependence
+  // nullptr means planar Laplace, exactly as an explicit family does.
+  const RepeatedRunStats plm = RunRepeatedGeoInd(
+      workload.grid, workload.Chain(), {ev}, options, scale, /*seed=*/42);
+  ExpectSameStats(
+      plm, RunRepeatedGeoInd(
+               workload.grid, workload.Chain(), {ev}, options, scale,
+               /*seed=*/42,
+               std::make_shared<lppm::PlanarLaplaceFamily>(workload.grid)));
+  const RepeatedRunStats cloak = RunRepeatedGeoInd(
+      workload.grid, workload.Chain(), {ev}, options, scale, /*seed=*/42,
+      std::make_shared<lppm::CloakingFamily>(workload.grid));
+  EXPECT_EQ(cloak.mean_budget.count(), 2u);
+  EXPECT_NE(cloak.euclid_km.mean(), plm.euclid_km.mean());
 }
 
 TEST(ExperimentTest, RepeatedDeltaLocRunsAggregate) {
@@ -137,12 +183,10 @@ TEST(ExperimentTest, RepeatedDeltaLocRunsAggregate) {
 }
 
 TEST(ExperimentTest, RepeatedRunsAreDeterministic) {
-  // The repeated runs fan out over the shared thread pool; the pre-split
-  // RNG streams and in-order aggregation must make the statistics
-  // bit-identical between invocations. Cross-pool-size invariance is
-  // exercised by CI re-running the suite at PRISTE_THREADS=1 and =4 (the
-  // shared pool is sized once per process, so one test can only see one
-  // size) and by common.thread_pool's explicit-pool bit-equality test.
+  // The repeated runs fan out over ParallelFor; the pre-split RNG streams
+  // and in-order aggregation must make the statistics bit-identical between
+  // invocations. RepeatedRunsAreThreadCountInvariant below compares thread
+  // counts.
   ExperimentScale scale;
   scale.grid_width = 4;
   scale.grid_height = 4;
@@ -156,15 +200,46 @@ TEST(ExperimentTest, RepeatedRunsAreDeterministic) {
       workload.grid, workload.Chain(), {ev}, options, scale, /*seed=*/77);
   const RepeatedRunStats b = RunRepeatedGeoInd(
       workload.grid, workload.Chain(), {ev}, options, scale, /*seed=*/77);
-  EXPECT_EQ(a.mean_budget.mean(), b.mean_budget.mean());
-  EXPECT_EQ(a.euclid_km.mean(), b.euclid_km.mean());
-  EXPECT_EQ(a.conservative_releases.mean(), b.conservative_releases.mean());
-  ASSERT_EQ(a.budget_per_timestamp.length(), b.budget_per_timestamp.length());
-  for (size_t t = 0; t < a.budget_per_timestamp.length(); ++t) {
-    EXPECT_EQ(a.budget_per_timestamp.At(t).mean(),
-              b.budget_per_timestamp.At(t).mean())
-        << "t=" << t;
+  ExpectSameStats(a, b);
+}
+
+// Runs `run` with PRISTE_THREADS set to `threads`, restoring the prior value.
+template <typename RunFn>
+RepeatedRunStats AtThreads(const char* threads, const RunFn& run) {
+  const char* saved = std::getenv("PRISTE_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  setenv("PRISTE_THREADS", threads, 1);
+  RepeatedRunStats stats = run();
+  if (saved != nullptr) {
+    setenv("PRISTE_THREADS", saved_value.c_str(), 1);
+  } else {
+    unsetenv("PRISTE_THREADS");
   }
+  return stats;
+}
+
+TEST(ExperimentTest, RepeatedRunsAreThreadCountInvariant) {
+  // PRISTE_THREADS is read at each ParallelFor call, so one process can
+  // compare a serial run with a four-thread one.
+  ExperimentScale scale;
+  scale.grid_width = 4;
+  scale.grid_height = 4;
+  scale.horizon = 5;
+  scale.runs = 6;
+  const SyntheticWorkload workload(scale, 1.0);
+  const auto ev = event::PresenceEvent::Make(workload.grid.num_cells(), 1, 4, 2, 3);
+  core::PristeOptions options = DefaultBenchOptions(0.8, 0.3);
+  options.qp_threshold_seconds = 0.0;  // no wall-clock dependence
+  const auto geo_ind = [&] {
+    return RunRepeatedGeoInd(workload.grid, workload.Chain(), {ev}, options,
+                             scale, /*seed=*/77);
+  };
+  ExpectSameStats(AtThreads("1", geo_ind), AtThreads("4", geo_ind));
+  const auto delta_loc = [&] {
+    return RunRepeatedDeltaLoc(workload.grid, workload.Chain(), {ev}, 0.3,
+                               options, scale, /*seed=*/78);
+  };
+  ExpectSameStats(AtThreads("1", delta_loc), AtThreads("4", delta_loc));
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ struct Guard {
 };
 
 // Declaration-only: the PRISTE_BLOCKING marker alone makes calls to this a
-// blocking sink (mirrors ThreadPool::Submit, annotated in the header).
+// blocking sink (mirrors ParallelFor, annotated in the header).
 PRISTE_BLOCKING void WaitForWork();
 
 // blocking-under-lock #1: sleeping with the lock held stalls every waiter.

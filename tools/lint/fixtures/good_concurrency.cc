@@ -9,7 +9,7 @@ class MutexLock {
  public:
   explicit MutexLock(Mutex* mu);
 };
-class CondVar {
+class ConditionVariable {
  public:
   PRISTE_BLOCKING void Wait(Mutex* mu);
   void Signal();
@@ -22,7 +22,7 @@ struct Cache {
 };
 struct Pool {
   Mutex pool_mu PRISTE_LOCK_LEVEL(20);
-  CondVar cv;
+  ConditionVariable cv;
   bool ready = false;
 };
 

@@ -778,9 +778,9 @@ def mutex_decls(graph):
 
 def resolve_levels(decls, rel, target):
     """(sorted levels, declaration found) for `MutexLock lock(&target)`. The
-    last path component is matched in the same file first (Shard::mu,
-    LoopState::mu and Impl::mu share the name `mu` but never leave their
-    files), then across the tree."""
+    last path component is matched in the same file first (members that
+    share a name such as `mu` but never leave their files), then across the
+    tree."""
     base = re.split(r"->|\.", target)[-1].split("[", 1)[0]
     pool = ([d for d in decls if d["file"] == rel and d["name"] == base]
             or [d for d in decls if d["name"] == base])
@@ -790,7 +790,7 @@ def resolve_levels(decls, rel, target):
 
 def blocking_names(graph):
     """Simple names of the functions marked PRISTE_BLOCKING, declarations
-    included (Submit and ParallelFor are annotated in thread_pool.h only)."""
+    included (ParallelFor is annotated in parallel_for.h only)."""
     names = set()
     for _rel, src in sorted(graph.files.items()):
         for m in re.finditer(r"\bPRISTE_BLOCKING\b", src.clean):
