@@ -1,5 +1,8 @@
 #include "priste/common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace priste {
 
 const char* StatusCodeToString(StatusCode code) {
@@ -20,6 +23,13 @@ const char* StatusCodeToString(StatusCode code) {
       return "internal";
   }
   return "unknown";
+}
+
+void CheckOkFailed(const char* file, int line, const char* expr,
+                   const Error& error) {
+  std::fprintf(stderr, "PRISTE_CHECK failed at %s:%d: %s (%s)\n", file, line,
+               expr, error.ToString().c_str());
+  std::abort();
 }
 
 }  // namespace priste

@@ -85,6 +85,11 @@ inline std::unexpected<Error> Internal(std::string msg) {
 }
 }  // namespace err
 
+/// PRISTE_CHECK_OK's failure path: prints the failed check's site and
+/// `error`, then aborts. Out of line, so each check costs a test and a call.
+[[noreturn]] void CheckOkFailed(const char* file, int line, const char* expr,
+                                const Error& error);
+
 /// Either a value of type T or an Error, built on C++23 std::expected.
 /// Result<void> is the value-less form: `return {};` on success. Accessing
 /// the value of an error Result via value() throws
@@ -137,6 +142,18 @@ class [[nodiscard]] Result : public std::expected<T, Error> {
     auto priste_result_tmp_ = (expr);                               \
     if (!priste_result_tmp_.has_value())                            \
       return ::std::unexpected(::std::move(priste_result_tmp_).error()); \
+  } while (false)
+
+/// Checks an input rule: `expr` is a Result<void>, and on its error arm the
+/// abort prints the rule's own message. A constructor checks its rule with
+/// it, while a boundary caller runs the same rule for a typed error.
+#define PRISTE_CHECK_OK(expr)                                         \
+  do {                                                                \
+    const auto priste_check_rule_ = (expr);                           \
+    if (!priste_check_rule_.has_value()) {                            \
+      ::priste::CheckOkFailed(__FILE__, __LINE__, #expr,              \
+                              priste_check_rule_.error());            \
+    }                                                                 \
   } while (false)
 
 #endif  // PRISTE_COMMON_STATUS_H_

@@ -11,12 +11,31 @@
 
 namespace priste::core {
 
-void CheckPristeOptions(const PristeOptions& options) {
-  PRISTE_CHECK(std::isfinite(options.epsilon) && options.epsilon >= 0.0);
-  PRISTE_CHECK(options.decay > 0.0 && options.decay < 1.0);
-  PRISTE_CHECK(std::isfinite(options.initial_alpha) &&
-               options.initial_alpha >= 0.0);
-  PRISTE_CHECK(std::isfinite(options.min_alpha) && options.min_alpha > 0.0);
+PRISTE_NO_ABORT
+Result<void> ValidatePristeOptions(const PristeOptions& options) {
+  if (!(std::isfinite(options.epsilon) && options.epsilon >= 0.0)) {
+    return err::InvalidArgument("epsilon must be finite and >= 0");
+  }
+  if (!(options.decay > 0.0 && options.decay < 1.0)) {
+    return err::InvalidArgument("decay must be in (0, 1)");
+  }
+  const Result<void> initial = lppm::ValidateBudget(options.initial_alpha);
+  if (!initial.ok()) {
+    return err::InvalidArgument("initial_alpha: " + initial.error().message);
+  }
+  if (!(std::isfinite(options.min_alpha) && options.min_alpha > 0.0)) {
+    return err::InvalidArgument("min_alpha must be finite and > 0");
+  }
+  // The search checks initial_alpha·decay^k for k = 0 … ⌊halvings⌋.
+  const double halvings =
+      (std::log(options.initial_alpha) - std::log(options.min_alpha)) /
+      -std::log(options.decay);
+  if (halvings >= kMaxBudgetRungs) {
+    return err::InvalidArgument(StrFormat(
+        "decay: more than %d budgets from initial_alpha to min_alpha",
+        kMaxBudgetRungs));
+  }
+  return {};
 }
 
 std::vector<std::shared_ptr<const LiftedEventModel>> BuildTwoWorldModels(

@@ -52,6 +52,11 @@ struct PristeOptions {
   ReleaseStepOptions release;
 };
 
+/// The most candidates one timestamp's halving search may check: the 1,075
+/// rungs of a decay-½ ladder from 1 down to the smallest positive double.
+/// A decay just below 1 would otherwise check billions.
+inline constexpr int kMaxBudgetRungs = 1075;
+
 /// Per-timestamp outcome of a PriSTE run. steps[t − 1] belongs to timestamp
 /// t; its released cell is RunResult::released.At(t).
 struct StepRecord {
@@ -75,15 +80,20 @@ struct RunResult {
   ReleaseStepDiagnostics release_diagnostics;
 };
 
-/// The option rules both PriSTE drivers enforce at construction, each a
-/// PRISTE_CHECK: ε finite and >= 0 (no release satisfies a negative bound,
-/// and NaN compares false with every bound); decay in (0, 1) (at 1 a failing
-/// check halves forever); a finite initial budget >= 0 (a negative one
-/// releases uniformly, and +∞ never decays to a budget a mechanism accepts
-/// or a check passes, so the halving search would not end); and a finite
-/// min_alpha > 0 (at 0 or below, or NaN, a failing check halves α towards
-/// 0 without ever reaching the uniform anchor).
-void CheckPristeOptions(const PristeOptions& options);
+/// The options rule both PriSTE drivers' constructors check. Each error
+/// names its field:
+/// - ε finite and >= 0 (no release satisfies a negative bound, and NaN
+///   compares false with every bound);
+/// - decay in (0, 1) (at 1 a failing check halves forever);
+/// - an initial budget that lppm::ValidateBudget accepts (a negative one
+///   releases uniformly, and +∞ never decays to a budget a mechanism
+///   accepts or a check passes, so the halving search would not end);
+/// - min_alpha finite and > 0 (at 0 or below, or NaN, a failing check
+///   halves α towards 0 without ever reaching the uniform anchor);
+/// - at most kMaxBudgetRungs budgets initial_alpha·decay^k at or above
+///   min_alpha.
+/// PRISTE_NO_ABORT.
+Result<void> ValidatePristeOptions(const PristeOptions& options);
 
 /// One TwoWorldModel per event over `chain`, the models both drivers build
 /// from events. Every event must be non-null (PRISTE_CHECK).

@@ -15,8 +15,8 @@ PristeDeltaLoc::PristeDeltaLoc(geo::Grid grid, markov::TransitionMatrix chain,
       options_(options),
       models_(BuildTwoWorldModels(chain_, events)) {
   PRISTE_CHECK_MSG(!models_.empty(), "PristeDeltaLoc needs at least one event");
-  PRISTE_CHECK(delta_ >= 0.0 && delta_ < 1.0);
-  CheckPristeOptions(options_);
+  PRISTE_CHECK_OK(lppm::ValidateDelta(delta_));
+  PRISTE_CHECK_OK(ValidatePristeOptions(options_));
   PRISTE_CHECK(chain_.num_states() == grid_.num_cells());
   PRISTE_CHECK(initial_.size() == grid_.num_cells());
 }

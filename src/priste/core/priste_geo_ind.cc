@@ -19,7 +19,7 @@ PristeGeoInd::PristeGeoInd(
                   ? std::move(family)
                   : std::make_shared<lppm::PlanarLaplaceFamily>(grid)) {
   PRISTE_CHECK_MSG(!models_.empty(), "PristeGeoInd needs at least one event");
-  CheckPristeOptions(options_);
+  PRISTE_CHECK_OK(ValidatePristeOptions(options_));
   PRISTE_CHECK(family_->num_states() == grid_.num_cells());
   for (const auto& model : models_) {
     PRISTE_CHECK(model != nullptr);

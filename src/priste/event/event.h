@@ -5,11 +5,19 @@
 #include <string>
 #include <vector>
 
+#include "priste/common/status.h"
 #include "priste/event/boolean_expr.h"
 #include "priste/geo/region.h"
 #include "priste/geo/trajectory.h"
 
 namespace priste::event {
+
+/// The event rule every event's constructor checks: a window
+/// 1 <= start <= end (1-based, inclusive) and, at each of its timestamps, a
+/// region of at least one cell, each in [0, num_cells). Both PRISTE_NO_ABORT.
+Result<void> ValidateWindow(int start, int end);
+Result<void> ValidateRegionCells(size_t num_cells,
+                                 const std::vector<int>& cells);
 
 /// Base class for the two representative spatiotemporal events the paper's
 /// quantification machinery supports (Section II-B): PRESENCE — the user
@@ -51,7 +59,7 @@ class SpatiotemporalEvent {
 
  protected:
   /// `regions[i]` is the region at timestamp start+i; all regions must share
-  /// the same state count, the window must be non-empty and start >= 1.
+  /// the same state count and follow the event rule.
   SpatiotemporalEvent(int start, std::vector<geo::Region> regions);
 
   /// `region` at every timestamp of [start, end], stored once.

@@ -3,19 +3,23 @@
 #include <cmath>
 
 #include "priste/common/check.h"
+#include "priste/common/thread_annotations.h"
 
 namespace priste::geo {
-namespace {
 
-double ValidateSigma(double sigma) {
-  // Runs from the member-init list, so an invalid scale fails before the
-  // O(m²) kernel build (transition_ is initialized after sigma_). `>` also
-  // rejects NaN.
-  PRISTE_CHECK_MSG(sigma > 0.0, "Gaussian kernel sigma must be > 0");
-  return sigma;
+PRISTE_NO_ABORT
+Result<void> ValidateSigma(double sigma) {
+  if (!(sigma > 0.0)) {  // `>` also refuses NaN
+    return err::InvalidArgument("Gaussian kernel sigma must be > 0");
+  }
+  return {};
 }
 
+namespace {
+
 markov::TransitionMatrix BuildTransition(const Grid& grid, double sigma) {
+  // The constructor's check, before the O(m²) kernel build.
+  PRISTE_CHECK_OK(ValidateSigma(sigma));
   const size_t m = grid.num_cells();
   linalg::Matrix t(m, m);
   const double inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma);
@@ -44,7 +48,7 @@ markov::TransitionMatrix BuildTransition(const Grid& grid, double sigma) {
 
 GaussianGridModel::GaussianGridModel(Grid grid, double sigma)
     : grid_(grid),
-      sigma_(ValidateSigma(sigma)),
+      sigma_(sigma),
       transition_(BuildTransition(grid, sigma_)) {}
 
 markov::MarkovChain GaussianGridModel::ChainUniformStart() const {

@@ -2,11 +2,16 @@
 #define PRISTE_GEO_GAUSSIAN_GRID_MODEL_H_
 
 #include "priste/common/random.h"
+#include "priste/common/status.h"
 #include "priste/geo/grid.h"
 #include "priste/geo/trajectory.h"
 #include "priste/markov/markov_chain.h"
 
 namespace priste::geo {
+
+/// The σ rule GaussianGridModel's constructor checks: σ > 0 (a σ whose 2σ²
+/// underflows keeps every user in place). PRISTE_NO_ABORT.
+Result<void> ValidateSigma(double sigma);
 
 /// The paper's synthetic mobility model (Section V-A): on a w×h grid, the
 /// transition probability from cell a to cell b is proportional to a

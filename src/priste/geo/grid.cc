@@ -1,6 +1,12 @@
 #include "priste/geo/grid.h"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+
+#include "priste/common/strings.h"
+#include "priste/common/thread_annotations.h"
 
 namespace priste::geo {
 
@@ -10,10 +16,38 @@ double Distance(const PointKm& a, const PointKm& b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
+PRISTE_NO_ABORT
+Result<void> ValidateGridSides(int width, int height) {
+  if (width < 1 || height < 1) {
+    return err::InvalidArgument("grid sides must be >= 1");
+  }
+  const int64_t cells = int64_t{width} * height;
+  if (cells > INT_MAX) {
+    return err::InvalidArgument("grid has more cells than int ids can number");
+  }
+  if (cells > kMaxGridCells) {
+    return err::InvalidArgument(StrFormat(
+        "grid has %lld cells, past the %d-cell limit of its dense matrices",
+        static_cast<long long>(cells), kMaxGridCells));
+  }
+  return {};
+}
+
+PRISTE_NO_ABORT
+Result<void> ValidateGrid(int width, int height, double cell_size_km) {
+  PRISTE_TRY_VOID(ValidateGridSides(width, height));
+  if (!(cell_size_km > 0.0)) {  // `>` also refuses NaN
+    return err::InvalidArgument("cell size must be > 0 km");
+  }
+  if (!std::isfinite(std::max(width, height) * cell_size_km)) {
+    return err::InvalidArgument("cell size gives the grid no finite extent");
+  }
+  return {};
+}
+
 Grid::Grid(int width, int height, double cell_size_km)
     : width_(width), height_(height), cell_size_km_(cell_size_km) {
-  PRISTE_CHECK(width > 0 && height > 0);
-  PRISTE_CHECK(cell_size_km > 0.0);
+  PRISTE_CHECK_OK(ValidateGrid(width, height, cell_size_km));
 }
 
 PointKm Grid::CenterOf(int cell) const {

@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "priste/common/check.h"
+#include "priste/common/status.h"
 
 namespace priste::geo {
 
@@ -23,6 +24,20 @@ struct RectKm {
   double y0 = 0.0;
   double y1 = 0.0;
 };
+
+/// The largest map, in cells. The chain, each emission matrix and the
+/// release engine's prefix rows are dense m×m matrices of doubles: 128 MiB
+/// each at 4,096 cells, half the emission cache's 256 MiB.
+inline constexpr int kMaxGridCells = 4096;
+
+/// The grid rule's sides: both >= 1, cell ids that fit in an int, and at
+/// most kMaxGridCells cells. PRISTE_NO_ABORT.
+Result<void> ValidateGridSides(int width, int height);
+
+/// The grid rule, which Grid's constructor checks: ValidateGridSides, a cell
+/// size > 0 and a finite extent, so every cell centre is finite.
+/// PRISTE_NO_ABORT.
+Result<void> ValidateGrid(int width, int height, double cell_size_km);
 
 /// A w×h grid map S = {s_1, …, s_m} with m = w·h cells, each cell a square of
 /// `cell_size_km` kilometres. Cell indices are row-major, 0-based; the paper's

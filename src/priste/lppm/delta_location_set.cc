@@ -7,13 +7,20 @@
 
 #include "priste/common/check.h"
 #include "priste/common/strings.h"
+#include "priste/common/thread_annotations.h"
 
 namespace priste::lppm {
 
-Result<geo::Region> DeltaLocationSet(const linalg::Vector& prior, double delta) {
-  if (delta < 0.0 || delta >= 1.0) {
+PRISTE_NO_ABORT
+Result<void> ValidateDelta(double delta) {
+  if (!(delta >= 0.0 && delta < 1.0)) {  // negated so that NaN fails too
     return err::InvalidArgument("delta must be in [0, 1)");
   }
+  return {};
+}
+
+Result<geo::Region> DeltaLocationSet(const linalg::Vector& prior, double delta) {
+  PRISTE_TRY_VOID(ValidateDelta(delta));
   if (prior.empty()) return err::InvalidArgument("empty prior");
   // Negated so that a NaN entry or sum fails (the sort below needs no NaN).
   if (!prior.AllInRange(0.0, 1.0) || !(std::fabs(prior.Sum() - 1.0) <= 1e-6)) {
@@ -67,8 +74,7 @@ DeltaRestrictedPlanarLaplace::DeltaRestrictedPlanarLaplace(const geo::Grid& grid
                                                            double alpha,
                                                            geo::Region location_set)
     : grid_(grid), alpha_(alpha), location_set_(std::move(location_set)) {
-  PRISTE_CHECK_MSG(alpha_ >= 0.0, "delta-restricted budget must be >= 0");
-  PRISTE_CHECK_MSG(std::isfinite(alpha_), "delta-restricted budget must be finite");
+  PRISTE_CHECK_OK(ValidateBudget(alpha_));
   PRISTE_CHECK_MSG(location_set_.num_states() == grid_.num_cells(),
                    "location set must span the grid's cells");
   members_ = location_set_.States();

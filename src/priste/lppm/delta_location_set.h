@@ -13,6 +13,10 @@
 
 namespace priste::lppm {
 
+/// The δ rule DeltaLocationSet and PristeDeltaLoc check: δ in [0, 1).
+/// PRISTE_NO_ABORT.
+Result<void> ValidateDelta(double delta);
+
 /// Constructs the δ-location set ΔX of Xiao & Xiong (CCS'15): the minimum
 /// number of cells, taken in decreasing prior-probability order, whose prior
 /// mass is at least 1 − δ. Requires `prior` to be a probability vector and
@@ -37,8 +41,9 @@ Result<geo::Region> DeltaLocationSet(const linalg::Vector& prior, double delta);
 /// prior p⁻_t), so instances are built per timestamp rather than reused.
 class DeltaRestrictedPlanarLaplace : public Lppm {
  public:
-  /// Requires alpha ≥ 0 and finite, and a non-empty `location_set` over the
-  /// grid's cells; both are checked before any other work.
+  /// Requires a budget that ValidateBudget accepts and a non-empty
+  /// `location_set` over the grid's cells; both are checked before any
+  /// other work.
   DeltaRestrictedPlanarLaplace(const geo::Grid& grid, double alpha,
                                geo::Region location_set);
 

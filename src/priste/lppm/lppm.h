@@ -2,9 +2,15 @@
 #define PRISTE_LPPM_LPPM_H_
 
 #include "priste/common/random.h"
+#include "priste/common/status.h"
 #include "priste/hmm/emission_model.h"
 
 namespace priste::lppm {
+
+/// The budget rule every mechanism and family checks: finite and >= 0 (0 is
+/// the uniform release). The release loop builds a mechanism per candidate,
+/// so accepting neither allocates nor formats. PRISTE_NO_ABORT.
+Result<void> ValidateBudget(double budget);
 
 /// A location privacy-preserving mechanism in the paper's abstraction: an
 /// emission matrix taking the user's true cell as input and producing a

@@ -10,12 +10,12 @@
 namespace priste::lppm {
 
 std::unique_ptr<Lppm> PlanarLaplaceFamily::Instantiate(double budget) const {
-  PRISTE_CHECK(budget >= 0.0);
+  PRISTE_CHECK_OK(ValidateBudget(budget));
   return std::make_unique<PlanarLaplaceMechanism>(grid_, budget);
 }
 
 std::unique_ptr<Lppm> CloakingFamily::Instantiate(double budget) const {
-  PRISTE_CHECK(budget >= 0.0);
+  PRISTE_CHECK_OK(ValidateBudget(budget));
   const double radius = budget <= 0.0 ? std::numeric_limits<double>::infinity()
                                       : radius_scale_km_ / budget;
   return std::make_unique<CloakingMechanism>(grid_, radius);

@@ -28,7 +28,7 @@ class MechanismFamily {
   /// Number of map cells all instances share.
   virtual size_t num_states() const = 0;
 
-  /// The family member at `budget` (>= 0).
+  /// The family member at `budget`, which must pass ValidateBudget.
   virtual std::unique_ptr<Lppm> Instantiate(double budget) const = 0;
 };
 

@@ -84,15 +84,23 @@ hmm::EmissionMatrix BuildEmission(const geo::Grid& grid, double alpha) {
   if (alpha <= 0.0) {
     return hmm::EmissionMatrix::Uniform(m, m);
   }
-  const double s = grid.cell_size_km();
-  // (1 + αR)e^{−αR} < 1e−18 at αR = 45.
-  const double r_cut = 45.0 / alpha;
+  // Masses depend only on α·x, so the build runs in units of 2^−k km with
+  // k = ilogb(α): the budget a = α·2^−k is in [1, 2) and no length exceeds
+  // the tail radius 45/a, so no product overflows for any α > 0 (in km,
+  // r_cut² overflowed below α ≈ 3.4e-153). The scale is exact, so wherever
+  // the km computation stays normal (the whole α >= 1e-4 ladder) each mass
+  // is the km one bit for bit. A cell below 2^−500 units, whose square
+  // leaves the normal range, is widened to it: beside a tail radius over 22
+  // units it is a point either way.
+  const int shift = std::ilogb(alpha);
+  const double a = std::ldexp(alpha, -shift);
+  const double s = std::max(std::ldexp(grid.cell_size_km(), shift), 0x1p-500);
+  // (1 + aR)e^{−aR} < 1e−18 at aR = 45.
+  const double r_cut = 45.0 / a;
   // Once the truncation radius fits in the own cell (α·s >= 90), every other
-  // preimage is empty and each row normalizes to exactly the identity. The
-  // quadrature reaches that value too, until r_cut is so small (α·s past
-  // ~1e158) that its fan-sweep products underflow to a zero own-cell mass.
+  // preimage is empty and each row normalizes to exactly the identity.
   if (r_cut <= 0.5 * s) return hmm::EmissionMatrix::Identity(m);
-  const detail::PlanarLaplaceCellMass mass(alpha);
+  const detail::PlanarLaplaceCellMass mass(a);
   const AxisSides xs(grid.width(), s, r_cut);
   const AxisSides ys(grid.height(), s, r_cut);
 
@@ -151,8 +159,7 @@ hmm::EmissionMatrix BuildEmission(const geo::Grid& grid, double alpha) {
 double PlanarLaplaceMechanism::ValidateAlpha(double alpha) {
   // Runs from the member-init list, so an invalid budget fails before any
   // emission work starts (emission_ is initialized after alpha_).
-  PRISTE_CHECK_MSG(alpha >= 0.0, "planar Laplace budget must be >= 0");
-  PRISTE_CHECK_MSG(std::isfinite(alpha), "planar Laplace budget must be finite");
+  PRISTE_CHECK_OK(ValidateBudget(alpha));
   return alpha;
 }
 

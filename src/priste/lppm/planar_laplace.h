@@ -34,7 +34,8 @@ namespace priste::lppm {
 /// information (Algorithm 2's convergence anchor).
 class PlanarLaplaceMechanism : public Lppm {
  public:
-  /// Requires alpha >= 0; alpha == 0 yields the uniform emission.
+  /// Requires a budget that ValidateBudget accepts; alpha == 0 yields the
+  /// uniform emission.
   PlanarLaplaceMechanism(const geo::Grid& grid, double alpha);
 
   size_t num_states() const override { return grid_.num_cells(); }
@@ -57,7 +58,7 @@ class PlanarLaplaceMechanism : public Lppm {
   int SampleContinuous(int true_cell, Rng& rng) const;
 
  private:
-  /// Checks alpha >= 0 and finite before any emission work; returns it.
+  /// Checks the budget rule before any emission work; returns alpha.
   static double ValidateAlpha(double alpha);
 
   geo::Grid grid_;

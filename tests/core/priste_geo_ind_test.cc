@@ -3,6 +3,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -242,6 +245,74 @@ TEST(PristeGeoIndTest, RunRecordsOneStepSampleAndEveryHalving) {
   EXPECT_GT(sum, 0);
   EXPECT_EQ(halvings.value() - halvings_before, sum);
   EXPECT_EQ(steps.count() - steps_before, 5);
+}
+
+TEST(PristeGeoIndTest, OptionsRuleNamesEachRefusedField) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto refusal = [](const PristeOptions& options) {
+    const Result<void> rule = ValidatePristeOptions(options);
+    return rule.ok() ? std::string() : rule.error().message;
+  };
+  const auto with = [](auto field, double value) {
+    PristeOptions options;
+    options.*field = value;
+    return options;
+  };
+  EXPECT_EQ(refusal(PristeOptions()), "");
+  for (const auto& [options, field] : {
+           std::pair{with(&PristeOptions::epsilon, -1.0), "epsilon"},
+           std::pair{with(&PristeOptions::epsilon, inf), "epsilon"},
+           std::pair{with(&PristeOptions::decay, 0.0), "decay"},
+           std::pair{with(&PristeOptions::decay, 1.0), "decay"},
+           std::pair{with(&PristeOptions::initial_alpha, -1.0), "initial_alpha"},
+           std::pair{with(&PristeOptions::initial_alpha, inf), "initial_alpha"},
+           std::pair{with(&PristeOptions::min_alpha, 0.0), "min_alpha"},
+           std::pair{with(&PristeOptions::min_alpha, inf), "min_alpha"},
+           // About 8e16 halvings from 0.2 down to 1e-4.
+           std::pair{with(&PristeOptions::decay, std::nextafter(1.0, 0.0)),
+                     "decay"},
+       }) {
+    EXPECT_EQ(refusal(options).rfind(field, 0), 0u) << refusal(options);
+  }
+  // A decay-½ ladder from 1 to the smallest positive double has exactly
+  // kMaxBudgetRungs rungs; from 4 it has two more.
+  PristeOptions longest;
+  longest.initial_alpha = 1.0;
+  longest.min_alpha = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(refusal(longest), "");
+  longest.initial_alpha = 4.0;
+  EXPECT_EQ(refusal(longest).rfind("decay", 0), 0u) << refusal(longest);
+  // The edges of each range are accepted.
+  for (const auto& options :
+       {with(&PristeOptions::epsilon, 0.0),
+        with(&PristeOptions::decay, 0.99),
+        with(&PristeOptions::decay, std::numeric_limits<double>::denorm_min()),
+        with(&PristeOptions::initial_alpha, 0.0),
+        with(&PristeOptions::min_alpha,
+             std::numeric_limits<double>::denorm_min())}) {
+    EXPECT_EQ(refusal(options), "");
+  }
+}
+
+TEST(PristeGeoIndTest, FailingChecksHalveDownToATinyMinAlpha) {
+  // ε = 0 fails every check, so each step halves α = 0.5 until it drops
+  // below min_alpha: 1,018 halvings at 3e-307. The planar Laplace build aborted
+  // near α = 6.3e-307 on this map before it ran in 2^−k km units.
+  const geo::Grid grid(4, 4, 1.0);
+  const geo::GaussianGridModel model(grid, 1.0);
+  const auto ev = std::make_shared<PresenceEvent>(
+      geo::Region(grid.num_cells(), {0, 1, 4, 5}), /*start=*/2, /*end=*/3);
+  PristeOptions options = FastOptions(0.0, 0.5);
+  options.min_alpha = 3e-307;
+  const PristeGeoInd priste(grid, model.transition(), {ev}, options);
+  Rng rng(29);
+  const auto result =
+      priste.Run(geo::Trajectory(std::vector<int>{0, 5, 10}), rng);
+  ASSERT_TRUE(result.ok()) << result.error();
+  for (const StepRecord& step : result->steps) {
+    EXPECT_EQ(step.halvings, 1018);
+    EXPECT_EQ(step.released_alpha, 0.0);
+  }
 }
 
 TEST(PristeGeoIndDeathTest, RejectsNonPositiveOrNonFiniteMinAlpha) {

@@ -1,3 +1,7 @@
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "priste/event/enumeration.h"
@@ -10,6 +14,35 @@ namespace {
 
 using geo::Region;
 using geo::Trajectory;
+
+TEST(EventRuleTest, WindowNeedsOneBasedStartNoLaterThanEnd) {
+  EXPECT_NE(ValidateWindow(0, 3).error().message.find(">= 1"),
+            std::string::npos);
+  EXPECT_NE(ValidateWindow(5, 3).error().message.find("non-empty"),
+            std::string::npos);
+  EXPECT_FALSE(ValidateWindow(-2147483647 - 1, 3).ok());
+  for (const auto& [start, end] :
+       {std::pair{1, 1}, std::pair{3, 3}, std::pair{1, 2147483647}}) {
+    EXPECT_TRUE(ValidateWindow(start, end).ok()) << start << ":" << end;
+  }
+}
+
+TEST(EventRuleTest, RegionNeedsCellsInsideTheMap) {
+  EXPECT_NE(ValidateRegionCells(16, {}).error().message.find("non-empty"),
+            std::string::npos);
+  EXPECT_NE(ValidateRegionCells(16, {3, 16}).error().message.find("event cell 16"),
+            std::string::npos);
+  EXPECT_FALSE(ValidateRegionCells(16, {-1}).ok());
+  EXPECT_FALSE(ValidateRegionCells(0, {0}).ok());
+  EXPECT_TRUE(ValidateRegionCells(16, {0, 15, 15}).ok());
+}
+
+TEST(EventRuleDeathTest, ConstructorsCheckTheRule) {
+  EXPECT_DEATH(PresenceEvent(Region(16, {1}), 0, 2), "timestamp >= 1");
+  EXPECT_DEATH(PresenceEvent(Region(16, {1}), 3, 2), "non-empty");
+  EXPECT_DEATH(PresenceEvent(Region(16), 1, 2), "event regions must be non-empty");
+  EXPECT_DEATH(PatternEvent(std::vector<Region>{}, 1), "non-empty");
+}
 
 TEST(PresenceEventTest, HoldsWhenRegionTouched) {
   const PresenceEvent ev(Region(3, {0, 1}), /*start=*/3, /*end=*/4);

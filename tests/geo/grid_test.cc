@@ -1,6 +1,8 @@
 #include "priste/geo/grid.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +83,61 @@ TEST(GridTest, CellBoundsContainCenterAndTile) {
                    grid.CellBoundsKm(grid.CellOf(1, 0)).x0);
   EXPECT_DOUBLE_EQ(grid.CellBoundsKm(grid.CellOf(0, 0)).y1,
                    grid.CellBoundsKm(grid.CellOf(0, 1)).y0);
+}
+
+// The rule's message, or "" when it accepts.
+std::string Refusal(const Result<void>& rule) {
+  return rule.ok() ? "" : rule.error().message;
+}
+
+TEST(GridRuleTest, SidesMustBePositive) {
+  EXPECT_NE(Refusal(ValidateGrid(0, 4, 1.0)).find("sides must be >= 1"),
+            std::string::npos);
+  EXPECT_NE(Refusal(ValidateGrid(4, 0, 1.0)).find("sides must be >= 1"),
+            std::string::npos);
+  EXPECT_FALSE(ValidateGridSides(-3, 4).ok());
+  EXPECT_TRUE(ValidateGrid(1, 1, 1.0).ok());
+}
+
+TEST(GridRuleTest, CellIdsFitAnIntAndTheDenseMatricesFit) {
+  // 50000 × 50000 cells cannot be numbered by int ids; 100000 × 1 can, but
+  // its dense m × m matrices would take 80 GB.
+  EXPECT_NE(Refusal(ValidateGridSides(50000, 50000)).find("int ids"),
+            std::string::npos);
+  EXPECT_NE(Refusal(ValidateGridSides(100000, 1)).find("4096-cell limit"),
+            std::string::npos);
+  EXPECT_TRUE(ValidateGridSides(kMaxGridCells, 1).ok());
+  EXPECT_TRUE(ValidateGridSides(64, 64).ok());
+  EXPECT_FALSE(ValidateGridSides(kMaxGridCells + 1, 1).ok());
+  EXPECT_FALSE(ValidateGridSides(65, 64).ok());
+  // The largest map any test, bench or example builds.
+  EXPECT_TRUE(ValidateGrid(2000, 1, 1.0).ok());
+}
+
+TEST(GridRuleTest, CellSizeIsPositiveWithAFiniteExtent) {
+  const double max = std::numeric_limits<double>::max();
+  for (const double s : {0.0, -0.0, -1.0,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_NE(Refusal(ValidateGrid(4, 4, s)).find("cell size must be > 0"),
+              std::string::npos)
+        << s;
+  }
+  EXPECT_NE(Refusal(ValidateGrid(4, 4, std::numeric_limits<double>::infinity()))
+                .find("finite extent"),
+            std::string::npos);
+  // The extent is the longer side times the cell size.
+  EXPECT_FALSE(ValidateGrid(1, 3, max / 2).ok());
+  EXPECT_FALSE(ValidateGrid(3, 1, max / 2).ok());
+  EXPECT_TRUE(ValidateGrid(1, 1, max).ok());
+  EXPECT_TRUE(ValidateGrid(2, 2, max / 2).ok());
+  EXPECT_TRUE(ValidateGrid(4, 4, std::numeric_limits<double>::denorm_min()).ok());
+}
+
+TEST(GridRuleDeathTest, ConstructorChecksTheRule) {
+  EXPECT_DEATH(Grid(0, 4, 1.0), "grid sides must be >= 1");
+  EXPECT_DEATH(Grid(100000, 1, 1.0), "cell limit");
+  EXPECT_DEATH(Grid(4, 4, 0.0), "cell size must be > 0");
 }
 
 TEST(PointTest, Distance) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "priste/geo/commuter_model.h"
 #include "priste/geo/gaussian_grid_model.h"
@@ -71,6 +72,21 @@ TEST(GaussianGridModelDeathTest, NonPositiveOrNanSigmaDiesOnTheSigmaCheck) {
        {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
     EXPECT_DEATH(GaussianGridModel(grid, sigma),
                  "Gaussian kernel sigma must be > 0");
+  }
+}
+
+TEST(GaussianGridModelTest, SigmaRuleRefusesNonPositiveOrNan) {
+  for (const double sigma :
+       {0.0, -0.0, -1.0, -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    const Result<void> rule = ValidateSigma(sigma);
+    ASSERT_FALSE(rule.ok()) << sigma;
+    EXPECT_NE(rule.error().message.find("sigma must be > 0"), std::string::npos);
+  }
+  for (const double sigma : {std::numeric_limits<double>::denorm_min(), 1e-155,
+                             1.0, std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(ValidateSigma(sigma).ok()) << sigma;
   }
 }
 

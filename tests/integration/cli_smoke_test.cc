@@ -111,12 +111,16 @@ TEST(CliSmokeTest, MalformedFlagValuesExitNonZero) {
   // Every row names both required files, so only the flag value under test
   // can fail the parse; the input file does not exist, so a row that parses
   // exits 1 instead. A malformed or out-of-range value must be a usage error
-  // (exit status 2): never a run on a truncated value, never a CHECK abort.
+  // (exit status 2) whose message names the flag: never a run on a
+  // truncated value, never a CHECK abort. The grid sizes are refused before
+  // any m×m matrix is allocated (100000x1 died of std::bad_alloc under
+  // `ulimit -v 4000000`, and 50000x50000 of std::length_error).
   const std::string files =
       " --input cli_smoke_does_not_exist.csv --output cli_smoke_unused.csv";
+  const std::string stderr_path = "cli_smoke_flag_stderr.txt";
   const auto run = [&](const std::string& flags) {
     const std::string command =
-        std::string(cli_bin) + " " + flags + files + " 2>/dev/null";
+        std::string(cli_bin) + " " + flags + files + " 2> " + stderr_path;
     return std::system(command.c_str());
   };
   const std::vector<std::string> bad_flags = {
@@ -130,12 +134,18 @@ TEST(CliSmokeTest, MalformedFlagValuesExitNonZero) {
       "--event-window 5:3",   "--event-window 0:3",
       "--alpha -2",           "--delta 1.5",
       "--delta -0.3",         "--event-cells ''",
-      "--epsilon -1",
+      "--epsilon -1",         "--grid 100000x1",
+      "--grid 50000x50000",   "--event-cells 999",
   };
   for (const std::string& flags : bad_flags) {
     const int rc = run(flags);
     EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 2)
         << "flags: " << flags << " rc=" << rc;
+    const auto diagnostic = io::ReadTextFile(stderr_path);
+    ASSERT_TRUE(diagnostic.ok()) << diagnostic.status().ToString();
+    const std::string flag = flags.substr(0, flags.find(' '));
+    EXPECT_NE(diagnostic->find(flag + ":"), std::string::npos)
+        << "flags: " << flags << " stderr: " << *diagnostic;
   }
 
   // Control: valid flags at the edges of each range parse, and the run

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,24 @@ TEST(DeltaLocationSetTest, RejectsBadInputs) {
   EXPECT_FALSE(DeltaLocationSet(linalg::Vector{nan, 0.5, 0.5}, 0.1).ok());
   EXPECT_FALSE(DeltaLocationSet(linalg::Vector{0.5, 0.5, nan}, 0.1).ok());
   EXPECT_FALSE(DeltaLocationSet(linalg::Vector{inf, 0.5, 0.5}, 0.1).ok());
+}
+
+TEST(DeltaLocationSetTest, DeltaRuleIsHalfOpenUnitInterval) {
+  for (const double delta : {0.0, -0.0, 0.2, std::nextafter(1.0, 0.0)}) {
+    EXPECT_TRUE(ValidateDelta(delta).ok()) << delta;
+  }
+  for (const double delta :
+       {-0.3, -std::numeric_limits<double>::denorm_min(), 1.0, 1.5,
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    const Result<void> rule = ValidateDelta(delta);
+    ASSERT_FALSE(rule.ok()) << delta;
+    EXPECT_NE(rule.error().message.find("delta must be in [0, 1)"),
+              std::string::npos);
+    // DeltaLocationSet refuses through the same rule.
+    EXPECT_EQ(DeltaLocationSet(linalg::Vector{0.5, 0.5}, delta).error(),
+              rule.error());
+  }
 }
 
 TEST(DeltaRestrictedPlmTest, OutputsConfinedToSet) {

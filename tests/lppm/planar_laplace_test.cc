@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -279,6 +280,84 @@ TEST(PlanarLaplaceTest, IdentityOnceAlphaTimesCellSizeReachesNinety) {
       const PlanarLaplaceMechanism plm(grid, alpha);
       EXPECT_TRUE(EmissionIsIdentity(plm)) << "s=" << s << " alpha=" << alpha;
     }
+  }
+}
+
+TEST(BudgetRuleTest, AcceptsEveryFiniteBudgetAtLeastZero) {
+  for (const double budget :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(), 0.5,
+        std::numeric_limits<double>::max()}) {
+    EXPECT_TRUE(ValidateBudget(budget).ok()) << budget;
+  }
+  for (const double budget : {-0.25, -std::numeric_limits<double>::denorm_min(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    const Result<void> rule = ValidateBudget(budget);
+    ASSERT_FALSE(rule.ok()) << budget;
+    EXPECT_NE(rule.error().message.find("budget must be >= 0"),
+              std::string::npos);
+  }
+  const Result<void> inf = ValidateBudget(std::numeric_limits<double>::infinity());
+  ASSERT_FALSE(inf.ok());
+  EXPECT_NE(inf.error().message.find("budget must be finite"), std::string::npos);
+}
+
+// In units of 2^−k km, k = ilogb(α), every length and the budget are the km
+// ones times a power of two, so each mass is bit for bit the km mass. The
+// emission build relies on this for the benchmark's ladder.
+TEST(PlanarLaplaceTest, CellMassIsInvariantUnderPowerOfTwoUnits) {
+  for (const double alpha : {0.5, 0.5 / 4096, 0.2 / 64, 0.3, 1e-3, 7.25}) {
+    const int k = std::ilogb(alpha);
+    const detail::PlanarLaplaceCellMass km(alpha);
+    const detail::PlanarLaplaceCellMass scaled(std::ldexp(alpha, -k));
+    const double r_cut = 45.0 / alpha;
+    for (const double s : {1.0, 0.3}) {
+      for (int lo = -4; lo <= 3; ++lo) {
+        for (int len = 1; len <= 3; ++len) {
+          const double x0 = lo == -4 ? -r_cut : (lo - 0.5) * s;
+          const double x1 = (lo + len - 0.5) * s;
+          const double y0 = (lo + 1 - 0.5) * s;
+          const double y1 = len == 3 ? r_cut : (lo + len + 0.5) * s;
+          const double a = km.OverRect(x0, x1, y0, y1);
+          const double b = scaled.OverRect(std::ldexp(x0, k), std::ldexp(x1, k),
+                                           std::ldexp(y0, k), std::ldexp(y1, k));
+          EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+              << "alpha=" << alpha << " s=" << s << " rect " << x0 << ".." << x1
+              << " x " << y0 << ".." << y1;
+        }
+      }
+    }
+  }
+}
+
+TEST(PlanarLaplaceTest, TinyBudgetsReachTheFarFieldLimit) {
+  // In km, r_cut = 45/α squared overflowed below α ≈ 3.4e-153 and the build
+  // aborted ("cell masses do not tile the plane"); a 4×4 grid aborted below
+  // about 6.3e-307. As α → 0 the noise dwarfs the map, so a 1×1 row is {1},
+  // and every row of a 4×4 map puts 1/4 on each corner (a quadrant each).
+  const PlanarLaplaceMechanism one(geo::Grid(1, 1, 1.0), 1e-153);
+  EXPECT_EQ(one.emission()(0, 0), 1.0);
+  const geo::Grid grid(4, 4, 1.0);
+  const std::vector<int> corners = {0, 3, 12, 15};
+  for (const double alpha : {1e-10, 1e-153, 7.1e-307, 3e-307, 1e-320,
+                             std::numeric_limits<double>::denorm_min()}) {
+    const PlanarLaplaceMechanism plm(grid, alpha);
+    for (size_t i = 0; i < grid.num_cells(); ++i) {
+      for (size_t o = 0; o < grid.num_cells(); ++o) {
+        const bool corner =
+            std::find(corners.begin(), corners.end(), static_cast<int>(o)) !=
+            corners.end();
+        EXPECT_NEAR(plm.emission()(i, o), corner ? 0.25 : 0.0, 1e-7)
+            << "alpha=" << alpha << " i=" << i << " o=" << o;
+      }
+    }
+  }
+  // A one-column map has two half-planes, on its end cells.
+  const PlanarLaplaceMechanism column(geo::Grid(1, 5, 0.3), 1e-300);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_NEAR(column.emission()(i, 0), 0.5, 1e-7);
+    EXPECT_NEAR(column.emission()(i, 4), 0.5, 1e-7);
   }
 }
 

@@ -1,14 +1,15 @@
 // Seeded-bad fixture for tools/lint/priste_lint.py --self-test.
 //
 // PRISTE_NO_ABORT entry points must not reach a process abort on any path.
-// Four violations:
+// Five violations:
 //   ParseField   -> CheckedAt          reaches PRISTE_CHECK   (depth 1)
 //   LoadRecord   -> ParseOrDie -> Die  reaches std::abort()   (depth 2)
 //   HandleFlag                          throws directly        (depth 0)
 //   ReadCount                           calls value()          (depth 0)
+//   BuildGrid    -> GridOf             reaches PRISTE_CHECK_OK (depth 1)
 // PRISTE_DCHECK is permitted (NDEBUG serving builds compile it away): the
 // DebugAt helper must NOT produce a finding.
-// Expected: 4 no-abort-reachable findings.
+// Expected: 5 no-abort-reachable findings.
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -17,6 +18,10 @@
 #define PRISTE_CHECK(cond) \
   do {                     \
     if (!(cond)) std::abort(); \
+  } while (false)
+#define PRISTE_CHECK_OK(expr) \
+  do {                        \
+    if (!(expr).has_value()) std::abort(); \
   } while (false)
 #define PRISTE_DCHECK(cond) \
   do {                      \
@@ -75,5 +80,13 @@ PRISTE_NO_ABORT int HandleFlag(int v) {
 // Violation 4: value() on a Result throws std::bad_expected_access when it
 // holds an error, and nothing on the serving boundary catches it.
 PRISTE_NO_ABORT int ReadCount(const Result<int>& r) { return r.value(); }
+
+int GridOf(int sides) {
+  PRISTE_CHECK_OK(Result<int>{sides});
+  return sides * sides;
+}
+
+// Violation 5: reaches an input rule's PRISTE_CHECK_OK through GridOf.
+PRISTE_NO_ABORT int BuildGrid(int sides) { return GridOf(sides); }
 
 }  // namespace fixture

@@ -36,12 +36,13 @@ and checks nine rules that ordinary compiler warnings cannot express:
   no-abort-reachable
       A PRISTE_NO_ABORT function (the serving boundary: CSV and file parsing,
       CLI flag handling, the drivers' input validation) reaches a process
-      abort on some path: PRISTE_CHECK / PRISTE_CHECK_MSG, abort(), exit(),
-      _Exit(), quick_exit(), terminate(), a throw expression, or .value()
-      (std::expected throws from it when it holds an error). PRISTE_DCHECK is
-      permitted: it compiles away in NDEBUG builds and guards internal
-      invariants, not input. Waive a call edge, or an abort that an earlier
-      validation dominates, with allow(no-abort-reachable).
+      abort on some path: PRISTE_CHECK / PRISTE_CHECK_MSG / PRISTE_CHECK_OK,
+      abort(), exit(), _Exit(), quick_exit(), terminate(), a throw
+      expression, or .value() (std::expected throws from it when it holds
+      an error). PRISTE_DCHECK is permitted: it compiles away in NDEBUG
+      builds and guards internal invariants, not input. Waive a call edge,
+      or an abort that an earlier validation dominates, with
+      allow(no-abort-reachable).
 
   unchecked-result
       A call whose Result<T> is discarded, including discards through (void),
@@ -156,7 +157,7 @@ HOT_PATH_ALLOC = [
 
 # PRISTE_DCHECK is deliberately absent: NDEBUG serving builds compile it away.
 ABORT_TOKENS = [
-    (re.compile(r"\bPRISTE_CHECK(?:_MSG)?\s*\("), "PRISTE_CHECK aborts"),
+    (re.compile(r"\bPRISTE_CHECK(?:_MSG|_OK)?\s*\("), "PRISTE_CHECK aborts"),
     (re.compile(r"(?<![\w:.>])(?:std::)?abort\s*\("), "abort()"),
     (re.compile(r"(?<![\w:.>])(?:std::)?(?:exit|_Exit|quick_exit)\s*\("),
      "exit()"),
@@ -1080,7 +1081,7 @@ SELF_TEST = {
     "good_suppressed.cc": {},
     "bad_transitive_alloc.cc": {"hot-path-alloc-transitive": 2},
     "bad_lambda_hoist.cc": {"hot-path-alloc-transitive": 2},
-    "bad_no_abort.cc": {"no-abort-reachable": 4},
+    "bad_no_abort.cc": {"no-abort-reachable": 5},
     "bad_unchecked_result.cc": {"unchecked-result": 4},
     "good_callgraph.cc": {},
     "bad_lock_order.cc": {"lock-order": 3, "bare-waiver": 1},

@@ -16,15 +16,16 @@
 // The mobility model is the Gaussian-kernel synthetic chain (--sigma); for
 // trained chains use the library API directly.
 //
-// Flag values are parsed STRICTLY (common/strings.h): "8xfoo", "1.5z",
-// "inf", or "0x10" exit non-zero naming the offending flag instead of the
-// old atoi/atof behaviour of silently truncating to a prefix or zero.
-// Parsed values are range-checked too: "--grid 0x4", "--sigma 0",
-// "--epsilon -1" or "--delta 1.5" exits through the usage path instead of
-// tripping a constructor's CHECK.
+// ParseArgs checks syntax only. Values are parsed STRICTLY
+// (common/strings.h): "8xfoo", "1.5z", "inf", or "0x10" exit non-zero naming
+// the offending flag instead of silently truncating to a prefix or zero.
+// Ranges are the library's input rules, which the constructors check too:
+// main runs them before it reads the CSV, so "--grid 0x4", "--sigma 0",
+// "--epsilon -1" or "--delta 1.5" exits 2 naming the flag.
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "priste/common/metrics.h"
@@ -35,6 +36,7 @@
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
 #include "priste/io/trajectory_io.h"
+#include "priste/lppm/delta_location_set.h"
 
 namespace {
 
@@ -52,7 +54,7 @@ struct CliArgs {
   int window_end = 5;
   double epsilon = 0.5;
   double alpha = 0.5;
-  double delta = -1.0;  // < 0 (not given): Algorithm 2
+  std::optional<double> delta;  // not given: Algorithm 2
   uint64_t seed = 7;
   bool metrics = false;
 };
@@ -118,13 +120,6 @@ bool ParseIntList(const std::string& flag, const std::string& value,
 }
 
 PRISTE_NO_ABORT
-bool OutOfRange(const std::string& flag, const char* requirement) {
-  std::fprintf(stderr, "%s: value out of range; %s\n", flag.c_str(),
-               requirement);
-  return false;
-}
-
-PRISTE_NO_ABORT
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -140,39 +135,25 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!ParseIntPair(flag, value, 'x', &args->grid_w, &args->grid_h)) {
         return false;
       }
-      if (args->grid_w < 1 || args->grid_h < 1) {
-        return OutOfRange(flag, "both grid sides must be >= 1");
-      }
     } else if (flag == "--cell-km" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->cell_km)) return false;
-      if (args->cell_km <= 0.0) return OutOfRange(flag, "must be > 0");
     } else if (flag == "--sigma" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->sigma)) return false;
-      if (args->sigma <= 0.0) return OutOfRange(flag, "must be > 0");
     } else if (flag == "--event-cells" && (value = next())) {
       if (!ParseIntList(flag, value, &args->event_cells)) return false;
-      if (args->event_cells.empty()) {
-        return OutOfRange(flag, "must name at least one cell");
-      }
     } else if (flag == "--event-window" && (value = next())) {
       if (!ParseIntPair(flag, value, ':', &args->window_start,
                         &args->window_end)) {
         return false;
       }
-      if (args->window_start < 1 || args->window_start > args->window_end) {
-        return OutOfRange(flag, "need 1 <= start <= end");
-      }
     } else if (flag == "--epsilon" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->epsilon)) return false;
-      if (args->epsilon < 0.0) return OutOfRange(flag, "must be >= 0");
     } else if (flag == "--alpha" && (value = next())) {
       if (!ParseDoubleFlag(flag, value, &args->alpha)) return false;
-      if (args->alpha < 0.0) return OutOfRange(flag, "must be >= 0");
     } else if (flag == "--delta" && (value = next())) {
-      if (!ParseDoubleFlag(flag, value, &args->delta)) return false;
-      if (args->delta < 0.0 || args->delta >= 1.0) {
-        return OutOfRange(flag, "must be in [0, 1)");
-      }
+      double delta = 0.0;
+      if (!ParseDoubleFlag(flag, value, &delta)) return false;
+      args->delta = delta;
     } else if (flag == "--seed" && (value = next())) {
       if (!ParseUint64(value, &args->seed)) {
         std::fprintf(stderr, "--seed: cannot parse '%s' as an unsigned integer\n",
@@ -189,6 +170,36 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
   return !args->input.empty() && !args->output.empty();
 }
 
+// Runs the library's input rules on the parsed flags, printing the first
+// refusal under its flag. A rule that also reads an earlier flag runs after
+// that flag's own rule, so what it refuses is its own flag's value: the
+// grid rule after its sides, the region after the window, and the options
+// rule (whose decay and min_alpha keep their defaults) after the budget.
+PRISTE_NO_ABORT
+bool FlagsPassRules(const CliArgs& args, const core::PristeOptions& options) {
+  const auto pass = [](const char* flag, const Result<void>& rule) {
+    if (rule.ok()) return true;
+    std::fprintf(stderr, "%s: %s: %s\n", flag,
+                 StatusCodeToString(rule.error().code),
+                 rule.error().message.c_str());
+    return false;
+  };
+  const size_t cells =
+      static_cast<size_t>(args.grid_w) * static_cast<size_t>(args.grid_h);
+  return pass("--grid", geo::ValidateGridSides(args.grid_w, args.grid_h)) &&
+         pass("--cell-km",
+              geo::ValidateGrid(args.grid_w, args.grid_h, args.cell_km)) &&
+         pass("--sigma", geo::ValidateSigma(args.sigma)) &&
+         pass("--event-window",
+              event::ValidateWindow(args.window_start, args.window_end)) &&
+         pass("--event-cells",
+              event::ValidateRegionCells(cells, args.event_cells)) &&
+         pass("--alpha", lppm::ValidateBudget(args.alpha)) &&
+         pass("--epsilon", core::ValidatePristeOptions(options)) &&
+         (!args.delta.has_value() ||
+          pass("--delta", lppm::ValidateDelta(*args.delta)));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -202,6 +213,10 @@ int main(int argc, char** argv) {
                  "[--metrics]\n");
     return 2;
   }
+  core::PristeOptions options;
+  options.epsilon = args.epsilon;
+  options.initial_alpha = args.alpha;
+  if (!FlagsPassRules(args, options)) return 2;
 
   const geo::Grid grid(args.grid_w, args.grid_h, args.cell_km);
   const auto trajectory = io::ReadTrajectoryFile(args.input, grid);
@@ -218,27 +233,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  geo::Region region(grid.num_cells());
-  for (int c : args.event_cells) {
-    if (!grid.ContainsCell(c)) {
-      std::fprintf(stderr, "event cell %d outside the grid\n", c);
-      return 1;
-    }
-    region.Add(c);
-  }
   const auto event = std::make_shared<event::PresenceEvent>(
-      region, args.window_start, args.window_end);
+      geo::Region(grid.num_cells(), args.event_cells), args.window_start,
+      args.window_end);
 
   const geo::GaussianGridModel mobility(grid, args.sigma);
-  core::PristeOptions options;
-  options.epsilon = args.epsilon;
-  options.initial_alpha = args.alpha;
 
   Rng rng(args.seed);
   Result<core::RunResult> result = [&]() -> Result<core::RunResult> {
-    if (args.delta >= 0.0) {
+    if (args.delta.has_value()) {
       const core::PristeDeltaLoc priste(
-          grid, mobility.transition(), {event}, args.delta,
+          grid, mobility.transition(), {event}, *args.delta,
           linalg::Vector::UniformProbability(grid.num_cells()), options);
       return priste.Run(*trajectory, rng);
     }
