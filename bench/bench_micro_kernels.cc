@@ -19,7 +19,6 @@
 #include "priste/eval/experiment.h"
 #include "priste/event/presence.h"
 #include "priste/geo/gaussian_grid_model.h"
-#include "priste/hmm/forward_backward.h"
 #include "priste/linalg/kernels.h"
 #include "priste/linalg/row_block.h"
 #include "priste/lppm/delta_location_set.h"
@@ -292,29 +291,6 @@ void BM_LiftedStepColumn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LiftedStepColumn)
-    ->ArgsProduct({{16, 32}, {0, 1}})
-    ->ArgNames({"side", "csr"});
-
-// Scaled forward-backward over the sparse chain, dense vs CSR kernels.
-void BM_ForwardBackward(benchmark::State& state) {
-  const int side = static_cast<int>(state.range(0));
-  const bool sparse = state.range(1) != 0;
-  const markov::TransitionMatrix chain = MooreGridWalk(side, sparse);
-  const size_t m = chain.num_states();
-  const linalg::Vector initial = linalg::Vector::UniformProbability(m);
-  Rng rng(7);
-  std::vector<linalg::Vector> emissions;
-  for (int t = 0; t < 32; ++t) {
-    linalg::Vector e(m);
-    for (size_t i = 0; i < m; ++i) e[i] = 0.05 + 0.95 * rng.NextDouble();
-    emissions.push_back(std::move(e));
-  }
-  for (auto _ : state) {
-    auto result = hmm::ForwardBackward(chain, initial, emissions);
-    benchmark::DoNotOptimize(result->log_likelihood);
-  }
-}
-BENCHMARK(BM_ForwardBackward)
     ->ArgsProduct({{16, 32}, {0, 1}})
     ->ArgNames({"side", "csr"});
 

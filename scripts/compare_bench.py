@@ -27,7 +27,6 @@ import sys
 GUARDED_PREFIXES = [
     "BM_PropagateSparse",
     "BM_LiftedStepColumn/side:32/csr:1",
-    "BM_ForwardBackward/side:32/csr:1",
     "BM_TheoremVectors",
     "BM_QpCheck",
     "BM_PlmEmissionBuild",

@@ -53,23 +53,6 @@ uint64_t Rng::NextBelow(uint64_t n) {
   }
 }
 
-double Rng::NextGaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
-  double u, v, s;
-  do {
-    u = 2.0 * NextDouble() - 1.0;
-    v = 2.0 * NextDouble() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  cached_gaussian_ = v * factor;
-  has_cached_gaussian_ = true;
-  return u * factor;
-}
-
 double Rng::NextExponential(double lambda) {
   PRISTE_CHECK(lambda > 0.0);
   double u;
@@ -77,33 +60,6 @@ double Rng::NextExponential(double lambda) {
     u = NextDouble();
   } while (u == 0.0);
   return -std::log(u) / lambda;
-}
-
-double Rng::NextGamma(double shape) {
-  PRISTE_CHECK(shape > 0.0);
-  if (shape < 1.0) {
-    // Boost to shape+1 and scale back (Marsaglia-Tsang section 8).
-    double u;
-    do {
-      u = NextDouble();
-    } while (u == 0.0);
-    return NextGamma(shape + 1.0) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x, v;
-    do {
-      x = NextGaussian();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = NextDouble();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v;
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v;
-    }
-  }
 }
 
 int Rng::SampleDiscrete(const std::vector<double>& weights) {

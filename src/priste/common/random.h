@@ -30,16 +30,9 @@ class Rng {
   /// modulo bias.
   uint64_t NextBelow(uint64_t n);
 
-  /// Standard normal variate (Marsaglia polar method).
-  double NextGaussian();
-
   /// Exponential variate with rate `lambda` (mean 1/lambda). Requires
   /// lambda > 0.
   double NextExponential(double lambda);
-
-  /// Standard Gamma(shape, 1) variate via Marsaglia-Tsang; used by the planar
-  /// Laplace radial inverse (Gamma(2, 1/alpha)). Requires shape > 0.
-  double NextGamma(double shape);
 
   /// Samples an index from an unnormalized non-negative weight vector by
   /// inverse-CDF. Requires at least one strictly positive weight.
@@ -50,9 +43,6 @@ class Rng {
 
  private:
   uint64_t state_[4];
-  // Cached second variate of the polar method.
-  bool has_cached_gaussian_ = false;
-  double cached_gaussian_ = 0.0;
 };
 
 }  // namespace priste

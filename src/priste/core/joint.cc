@@ -43,12 +43,6 @@ double JointCalculator::Marginal() const {
   return alpha_.Sum();
 }
 
-double JointCalculator::PosteriorEvent() const {
-  const double marginal = Marginal();
-  PRISTE_CHECK_MSG(marginal > 0.0, "observations have zero probability");
-  return JointEvent() / marginal;
-}
-
 double JointCalculator::LikelihoodRatio() const {
   PRISTE_CHECK_MSG(prior_event_ > 0.0 && prior_event_ < 1.0,
                    "likelihood ratio needs a non-degenerate event prior");

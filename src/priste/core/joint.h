@@ -38,9 +38,6 @@ class JointCalculator {
   double Marginal() const;
   double JointNotEvent() const { return Marginal() - JointEvent(); }
 
-  /// Pr(EVENT | o_1..o_t) — posterior of the event.
-  double PosteriorEvent() const;
-
   /// The likelihood ratio Pr(o_1..o_t | EVENT) / Pr(o_1..o_t | ¬EVENT)
   /// whose bound defines ε-spatiotemporal event privacy (Eq. 1); requires a
   /// non-degenerate prior (0 < Pr(EVENT) < 1).

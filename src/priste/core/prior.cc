@@ -1,25 +1,9 @@
 #include "priste/core/prior.h"
 
-#include "priste/common/check.h"
-
 namespace priste::core {
 
 double EventPrior(const LiftedEventModel& model, const linalg::Vector& pi) {
   return pi.Dot(model.PriorContraction());
-}
-
-double EventPriorNegation(const LiftedEventModel& model, const linalg::Vector& pi) {
-  return 1.0 - EventPrior(model, pi);
-}
-
-linalg::Vector LiftedDistributionAt(const LiftedEventModel& model,
-                                    const linalg::Vector& pi, int t) {
-  PRISTE_CHECK(t >= 1);
-  linalg::Vector state = model.LiftInitial(pi);
-  for (int i = 1; i < t; ++i) {
-    state = model.StepRow(state, i);
-  }
-  return state;
 }
 
 }  // namespace priste::core

@@ -13,15 +13,6 @@ namespace priste::core {
 /// (naive_baseline.h) is compared against in Fig. 14.
 double EventPrior(const LiftedEventModel& model, const linalg::Vector& pi);
 
-/// Pr(¬EVENT) = 1 − Pr(EVENT) for a probability vector π.
-double EventPriorNegation(const LiftedEventModel& model, const linalg::Vector& pi);
-
-/// The full distribution over lifted states at time t given π — the row
-/// vector [π, 0] ∏_{i=1}^{t−1} M_i. Exposed for diagnostics and tests
-/// (e.g. Example C.1's intermediate products).
-linalg::Vector LiftedDistributionAt(const LiftedEventModel& model,
-                                    const linalg::Vector& pi, int t);
-
 }  // namespace priste::core
 
 #endif  // PRISTE_CORE_PRIOR_H_

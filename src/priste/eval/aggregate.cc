@@ -37,18 +37,4 @@ void SeriesStats::AddSeries(const std::vector<double>& series) {
   for (size_t i = 0; i < series.size(); ++i) stats_[i].Add(series[i]);
 }
 
-std::vector<double> SeriesStats::Means() const {
-  std::vector<double> out;
-  out.reserve(stats_.size());
-  for (const auto& s : stats_) out.push_back(s.mean());
-  return out;
-}
-
-std::vector<double> SeriesStats::Stddevs() const {
-  std::vector<double> out;
-  out.reserve(stats_.size());
-  for (const auto& s : stats_) out.push_back(s.stddev());
-  return out;
-}
-
 }  // namespace priste::eval

@@ -36,9 +36,6 @@ class SeriesStats {
   size_t length() const { return stats_.size(); }
   const RunningStats& At(size_t i) const { return stats_.at(i); }
 
-  std::vector<double> Means() const;
-  std::vector<double> Stddevs() const;
-
  private:
   std::vector<RunningStats> stats_;
 };

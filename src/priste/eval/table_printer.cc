@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "priste/common/check.h"
-#include "priste/common/strings.h"
 
 namespace priste::eval {
 
@@ -15,15 +14,6 @@ TablePrinter::TablePrinter(std::vector<std::string> headers)
 void TablePrinter::AddRow(std::vector<std::string> row) {
   PRISTE_CHECK_MSG(row.size() == headers_.size(), "row width != header width");
   rows_.push_back(std::move(row));
-}
-
-void TablePrinter::AddNumericRow(const std::string& label,
-                                 const std::vector<double>& values) {
-  std::vector<std::string> row;
-  row.reserve(values.size() + 1);
-  row.push_back(label);
-  for (double v : values) row.push_back(FormatDouble(v, 4));
-  AddRow(std::move(row));
 }
 
 void TablePrinter::Print(std::ostream& os) const {

@@ -15,9 +15,6 @@ class TablePrinter {
 
   void AddRow(std::vector<std::string> row);
 
-  /// Convenience: formats doubles with 4 significant digits.
-  void AddNumericRow(const std::string& label, const std::vector<double>& values);
-
   void Print(std::ostream& os) const;
 
  private:

@@ -201,10 +201,8 @@ Result<EventAutomaton> EventAutomaton::Compile(const BoolExpr& expr,
 
   const size_t total = states.size();
   out.accepting_.assign(total, false);
-  out.labels_.resize(total);
   for (size_t q = 0; q < total; ++q) {
     out.accepting_[q] = states[q]->kind == Canon::Kind::kTrue;
-    out.labels_[q] = states[q]->key;
   }
   // Dense transition tables with self-loop defaults (correct for constants,
   // irrelevant for unreachable (q, t) pairs).
@@ -248,11 +246,6 @@ bool EventAutomaton::Accepts(const geo::Trajectory& trajectory) const {
     q = Next(q, t, trajectory.At(t));
   }
   return IsAccepting(q);
-}
-
-const std::string& EventAutomaton::StateLabel(int q) const {
-  PRISTE_CHECK(q >= 0 && q < num_automaton_states());
-  return labels_[static_cast<size_t>(q)];
 }
 
 }  // namespace priste::event

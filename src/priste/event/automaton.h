@@ -1,7 +1,6 @@
 #ifndef PRISTE_EVENT_AUTOMATON_H_
 #define PRISTE_EVENT_AUTOMATON_H_
 
-#include <string>
 #include <vector>
 
 #include "priste/common/status.h"
@@ -55,9 +54,6 @@ class EventAutomaton {
   /// with BoolExpr::Evaluate (property-tested).
   bool Accepts(const geo::Trajectory& trajectory) const;
 
-  /// Canonical label of state q (diagnostics).
-  const std::string& StateLabel(int q) const;
-
  private:
   EventAutomaton() = default;
 
@@ -68,7 +64,6 @@ class EventAutomaton {
   // transitions_[t - start][q * m + s] = successor state.
   std::vector<std::vector<int>> transitions_;
   std::vector<bool> accepting_;
-  std::vector<std::string> labels_;
 };
 
 }  // namespace priste::event

@@ -11,14 +11,6 @@ PatternEvent::PatternEvent(std::vector<geo::Region> regions, int start)
 PatternEvent::PatternEvent(geo::Region region, int start, int end)
     : SpatiotemporalEvent(start, end, std::move(region)) {}
 
-std::shared_ptr<const PatternEvent> PatternEvent::FromTrajectory(
-    size_t num_states, const std::vector<int>& cells, int start) {
-  std::vector<geo::Region> regions;
-  regions.reserve(cells.size());
-  for (int c : cells) regions.emplace_back(num_states, std::initializer_list<int>{c});
-  return std::make_shared<PatternEvent>(std::move(regions), start);
-}
-
 bool PatternEvent::Holds(const geo::Trajectory& trajectory) const {
   PRISTE_CHECK(trajectory.length() >= end());
   for (int t = start(); t <= end(); ++t) {

@@ -1,7 +1,6 @@
 #ifndef PRISTE_EVENT_PATTERN_H_
 #define PRISTE_EVENT_PATTERN_H_
 
-#include <memory>
 #include <vector>
 
 #include "priste/event/event.h"
@@ -19,10 +18,6 @@ class PatternEvent : public SpatiotemporalEvent {
   /// A pattern over a single fixed region (stay within an area for the
   /// whole window).
   PatternEvent(geo::Region region, int start, int end);
-
-  /// A classic trajectory secret: exact cell per timestamp.
-  static std::shared_ptr<const PatternEvent> FromTrajectory(
-      size_t num_states, const std::vector<int>& cells, int start);
 
   Kind kind() const override { return Kind::kPattern; }
   bool Holds(const geo::Trajectory& trajectory) const override;

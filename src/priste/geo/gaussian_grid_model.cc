@@ -56,8 +56,4 @@ markov::MarkovChain GaussianGridModel::ChainUniformStart() const {
                              linalg::Vector::UniformProbability(grid_.num_cells()));
 }
 
-Trajectory GaussianGridModel::SampleTrajectory(int length, Rng& rng) const {
-  return Trajectory(ChainUniformStart().Sample(length, rng));
-}
-
 }  // namespace priste::geo

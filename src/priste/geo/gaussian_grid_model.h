@@ -1,10 +1,8 @@
 #ifndef PRISTE_GEO_GAUSSIAN_GRID_MODEL_H_
 #define PRISTE_GEO_GAUSSIAN_GRID_MODEL_H_
 
-#include "priste/common/random.h"
 #include "priste/common/status.h"
 #include "priste/geo/grid.h"
-#include "priste/geo/trajectory.h"
 #include "priste/markov/markov_chain.h"
 
 namespace priste::geo {
@@ -30,9 +28,6 @@ class GaussianGridModel {
 
   /// A chain with uniform initial distribution (the paper's default π).
   markov::MarkovChain ChainUniformStart() const;
-
-  /// Samples a trajectory of `length` timestamps starting from π uniform.
-  Trajectory SampleTrajectory(int length, Rng& rng) const;
 
  private:
   Grid grid_;

@@ -56,14 +56,6 @@ PointKm Grid::CenterOf(int cell) const {
                  (RowOf(cell) + 0.5) * cell_size_km_};
 }
 
-RectKm Grid::CellBoundsKm(int cell) const {
-  PRISTE_CHECK(ContainsCell(cell));
-  const double col = static_cast<double>(ColOf(cell));
-  const double row = static_cast<double>(RowOf(cell));
-  return RectKm{col * cell_size_km_, (col + 1.0) * cell_size_km_,
-                row * cell_size_km_, (row + 1.0) * cell_size_km_};
-}
-
 namespace {
 
 // floor(coordinate / cell) clamped to [0, count − 1] while still a double:

@@ -17,14 +17,6 @@ struct PointKm {
 /// Euclidean distance between two points, in km.
 double Distance(const PointKm& a, const PointKm& b);
 
-/// An axis-aligned rectangle in km, [x0, x1] × [y0, y1].
-struct RectKm {
-  double x0 = 0.0;
-  double x1 = 0.0;
-  double y0 = 0.0;
-  double y1 = 0.0;
-};
-
 /// The largest map, in cells. The chain, each emission matrix and the
 /// release engine's prefix rows are dense m×m matrices of doubles: 128 MiB
 /// each at 4,096 cells, half the emission cache's 256 MiB.
@@ -48,10 +40,6 @@ class Grid {
  public:
   Grid(int width, int height, double cell_size_km);
 
-  /// The paper's synthetic 20×20 map. Cell size 1 km puts Euclidean errors in
-  /// the km range the paper reports.
-  static Grid Square20(double cell_size_km = 1.0) { return Grid(20, 20, cell_size_km); }
-
   int width() const { return width_; }
   int height() const { return height_; }
   size_t num_cells() const { return static_cast<size_t>(width_) * height_; }
@@ -73,12 +61,6 @@ class Grid {
 
   /// Center of `cell` in km.
   PointKm CenterOf(int cell) const;
-
-  /// The square of km-space that `cell` covers. Together with CellContaining's
-  /// border clamping, the *preimage* of a border cell under "sample a point,
-  /// then clamp into the grid" extends these bounds to infinity on the border
-  /// sides — the geometry the planar-Laplace discretization integrates over.
-  RectKm CellBoundsKm(int cell) const;
 
   /// The cell containing point `p`, clamped to the grid boundary (the planar
   /// Laplace mechanism uses this remapping when a continuous sample falls

@@ -28,11 +28,6 @@ void Region::Add(int state) {
   mask_[static_cast<size_t>(state)] = true;
 }
 
-void Region::Remove(int state) {
-  PRISTE_CHECK(state >= 0 && static_cast<size_t>(state) < mask_.size());
-  mask_[static_cast<size_t>(state)] = false;
-}
-
 size_t Region::Count() const {
   size_t count = 0;
   for (bool b : mask_) count += b ? 1 : 0;
@@ -66,13 +61,6 @@ Region Region::Union(const Region& other) const {
   PRISTE_CHECK(mask_.size() == other.mask_.size());
   Region out(mask_.size());
   for (size_t i = 0; i < mask_.size(); ++i) out.mask_[i] = mask_[i] || other.mask_[i];
-  return out;
-}
-
-Region Region::Intersection(const Region& other) const {
-  PRISTE_CHECK(mask_.size() == other.mask_.size());
-  Region out(mask_.size());
-  for (size_t i = 0; i < mask_.size(); ++i) out.mask_[i] = mask_[i] && other.mask_[i];
   return out;
 }
 

@@ -33,7 +33,6 @@ class Region {
   }
 
   void Add(int state);
-  void Remove(int state);
 
   /// Number of states in the region (the paper's "event width" for a
   /// single-region PRESENCE).
@@ -49,9 +48,8 @@ class Region {
   /// Complement region.
   Region Complement() const;
 
-  /// Set union / intersection. Sizes must match.
+  /// Set union. Sizes must match.
   Region Union(const Region& other) const;
-  Region Intersection(const Region& other) const;
 
   bool operator==(const Region& other) const { return mask_ == other.mask_; }
 

@@ -71,7 +71,6 @@ PRISTE_HOT_PATH void ScalarReplicateDotPair(const double* row, size_t blocks, si
 constexpr KernelTable kScalarTable = {
     &detail::ScalarSum,
     &detail::ScalarDot,
-    &detail::ScalarDotHadamard,
     &detail::ScalarAxpy,
     &detail::ScalarScale,
     &detail::ScalarHadamardInPlace,
@@ -161,11 +160,6 @@ double DispatchSum(const double* x, size_t n) { return g_table->sum(x, n); }
 
 double DispatchDot(const double* a, const double* b, size_t n) {
   return g_table->dot(a, b, n);
-}
-
-double DispatchDotHadamard(const double* a, const double* b, const double* c,
-                           size_t n) {
-  return g_table->dot_hadamard(a, b, c, n);
 }
 
 void DispatchAxpy(double alpha, const double* x, double* y, size_t n) {

@@ -99,21 +99,6 @@ PRISTE_HOT_PATH inline double ScalarDot(const double* a, const double* b, size_t
   return total;
 }
 
-PRISTE_HOT_PATH inline double ScalarDotHadamard(const double* a, const double* b,
-                                const double* c, size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += (a[i] * b[i]) * c[i];
-    a1 += (a[i + 1] * b[i + 1]) * c[i + 1];
-    a2 += (a[i + 2] * b[i + 2]) * c[i + 2];
-    a3 += (a[i + 3] * b[i + 3]) * c[i + 3];
-  }
-  double total = (a0 + a2) + (a1 + a3);
-  for (; i < n; ++i) total += (a[i] * b[i]) * c[i];
-  return total;
-}
-
 PRISTE_HOT_PATH inline void ScalarAxpy(double alpha, const double* x, double* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -184,8 +169,6 @@ PRISTE_HOT_PATH inline void ScalarScanEdges(const double* a, const double* d,
 // Out-of-line entry points that read the dispatch table (kernels.cc).
 double DispatchSum(const double* x, size_t n);
 double DispatchDot(const double* a, const double* b, size_t n);
-double DispatchDotHadamard(const double* a, const double* b, const double* c,
-                           size_t n);
 void DispatchAxpy(double alpha, const double* x, double* y, size_t n);
 void DispatchScale(double* x, double alpha, size_t n);
 void DispatchHadamardInPlace(const double* x, double* y, size_t n);
@@ -257,14 +240,6 @@ PRISTE_HOT_PATH inline void ScanEdges(const double* a, const double* d,
     return detail::ScalarScanEdges(a, d, l, i, n, best);
   }
   detail::DispatchScanEdges(a, d, l, i, n, best);
-}
-
-/// Σ (a[i]·b[i])·c[i] — the fused triple-product reduction behind the
-/// Hadamard-then-dot patterns.
-PRISTE_HOT_PATH inline double DotHadamard(const double* a, const double* b, const double* c,
-                          size_t n) {
-  if (n < detail::kInlineThreshold) return detail::ScalarDotHadamard(a, b, c, n);
-  return detail::DispatchDotHadamard(a, b, c, n);
 }
 
 /// y[i] += alpha·x[i].

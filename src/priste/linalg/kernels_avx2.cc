@@ -53,20 +53,6 @@ PRISTE_HOT_PATH double Avx2Dot(const double* a, const double* b, size_t n) {
   return total;
 }
 
-PRISTE_HOT_PATH double Avx2DotHadamard(const double* a, const double* b, const double* c,
-                       size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ab =
-        _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(ab, _mm256_loadu_pd(c + i)));
-  }
-  double total = ReduceLanes(acc);
-  for (; i < n; ++i) total += (a[i] * b[i]) * c[i];
-  return total;
-}
-
 PRISTE_HOT_PATH void Avx2Axpy(double alpha, const double* x, double* y, size_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
   size_t i = 0;
@@ -236,7 +222,6 @@ PRISTE_HOT_PATH void Avx2ScanEdges(const double* a, const double* d,
 constexpr KernelTable kAvx2Table = {
     &Avx2Sum,
     &Avx2Dot,
-    &Avx2DotHadamard,
     &Avx2Axpy,
     &Avx2Scale,
     &Avx2HadamardInPlace,

@@ -15,7 +15,6 @@ struct EdgePoint;  // kernels.h
 struct KernelTable {
   double (*sum)(const double*, size_t);
   double (*dot)(const double*, const double*, size_t);
-  double (*dot_hadamard)(const double*, const double*, const double*, size_t);
   void (*axpy)(double, const double*, double*, size_t);
   void (*scale)(double*, double, size_t);
   void (*hadamard_in_place)(const double*, double*, size_t);

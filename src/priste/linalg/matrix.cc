@@ -42,53 +42,10 @@ Vector Matrix::Col(size_t c) const {
   return out;
 }
 
-void Matrix::SetRow(size_t r, const Vector& v) {
-  PRISTE_CHECK(r < rows_ && v.size() == cols_);
-  std::copy(v.data(), v.data() + cols_, RowPtr(r));
-}
-
-Matrix Matrix::Transposed() const {
-  Matrix out(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* src = RowPtr(r);
-    for (size_t c = 0; c < cols_; ++c) out(c, r) = src[c];
-  }
-  return out;
-}
-
-Matrix Matrix::Plus(const Matrix& other) const {
-  PRISTE_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
 Matrix Matrix::Minus(const Matrix& other) const {
   PRISTE_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   Matrix out = *this;
   for (size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
-Matrix Matrix::Scaled(double scalar) const {
-  Matrix out = *this;
-  for (double& x : out.data_) x *= scalar;
-  return out;
-}
-
-void Matrix::SetBlock(size_t r0, size_t c0, const Matrix& src) {
-  PRISTE_CHECK(r0 + src.rows_ <= rows_ && c0 + src.cols_ <= cols_);
-  for (size_t r = 0; r < src.rows_; ++r) {
-    std::copy(src.RowPtr(r), src.RowPtr(r) + src.cols_, RowPtr(r0 + r) + c0);
-  }
-}
-
-Matrix Matrix::GetBlock(size_t r0, size_t c0, size_t rows, size_t cols) const {
-  PRISTE_CHECK(r0 + rows <= rows_ && c0 + cols <= cols_);
-  Matrix out(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    std::copy(RowPtr(r0 + r) + c0, RowPtr(r0 + r) + c0 + cols, out.RowPtr(r));
-  }
   return out;
 }
 

@@ -63,22 +63,8 @@ class Matrix {
   /// Copies column `c` out as a Vector.
   Vector Col(size_t c) const;
 
-  /// Sets row `r` from `v` (size must equal cols()).
-  void SetRow(size_t r, const Vector& v);
-
-  Matrix Transposed() const;
-
-  /// Entry-wise sum/difference; shapes must match.
-  Matrix Plus(const Matrix& other) const;
+  /// Entry-wise difference; shapes must match.
   Matrix Minus(const Matrix& other) const;
-
-  Matrix Scaled(double scalar) const;
-
-  /// Writes `src` into this matrix with its top-left corner at (r0, c0).
-  void SetBlock(size_t r0, size_t c0, const Matrix& src);
-
-  /// Reads the block of shape rows×cols at (r0, c0).
-  Matrix GetBlock(size_t r0, size_t c0, size_t rows, size_t cols) const;
 
   /// Max |entry| difference against `other`; shapes must match.
   double MaxAbsDiff(const Matrix& other) const;

@@ -74,46 +74,6 @@ void SparseMatrix::VecMatSpan(const double* x, double* out) const {
   }
 }
 
-void SparseMatrix::MatVecInto(const Vector& x, Vector& out) const {
-  PRISTE_CHECK(x.size() == cols_ && out.size() == rows_);
-  MatVecSpan(x.data(), out.data());
-}
-
-Vector SparseMatrix::MatVec(const Vector& x) const {
-  Vector out(rows_);
-  MatVecInto(x, out);
-  return out;
-}
-
-void SparseMatrix::VecMatInto(const Vector& x, Vector& out) const {
-  PRISTE_CHECK(x.size() == rows_ && out.size() == cols_);
-  VecMatSpan(x.data(), out.data());
-}
-
-Vector SparseMatrix::VecMat(const Vector& x) const {
-  Vector out(cols_);
-  VecMatInto(x, out);
-  return out;
-}
-
-void SparseMatrix::VecMatHadamardInto(const Vector& x, const Vector& h,
-                                      Vector& out) const {
-  PRISTE_CHECK(x.size() == rows_ && h.size() == cols_ && out.size() == cols_);
-  VecMatSpan(x.data(), out.data());
-  kernels::HadamardInPlace(h.data(), out.data(), cols_);
-}
-
-void SparseMatrix::MatVecHadamardInto(const Vector& h, const Vector& x,
-                                      Vector& out) const {
-  PRISTE_CHECK(x.size() == cols_ && h.size() == cols_ && out.size() == rows_);
-  // One vectorized h∘x pass, then each row is a plain gather dot — cheaper
-  // than the per-entry triple product once rows share columns.
-  static thread_local std::vector<double> scratch;
-  if (scratch.size() < cols_) scratch.resize(cols_, 0.0);
-  kernels::HadamardInto(h.data(), x.data(), scratch.data(), cols_);
-  MatVecSpan(scratch.data(), out.data());
-}
-
 Matrix SparseMatrix::ToDense() const {
   Matrix out(rows_, cols_);
   for (size_t r = 0; r < rows_; ++r) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "priste/linalg/matrix.h"
-#include "priste/linalg/vector.h"
 
 namespace priste::linalg {
 
@@ -14,10 +13,7 @@ namespace priste::linalg {
 /// most a handful of neighbours per state (≤9 on an 8-connected grid) while
 /// the dense kernels sweep all m² entries.
 ///
-/// All product kernels are O(nnz) and have allocation-free `*Into` variants
-/// writing into caller-provided buffers; the fused Hadamard forms collapse
-/// the HMM/quantifier per-step pattern (propagate, then entry-wise emission
-/// product) into a single pass. `out` must never alias an input vector.
+/// Both products are O(nnz) and write into caller-provided buffers.
 class SparseMatrix {
  public:
   SparseMatrix() = default;
@@ -33,23 +29,9 @@ class SparseMatrix {
   /// nnz / (rows·cols); 0 for an empty matrix.
   double density() const;
 
-  /// out = M · x (column product). Requires x.size() == cols().
-  void MatVecInto(const Vector& x, Vector& out) const;
-  Vector MatVec(const Vector& x) const;
-
-  /// out = xᵀ · M (row product). Requires x.size() == rows().
-  void VecMatInto(const Vector& x, Vector& out) const;
-  Vector VecMat(const Vector& x) const;
-
-  /// Fused forward step: out = (xᵀ·M) ∘ h — one pass instead of VecMat plus
-  /// a Hadamard sweep. Requires h.size() == cols().
-  void VecMatHadamardInto(const Vector& x, const Vector& h, Vector& out) const;
-
-  /// Fused backward step: out = M · (h ∘ x). Requires h.size() == cols().
-  void MatVecHadamardInto(const Vector& h, const Vector& x, Vector& out) const;
-
-  /// Raw-span kernels over buffers of length cols()/rows(); the building
-  /// blocks for blockwise lifted-chain steps (core::TwoWorldModel /
+  /// out = M · x (column product, x of length cols()) and out = xᵀ · M (row
+  /// product, x of length rows()) over raw spans; the building blocks for
+  /// blockwise lifted-chain steps (core::TwoWorldModel /
   /// core::AutomatonWorldModel operate on half/slice views of lifted
   /// vectors). `out` must not alias `x`.
   void MatVecSpan(const double* x, double* out) const;

@@ -48,13 +48,6 @@ void Vector::ScaleInPlace(double scalar) {
   kernels::Scale(data_.data(), scalar, data_.size());
 }
 
-Vector Vector::Plus(const Vector& other) const {
-  PRISTE_CHECK(size() == other.size());
-  Vector out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
 Vector Vector::Minus(const Vector& other) const {
   PRISTE_CHECK(size() == other.size());
   Vector out = *this;
@@ -68,35 +61,10 @@ double Vector::MaxAbs() const {
   return best;
 }
 
-double Vector::NormL1() const {
-  double total = 0.0;
-  for (double x : data_) total += std::fabs(x);
-  return total;
-}
-
-double Vector::Max() const {
-  PRISTE_CHECK(!data_.empty());
-  return *std::max_element(data_.begin(), data_.end());
-}
-
 size_t Vector::ArgMax() const {
   PRISTE_CHECK(!data_.empty());
   return static_cast<size_t>(
       std::max_element(data_.begin(), data_.end()) - data_.begin());
-}
-
-double Vector::Min() const {
-  PRISTE_CHECK(!data_.empty());
-  return *std::min_element(data_.begin(), data_.end());
-}
-
-Vector Vector::Slice(size_t begin, size_t count) const {
-  PRISTE_CHECK(begin + count <= data_.size());
-  Vector out(count);
-  std::copy(data_.begin() + static_cast<ptrdiff_t>(begin),
-            data_.begin() + static_cast<ptrdiff_t>(begin + count),
-            out.data_.begin());
-  return out;
 }
 
 Vector Vector::Concat(const Vector& other) const {
@@ -105,13 +73,6 @@ Vector Vector::Concat(const Vector& other) const {
   std::copy(other.data_.begin(), other.data_.end(),
             out.data_.begin() + static_cast<ptrdiff_t>(size()));
   return out;
-}
-
-double Vector::NormalizeToProbability() {
-  const double total = Sum();
-  PRISTE_CHECK_MSG(total > 0.0, "cannot normalize a zero vector");
-  ScaleInPlace(1.0 / total);
-  return total;
 }
 
 bool Vector::AllInRange(double lo, double hi, double tol) const {

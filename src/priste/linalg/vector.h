@@ -82,28 +82,17 @@ class Vector {
   /// In-place scaling.
   void ScaleInPlace(double scalar);
 
-  /// Entry-wise sum / difference. Sizes must match.
-  Vector Plus(const Vector& other) const;
+  /// Entry-wise difference. Sizes must match.
   Vector Minus(const Vector& other) const;
 
-  /// Max-norm and 1-norm.
+  /// Max-norm.
   double MaxAbs() const;
-  double NormL1() const;
 
-  /// Largest entry value and its index (first on ties). Requires non-empty.
-  double Max() const;
+  /// Index of the largest entry (first on ties). Requires non-empty.
   size_t ArgMax() const;
-  double Min() const;
-
-  /// The sub-vector [begin, begin+count).
-  Vector Slice(size_t begin, size_t count) const;
 
   /// Concatenation [this, other] — the paper's [π, 0] construction.
   Vector Concat(const Vector& other) const;
-
-  /// Normalizes entries to sum to 1. Requires a positive sum; returns the
-  /// original sum (useful as a likelihood accumulator).
-  double NormalizeToProbability();
 
   /// True when all entries are within [lo, hi] (with `tol` slack); a NaN
   /// entry is not.

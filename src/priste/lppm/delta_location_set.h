@@ -62,11 +62,6 @@ class DeltaRestrictedPlanarLaplace : public Lppm {
   double alpha() const { return alpha_; }
   const geo::Region& location_set() const { return location_set_; }
 
-  /// Same restriction with a different PLM budget (Algorithm 3's halving).
-  DeltaRestrictedPlanarLaplace WithAlpha(double alpha) const {
-    return DeltaRestrictedPlanarLaplace(grid_, alpha, location_set_);
-  }
-
  private:
   /// e^{−α·d(members_[k], members_[j])}, before normalization.
   double Weight(size_t k, size_t j) const;

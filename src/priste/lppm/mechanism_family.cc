@@ -5,13 +5,36 @@
 
 #include "priste/common/check.h"
 #include "priste/common/strings.h"
+#include "priste/common/thread_annotations.h"
 #include "priste/lppm/planar_laplace.h"
 
 namespace priste::lppm {
 
+PRISTE_NO_ABORT
+Result<void> ValidateCloakingScale(double radius_scale_km) {
+  // Negated so that NaN fails too.
+  if (!(radius_scale_km > 0.0 && std::isfinite(radius_scale_km))) {
+    return err::InvalidArgument("radius_scale_km must be finite and > 0");
+  }
+  return {};
+}
+
+PRISTE_NO_ABORT
+Result<void> ValidateCloakingRadius(double radius_km) {
+  if (!(radius_km >= 0.0)) {  // `>=` also refuses NaN
+    return err::InvalidArgument("cloaking radius_km must be >= 0");
+  }
+  return {};
+}
+
 std::unique_ptr<Lppm> PlanarLaplaceFamily::Instantiate(double budget) const {
   PRISTE_CHECK_OK(ValidateBudget(budget));
   return std::make_unique<PlanarLaplaceMechanism>(grid_, budget);
+}
+
+CloakingFamily::CloakingFamily(geo::Grid grid, double radius_scale_km)
+    : grid_(grid), radius_scale_km_(radius_scale_km) {
+  PRISTE_CHECK_OK(ValidateCloakingScale(radius_scale_km));
 }
 
 std::unique_ptr<Lppm> CloakingFamily::Instantiate(double budget) const {
@@ -49,7 +72,7 @@ namespace {
 
 // Validated in the member-init list, before any emission work starts.
 double ValidateRadius(double radius_km) {
-  PRISTE_CHECK(radius_km >= 0.0);
+  PRISTE_CHECK_OK(ValidateCloakingRadius(radius_km));
   return radius_km;
 }
 

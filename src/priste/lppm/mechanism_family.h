@@ -45,6 +45,17 @@ class PlanarLaplaceFamily : public MechanismFamily {
   geo::Grid grid_;
 };
 
+/// The scale rule CloakingFamily's constructor checks: radius_scale_km
+/// finite and > 0. At 0 every budget releases the true cell, and at +∞ every
+/// budget releases uniformly, so disclosure would not fall with the budget.
+/// PRISTE_NO_ABORT.
+Result<void> ValidateCloakingScale(double radius_scale_km);
+
+/// The radius rule CloakingMechanism's constructor checks: radius_km >= 0.
+/// +∞ is the whole-map disk that CloakingFamily::Instantiate(0) passes.
+/// PRISTE_NO_ABORT.
+Result<void> ValidateCloakingRadius(double radius_km);
+
 /// Spatial cloaking in the style of Gruteser & Grunwald (MobiSys'03),
 /// adapted to per-cell reporting: the release is uniform over all cells
 /// within radius R of the true cell, with R = radius_scale_km / budget.
@@ -55,8 +66,8 @@ class PlanarLaplaceFamily : public MechanismFamily {
 /// the PriSTE quantification loop is designed to audit and calibrate.
 class CloakingFamily : public MechanismFamily {
  public:
-  CloakingFamily(geo::Grid grid, double radius_scale_km = 1.0)
-      : grid_(grid), radius_scale_km_(radius_scale_km) {}
+  /// Requires a scale that ValidateCloakingScale accepts.
+  CloakingFamily(geo::Grid grid, double radius_scale_km = 1.0);
 
   std::string name() const override { return "spatial-cloaking"; }
   size_t num_states() const override { return grid_.num_cells(); }
@@ -74,6 +85,7 @@ class CloakingFamily : public MechanismFamily {
 /// and tests; CloakingFamily::Instantiate produces these.
 class CloakingMechanism : public Lppm {
  public:
+  /// Requires a radius that ValidateCloakingRadius accepts.
   CloakingMechanism(const geo::Grid& grid, double radius_km);
 
   size_t num_states() const override { return grid_.num_cells(); }

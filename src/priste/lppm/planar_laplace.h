@@ -45,12 +45,6 @@ class PlanarLaplaceMechanism : public Lppm {
   double alpha() const { return alpha_; }
   const geo::Grid& grid() const { return grid_; }
 
-  /// A mechanism on the same grid with budget `alpha` — used by Algorithm 2's
-  /// exponential budget decay.
-  PlanarLaplaceMechanism WithAlpha(double alpha) const {
-    return PlanarLaplaceMechanism(grid_, alpha);
-  }
-
   /// One draw of the continuous mechanism: true cell center + planar Laplace
   /// noise, clamped to the grid boundary. Its cell distribution IS the
   /// emission row (emission() is the exact discretization), so Perturb() and

@@ -48,20 +48,4 @@ Result<TransitionMatrix> EstimateTransitionMatrix(
   return TransitionMatrix::Create(std::move(counts));
 }
 
-Result<linalg::Vector> EstimateInitialDistribution(
-    const std::vector<std::vector<int>>& trajectories, size_t num_states,
-    double smoothing) {
-  PRISTE_TRY_VOID(ValidateStates(trajectories, num_states));
-  if (smoothing < 0.0) return err::InvalidArgument("smoothing must be >= 0");
-
-  linalg::Vector counts(num_states, smoothing);
-  for (const auto& traj : trajectories) {
-    if (!traj.empty()) counts[static_cast<size_t>(traj[0])] += 1.0;
-  }
-  const double total = counts.Sum();
-  if (total <= 0.0) return linalg::Vector::UniformProbability(num_states);
-  counts.ScaleInPlace(1.0 / total);
-  return counts;
-}
-
 }  // namespace priste::markov

@@ -17,12 +17,6 @@ Result<TransitionMatrix> EstimateTransitionMatrix(
     const std::vector<std::vector<int>>& trajectories, size_t num_states,
     double smoothing = 0.0);
 
-/// Empirical distribution of the first state across trajectories, with the
-/// same additive smoothing.
-Result<linalg::Vector> EstimateInitialDistribution(
-    const std::vector<std::vector<int>>& trajectories, size_t num_states,
-    double smoothing = 0.0);
-
 }  // namespace priste::markov
 
 #endif  // PRISTE_MARKOV_ESTIMATOR_H_

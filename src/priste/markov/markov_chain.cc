@@ -27,20 +27,6 @@ std::vector<int> MarkovChain::Sample(int length, Rng& rng) const {
   return out;
 }
 
-std::vector<int> MarkovChain::SampleFrom(int start_state, int length, Rng& rng) const {
-  PRISTE_CHECK(length >= 1);
-  PRISTE_CHECK(start_state >= 0 &&
-               static_cast<size_t>(start_state) < num_states());
-  std::vector<int> out;
-  out.reserve(static_cast<size_t>(length));
-  out.push_back(start_state);
-  for (int t = 1; t < length; ++t) {
-    const int prev = out.back();
-    out.push_back(rng.SampleDiscrete(transition_.RowDistribution(prev).as_std()));
-  }
-  return out;
-}
-
 linalg::Vector MarkovChain::MarginalAt(int t) const {
   PRISTE_CHECK(t >= 1);
   return transition_.PropagateSteps(initial_, t - 1);

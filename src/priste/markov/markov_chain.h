@@ -24,9 +24,6 @@ class MarkovChain {
   /// Samples a trajectory of `length` states (u_1 drawn from π).
   std::vector<int> Sample(int length, Rng& rng) const;
 
-  /// Samples a trajectory continuing from a fixed starting state.
-  std::vector<int> SampleFrom(int start_state, int length, Rng& rng) const;
-
   /// Marginal distribution of u_t (1-based); p_1 = π, p_{t+1} = p_t M.
   linalg::Vector MarginalAt(int t) const;
 

@@ -135,36 +135,6 @@ void TransitionMatrix::PropagateInto(const linalg::Vector& p,
   PropagateSpan(p.data(), out.data());
 }
 
-void TransitionMatrix::PropagateHadamardInto(const linalg::Vector& p,
-                                             const linalg::Vector& h,
-                                             linalg::Vector& out) const {
-  if (sparse_ != nullptr) {
-    sparse_->VecMatHadamardInto(p, h, out);
-    return;
-  }
-  PropagateInto(p, out);
-  out.HadamardInPlace(h);
-}
-
-void TransitionMatrix::BackwardHadamardInto(const linalg::Vector& h,
-                                            const linalg::Vector& v,
-                                            linalg::Vector& out) const {
-  if (sparse_ != nullptr) {
-    sparse_->MatVecHadamardInto(h, v, out);
-    return;
-  }
-  PRISTE_CHECK(v.size() == num_states() && h.size() == num_states() &&
-               out.size() == num_states());
-  PRISTE_DCHECK(v.data() != out.data());
-  const size_t m = num_states();
-  const double* hp = h.data();
-  const double* vp = v.data();
-  double* o = out.data();
-  for (size_t r = 0; r < m; ++r) {
-    o[r] = linalg::kernels::DotHadamard(matrix_.RowPtr(r), hp, vp, m);
-  }
-}
-
 linalg::Vector TransitionMatrix::Propagate(const linalg::Vector& p) const {
   linalg::Vector out(num_states());
   PropagateInto(p, out);

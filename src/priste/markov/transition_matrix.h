@@ -61,14 +61,6 @@ class TransitionMatrix {
   /// alias `p`.
   void PropagateInto(const linalg::Vector& p, linalg::Vector& out) const;
 
-  /// Fused forward step: out = (p · M) ∘ h — the HMM α recursion in one pass.
-  void PropagateHadamardInto(const linalg::Vector& p, const linalg::Vector& h,
-                             linalg::Vector& out) const;
-
-  /// Fused backward step: out = M · (h ∘ v) — the HMM β recursion in one pass.
-  void BackwardHadamardInto(const linalg::Vector& h, const linalg::Vector& v,
-                            linalg::Vector& out) const;
-
   /// Raw-span kernels over buffers of length m (blockwise lifted-chain steps
   /// operate on slices of lifted vectors). `out` must not alias `p`/`v`.
   /// BackwardSpan is BackwardSpans with one vector.

@@ -130,7 +130,7 @@ TEST(JointCalculatorTest, PosteriorConvergesWithPinnedObservations) {
   linalg::Vector anything = linalg::Vector::Ones(m);
   calc.Push(anything);
   calc.Push(pin0);  // at t=2 the user is (almost surely) at s1 — in region
-  EXPECT_GT(calc.PosteriorEvent(), 0.999);
+  EXPECT_GT(calc.JointEvent() / calc.Marginal(), 0.999);
 }
 
 TEST(JointCalculatorTest, LikelihoodRatioIsPositiveAndFinite) {

@@ -20,14 +20,5 @@ TEST(TablePrinterTest, PrintsAlignedColumns) {
   EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(TablePrinterTest, NumericRowFormatsDoubles) {
-  TablePrinter table({"label", "a", "b"});
-  table.AddNumericRow("row", {0.5, 2.0});
-  std::ostringstream os;
-  table.Print(os);
-  EXPECT_NE(os.str().find("0.5"), std::string::npos);
-  EXPECT_NE(os.str().find("2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace priste::eval

@@ -109,12 +109,5 @@ TEST_P(AutomatonPropertyTest, AcceptsMatchesEvaluate) {
 
 INSTANTIATE_TEST_SUITE_P(Trials, AutomatonPropertyTest, ::testing::Range(0, 20));
 
-TEST(EventAutomatonTest, StateLabelsAreCanonical) {
-  const auto expr = BoolExpr::Or(BoolExpr::Pred(1, 0), BoolExpr::Pred(2, 1));
-  const auto automaton = EventAutomaton::Compile(*expr, 3);
-  ASSERT_TRUE(automaton.ok());
-  EXPECT_FALSE(automaton->StateLabel(automaton->initial_state()).empty());
-}
-
 }  // namespace
 }  // namespace priste::event

@@ -103,12 +103,6 @@ TEST(PatternEventTest, BooleanExprMatchesExampleII2) {
             "(((u2=s1) | (u2=s2)) & ((u3=s2) | (u3=s3)))");
 }
 
-TEST(PatternEventTest, FromTrajectoryIsSingleTrajectorySecret) {
-  const auto ev = PatternEvent::FromTrajectory(4, {1, 2, 3}, 2);
-  EXPECT_TRUE(ev->Holds(Trajectory({0, 1, 2, 3})));
-  EXPECT_FALSE(ev->Holds(Trajectory({0, 1, 2, 2})));
-}
-
 TEST(PatternEventTest, SingleTimestampWindow) {
   const PatternEvent ev(Region(3, {1}), 2, 2);
   EXPECT_EQ(ev.window_length(), 1);

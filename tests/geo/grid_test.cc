@@ -58,33 +58,6 @@ TEST(GridTest, CellContainingClampsOutOfBounds) {
   EXPECT_EQ(grid.CellContaining(PointKm{1.5, 3e9}), grid.CellOf(1, 2));
 }
 
-TEST(GridTest, Square20Factory) {
-  const Grid grid = Grid::Square20();
-  EXPECT_EQ(grid.width(), 20);
-  EXPECT_EQ(grid.height(), 20);
-  EXPECT_EQ(grid.num_cells(), 400u);
-}
-
-TEST(GridTest, CellBoundsContainCenterAndTile) {
-  const Grid grid(4, 3, 0.5);
-  for (size_t cell = 0; cell < grid.num_cells(); ++cell) {
-    const RectKm bounds = grid.CellBoundsKm(static_cast<int>(cell));
-    EXPECT_DOUBLE_EQ(bounds.x1 - bounds.x0, 0.5);
-    EXPECT_DOUBLE_EQ(bounds.y1 - bounds.y0, 0.5);
-    const PointKm center = grid.CenterOf(static_cast<int>(cell));
-    EXPECT_GT(center.x, bounds.x0);
-    EXPECT_LT(center.x, bounds.x1);
-    EXPECT_GT(center.y, bounds.y0);
-    EXPECT_LT(center.y, bounds.y1);
-    EXPECT_EQ(grid.CellContaining(center), static_cast<int>(cell));
-  }
-  // Adjacent cells share an edge exactly (the bounds tile the grid).
-  EXPECT_DOUBLE_EQ(grid.CellBoundsKm(grid.CellOf(0, 0)).x1,
-                   grid.CellBoundsKm(grid.CellOf(1, 0)).x0);
-  EXPECT_DOUBLE_EQ(grid.CellBoundsKm(grid.CellOf(0, 0)).y1,
-                   grid.CellBoundsKm(grid.CellOf(0, 1)).y0);
-}
-
 // The rule's message, or "" when it accepts.
 std::string Refusal(const Result<void>& rule) {
   return rule.ok() ? "" : rule.error().message;

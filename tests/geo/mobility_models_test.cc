@@ -44,17 +44,6 @@ TEST(GaussianGridModelTest, TransitionDecaysWithDistance) {
   EXPECT_GT(near, far);
 }
 
-TEST(GaussianGridModelTest, SampleTrajectoryLengthAndRange) {
-  Rng rng(3);
-  const GaussianGridModel model(Grid(5, 5, 1.0), 1.0);
-  const Trajectory t = model.SampleTrajectory(20, rng);
-  EXPECT_EQ(t.length(), 20);
-  for (int s : t.states()) {
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 25);
-  }
-}
-
 TEST(GaussianGridModelTest, TinySigmaYieldsTheIdentityChain) {
   // 2σ² underflows to 0, so the kernel scale is +inf: every off-diagonal
   // weight is exp(-inf) = 0, and the diagonal weight must stay 1, not NaN.

@@ -65,11 +65,12 @@ struct Tally {
   int runs = 0;
   int run_errors = 0;
   // Per rule, in RulesAccept's order: how often it accepted and refused.
-  int rule_accepts[8] = {};
-  int rule_refusals[8] = {};
+  int rule_accepts[9] = {};
+  int rule_refusals[9] = {};
 };
 
-// One draw of every flag-level input, as priste_cli builds them.
+// One draw of every input a rule guards: the flag-level inputs, as
+// priste_cli builds them, and the cloaking family's scale.
 struct Inputs {
   int width = 4;
   int height = 4;
@@ -79,6 +80,7 @@ struct Inputs {
   int start = 1;
   int end = 1;
   double delta = 0.2;
+  double radius_scale_km = 1.0;
   core::PristeOptions options;
 };
 
@@ -97,6 +99,7 @@ bool RulesAccept(const Inputs& in, Tally& tally) {
       lppm::ValidateBudget(in.options.initial_alpha),
       core::ValidatePristeOptions(in.options),
       lppm::ValidateDelta(in.delta),
+      lppm::ValidateCloakingScale(in.radius_scale_km),
   };
   bool all = true;
   for (size_t r = 0; r < std::size(rules); ++r) {
@@ -165,6 +168,7 @@ TEST(BoundaryFuzzTest, RulesAndConstructorsOnEdgeTuples) {
     in.options.initial_alpha = Pick(kEdgeDoubles, rng);
     in.options.min_alpha = Pick(kEdgeDoubles, rng);
     const double budget = Pick(kEdgeDoubles, rng);
+    in.radius_scale_km = Pick(kEdgeDoubles, rng);
     ++tally.cases;
     tally.accepted += RulesAccept(in, tally) ? 1 : 0;
 
@@ -200,8 +204,15 @@ TEST(BoundaryFuzzTest, RulesAndConstructorsOnEdgeTuples) {
           grid, budget, geo::Region(grid.num_cells(), {0}));
       EXPECT_EQ(restricted.EmissionColumn(0).size(), grid.num_cells());
     }
+    if (lppm::ValidateCloakingScale(in.radius_scale_km).ok()) {
+      const lppm::CloakingFamily cloaking(grid, in.radius_scale_km);
+      for (const double b : {0.0, in.options.min_alpha, 1.0}) {
+        if (!lppm::ValidateBudget(b).ok()) continue;
+        EXPECT_EQ(cloaking.Instantiate(b)->num_states(), grid.num_cells());
+      }
+    }
   }
-  for (int r = 0; r < 8; ++r) {
+  for (size_t r = 0; r < std::size(tally.rule_accepts); ++r) {
     EXPECT_GT(tally.rule_accepts[r], 0) << "rule " << r;
     EXPECT_GT(tally.rule_refusals[r], 0) << "rule " << r;
   }

@@ -42,13 +42,6 @@ TEST(KernelsTest, DotKnownValues) {
   EXPECT_DOUBLE_EQ(Dot(a, b, 3), 32.0);
 }
 
-TEST(KernelsTest, DotHadamardKnownValues) {
-  const double a[] = {1.0, 2.0};
-  const double b[] = {3.0, 4.0};
-  const double c[] = {5.0, 6.0};
-  EXPECT_DOUBLE_EQ(DotHadamard(a, b, c, 2), 15.0 + 48.0);
-}
-
 TEST(KernelsTest, AxpyScaleHadamard) {
   double y[] = {1.0, 1.0, 1.0};
   const double x[] = {1.0, 2.0, 3.0};
@@ -112,7 +105,6 @@ TEST_P(KernelsPathTest, ElementwiseAndReductionKernelsMatchScalar) {
   for (const size_t n : {0ul, 1ul, 3ul, 4ul, 7ul, 8ul, 15ul, 16ul, 33ul, 100ul}) {
     const std::vector<double> a = RandomSpan(n, rng);
     const std::vector<double> b = RandomSpan(n, rng);
-    const std::vector<double> c = RandomSpan(n, rng);
     std::vector<size_t> cols(n);
     for (size_t i = 0; i < n; ++i) cols[i] = (i * 7) % (n > 0 ? n : 1);
 
@@ -121,7 +113,6 @@ TEST_P(KernelsPathTest, ElementwiseAndReductionKernelsMatchScalar) {
       EXPECT_EQ(ActiveSimdLevel(), level);
       std::vector<double> reductions = {
           Sum(a.data(), n), Dot(a.data(), b.data(), n),
-          DotHadamard(a.data(), b.data(), c.data(), n),
           GatherDot(a.data(), cols.data(), n, b.data())};
       std::vector<double> axpy = a, scale = a, hip = a, hi(n), sc(n, 0.0);
       Axpy(1.7, b.data(), axpy.data(), n);

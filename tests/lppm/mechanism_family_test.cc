@@ -1,7 +1,10 @@
 #include "priste/lppm/mechanism_family.h"
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +52,43 @@ TEST(CloakingFamilyTest, SmallerBudgetLargerDisk) {
   const auto loose = family.Instantiate(0.25);  // R = 4 km
   // Loose spreads over more cells: smaller per-cell probability at truth.
   EXPECT_GT(tight->emission()(14, 14), loose->emission()(14, 14));
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST(CloakingRuleTest, ScaleIsFiniteAndPositive) {
+  for (const double s : {1.0, 2.0, DBL_MIN, DBL_MAX}) {
+    EXPECT_TRUE(ValidateCloakingScale(s).ok()) << s;
+  }
+  // At 0 every budget releases the true cell, at +∞ the whole map.
+  for (const double s : {0.0, -0.0, -1.0, kNan, kInf, -kInf}) {
+    const Result<void> rule = ValidateCloakingScale(s);
+    ASSERT_FALSE(rule.ok()) << s;
+    EXPECT_NE(rule.error().message.find("radius_scale_km"), std::string::npos);
+  }
+}
+
+TEST(CloakingRuleTest, RadiusIsAtLeastZeroAndMayBeInfinite) {
+  // +∞ is the whole-map disk of Instantiate(0).
+  for (const double r : {0.0, -0.0, 1.5, kInf}) {
+    EXPECT_TRUE(ValidateCloakingRadius(r).ok()) << r;
+  }
+  for (const double r : {-1.0, -DBL_MIN, kNan, -kInf}) {
+    const Result<void> rule = ValidateCloakingRadius(r);
+    ASSERT_FALSE(rule.ok()) << r;
+    EXPECT_NE(rule.error().message.find("radius_km"), std::string::npos);
+  }
+}
+
+TEST(CloakingRuleDeathTest, ConstructorsCheckTheRules) {
+  const geo::Grid grid(4, 4, 1.0);
+  EXPECT_DEATH(CloakingFamily(grid, -1.0), "radius_scale_km");
+  EXPECT_DEATH(CloakingFamily(grid, kNan), "radius_scale_km");
+  EXPECT_DEATH(CloakingFamily(grid, 0.0), "radius_scale_km");
+  EXPECT_DEATH(CloakingFamily(grid, kInf), "radius_scale_km");
+  EXPECT_DEATH(CloakingMechanism(grid, -1.0), "radius_km must be >= 0");
+  EXPECT_DEATH(CloakingMechanism(grid, kNan), "radius_km must be >= 0");
 }
 
 TEST(PlanarLaplaceFamilyTest, InstantiatesPlm) {

@@ -118,14 +118,6 @@ TEST(PlanarLaplaceTest, ContinuousSamplerUniformAtZeroAlpha) {
   for (int c : counts) EXPECT_NEAR(c, 2000, 300);
 }
 
-TEST(PlanarLaplaceTest, WithAlphaRebuilds) {
-  const geo::Grid grid(4, 4, 1.0);
-  const PlanarLaplaceMechanism plm(grid, 1.0);
-  const PlanarLaplaceMechanism half = plm.WithAlpha(0.5);
-  EXPECT_DOUBLE_EQ(half.alpha(), 0.5);
-  EXPECT_LT(half.emission()(0, 0), plm.emission()(0, 0));
-}
-
 TEST(PlanarLaplaceTest, NameIncludesBudget) {
   const geo::Grid grid(2, 2, 1.0);
   EXPECT_EQ(PlanarLaplaceMechanism(grid, 0.5).name(), "0.5-PLM");

@@ -46,21 +46,6 @@ TEST(EstimatorTest, RejectsNegativeSmoothing) {
   EXPECT_FALSE(EstimateTransitionMatrix({{0, 1}}, 2, -1.0).ok());
 }
 
-TEST(EstimatorTest, InitialDistributionCountsFirstStates) {
-  const std::vector<std::vector<int>> trajectories = {{0, 1}, {0, 2}, {1, 0}, {0, 1}};
-  const auto initial = EstimateInitialDistribution(trajectories, 3);
-  ASSERT_TRUE(initial.ok());
-  EXPECT_NEAR((*initial)[0], 0.75, 1e-12);
-  EXPECT_NEAR((*initial)[1], 0.25, 1e-12);
-  EXPECT_NEAR((*initial)[2], 0.0, 1e-12);
-}
-
-TEST(EstimatorTest, InitialDistributionEmptyInputIsUniform) {
-  const auto initial = EstimateInitialDistribution({}, 4);
-  ASSERT_TRUE(initial.ok());
-  EXPECT_NEAR((*initial)[0], 0.25, 1e-12);
-}
-
 TEST(EstimatorTest, DeterministicChainEstimatesExactly) {
   // 0 -> 1 -> 0 -> 1 ... deterministic cycle.
   const std::vector<std::vector<int>> trajectories = {{0, 1, 0, 1, 0, 1}};

@@ -12,8 +12,6 @@ TEST(MarkovChainTest, SampleHasRequestedLength) {
   const MarkovChain chain(testing::RandomTransition(4, rng),
                           linalg::Vector::UniformProbability(4));
   EXPECT_EQ(chain.Sample(10, rng).size(), 10u);
-  EXPECT_EQ(chain.SampleFrom(2, 5, rng).size(), 5u);
-  EXPECT_EQ(chain.SampleFrom(2, 5, rng)[0], 2);
 }
 
 TEST(MarkovChainTest, SampleStatesInRange) {

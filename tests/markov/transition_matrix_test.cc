@@ -134,22 +134,6 @@ TEST(TransitionMatrixTest, SparseAndDensePropagateAgree) {
   EXPECT_LT(backward_sparse.Minus(backward_dense).MaxAbs(), 1e-12);
 }
 
-TEST(TransitionMatrixTest, FusedKernelsMatchComposition) {
-  const TransitionMatrix chain = GridRandomWalk(5, 5, /*allow_sparse=*/true);
-  ASSERT_TRUE(chain.has_sparse());
-  Rng rng(23);
-  const linalg::Vector p = testing::RandomProbability(25, rng);
-  const linalg::Vector h = testing::RandomEmissionColumn(25, rng);
-  linalg::Vector fused(25);
-  chain.PropagateHadamardInto(p, h, fused);
-  EXPECT_LT(fused.Minus(chain.Propagate(p).Hadamard(h)).MaxAbs(), 1e-12);
-  linalg::Vector fused_back(25), composed(25);
-  chain.BackwardHadamardInto(h, p, fused_back);
-  const linalg::Vector hp = h.Hadamard(p);
-  chain.BackwardSpan(hp.data(), composed.data());
-  EXPECT_LT(fused_back.Minus(composed).MaxAbs(), 1e-12);
-}
-
 TEST(TransitionMatrixTest, BackwardSpansMatchSeparateBackwardSpans) {
   // One pass for up to four vectors must reproduce the lone products bit for
   // bit, on the dense (DotRows) and the CSR (per-vector MatVecSpan) paths —
